@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from typing import Any, List, Optional, Sequence, Tuple
 
+from ..errors import ReproError
 from ..faults.plan import DegradationRecord
 from ..obs.metrics import MetricsSnapshot, SpanStats
 from ..serve.protocol import JobSpec, JobStatus
@@ -47,7 +48,7 @@ from .tester import Signature, VerifiedFinding, VerifiedUnique
 WIRE_VERSION = 6
 
 
-class WireError(ValueError):
+class WireError(ReproError, ValueError):
     """A wire payload does not match the expected layout or version."""
 
 
@@ -86,6 +87,8 @@ def require_wire_version(data: dict, context: str) -> None:
     fail just as loudly as stale ones (an old service must never misparse
     a new client's documents, nor the reverse).
     """
+    if not isinstance(data, dict):
+        raise WireError(f"{context}: expected a JSON object, got {type(data).__name__}")
     found = data.get("wire_version")
     if found != WIRE_VERSION:
         raise WireVersionError(found, WIRE_VERSION, context)

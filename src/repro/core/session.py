@@ -455,16 +455,23 @@ class SessionPlan:
 
     @staticmethod
     def from_wire(data: dict) -> "SessionPlan":
-        plan = SessionPlan(
-            name=data["name"],
-            trials=data["trials"],
-            batch_trials=data["batch_trials"],
-            min_ops=data["min_ops"],
-            max_ops=data["max_ops"],
-            exploit_boost=data["exploit_boost"],
-            weights=tuple((kind, weight) for kind, weight in data["weights"]),
-            directed_seeds=data["directed_seeds"],
-        )
+        if not isinstance(data, dict):
+            raise CampaignError(f"session plan: expected a JSON object, got {type(data).__name__}")
+        try:
+            plan = SessionPlan(
+                name=data["name"],
+                trials=data["trials"],
+                batch_trials=data["batch_trials"],
+                min_ops=data["min_ops"],
+                max_ops=data["max_ops"],
+                exploit_boost=data["exploit_boost"],
+                weights=tuple((kind, weight) for kind, weight in data["weights"]),
+                directed_seeds=data["directed_seeds"],
+            )
+        except KeyError as exc:
+            raise CampaignError(f"session plan: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CampaignError(f"session plan: malformed field: {exc}") from exc
         plan.validate()
         return plan
 
@@ -485,7 +492,11 @@ def loads_session_plan(text: str) -> SessionPlan:
     """Decode and validate a plan from :func:`dumps_session_plan` text."""
     import json
 
-    return SessionPlan.from_wire(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CampaignError(f"session plan: not valid JSON: {exc}") from exc
+    return SessionPlan.from_wire(data)
 
 
 def _weighted_kind(rng: random.Random, weights: Tuple[Tuple[str, int], ...]) -> str:

@@ -156,6 +156,8 @@ class FaultPlan:
 
     @classmethod
     def from_wire(cls, data: dict) -> "FaultPlan":
+        if not isinstance(data, dict):
+            raise FaultPlanError(f"fault plan must be a JSON object, got {type(data).__name__}")
         if data.get("schema") != SCHEMA:
             raise FaultPlanError(
                 f"not a {SCHEMA} document (schema={data.get('schema')!r})"

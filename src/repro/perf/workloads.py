@@ -2,8 +2,9 @@
 
 Each workload exercises one loop the campaign throughput depends on —
 frame codec round-trips, PSM mutation batches, controller dispatch, the
-full engine frames/sec loop, and the resultio wire codec — plus a pure
-interpreter *calibration* loop used to normalise timings across machines.
+full engine frames/sec loop, the resultio wire codec and S2 payload
+crypto — plus a pure interpreter *calibration* loop used to normalise
+timings across machines.
 
 A workload is a ``prepare(fast) -> thunk`` pair: ``prepare`` builds the
 inputs outside the timed region (registries, SUTs, pre-drawn field
@@ -288,6 +289,95 @@ def prepare_resultio_wire(fast: bool) -> Callable[[], WorkloadRun]:
     return run
 
 
+# -- S2 crypto ------------------------------------------------------------------
+
+# The traffic one network key carries, as counted over the 126 seed-0 items
+# of the end-to-end ``campaign`` benchmark (each item includes one network
+# key): 2506 S2 contexts built, 748 SPANs established, 3266 frames
+# encapsulated, 2711 decapsulated (every one at window offset 0) and 322
+# decapsulations that failed the tag check at all five window offsets.
+# Per key that is, rounded, the figures below.  Plaintexts were 2 bytes
+# (1353 frames) or 4 bytes (1913 frames).
+_S2_CONTEXTS_PER_KEY = 20
+_S2_SPAN_PAIRS_PER_KEY = 3
+_S2_FRAMES_PER_KEY = 26
+_S2_OPENED_PER_KEY = 22
+_S2_TAMPERED_PER_KEY = 3
+_S2_PAYLOAD_LENGTHS = ((2, 4), (1353, 1913))
+
+
+def prepare_s2_crypto(fast: bool) -> Callable[[], WorkloadRun]:
+    """S2 traffic per network key as a campaign produces it.
+
+    For each seeded key the run builds :class:`~repro.security.s2.S2Context`
+    objects (key schedules), establishes sender/receiver SPAN pairs, sends
+    frames round-robin over the pairs (SPAN nonce draws plus CCM seal) and
+    opens the first ones in send order (CCM open at window offset 0).  The
+    last frames are never opened, and tampered copies of some frames make
+    the receiver try every nonce in its window before raising
+    :class:`~repro.errors.NonceError`.  The counts and the payload-length
+    mix come from a measured campaign (see the constants above).  The
+    checksum folds every wire body, recovered plaintext and rejection, so
+    a crypto change that alters one byte fails as a checksum drift.
+    ``ops`` is frames sent.
+    """
+    from ..errors import NonceError
+    from ..security.s2 import S2Context, S2Encapsulated
+
+    rng = random.Random(0x52C2)
+    n_keys = 4 if fast else 12
+    lengths, weights = _S2_PAYLOAD_LENGTHS
+    home_id = 0xC0FFEE01
+    keys = []
+    for _ in range(n_keys):
+        key = bytes(rng.randrange(256) for _ in range(16))
+        entropy = [
+            (bytes(rng.randrange(256) for _ in range(16)), bytes(rng.randrange(256) for _ in range(16)))
+            for _ in range(_S2_SPAN_PAIRS_PER_KEY)
+        ]
+        payloads = [
+            bytes(rng.randrange(256) for _ in range(length))
+            for length in rng.choices(lengths, weights, k=_S2_FRAMES_PER_KEY)
+        ]
+        tampered = sorted(rng.sample(range(_S2_OPENED_PER_KEY), _S2_TAMPERED_PER_KEY))
+        keys.append((key, entropy, payloads, tampered))
+
+    def run() -> WorkloadRun:
+        checksum = 0
+        context_rng = random.Random(0)
+        for key, entropy, payloads, tampered in keys:
+            contexts = [
+                S2Context(key, node_id=1 + index, rng=context_rng)
+                for index in range(_S2_CONTEXTS_PER_KEY)
+            ]
+            pairs = []
+            for index, (sender_entropy, receiver_entropy) in enumerate(entropy):
+                sender, receiver = contexts[2 * index], contexts[2 * index + 1]
+                src, dst = 1 + 2 * index, 2 + 2 * index
+                sender.establish_span(dst, sender_entropy, receiver_entropy, inbound=False)
+                receiver.establish_span(src, sender_entropy, receiver_entropy, inbound=True)
+                pairs.append((sender, receiver, src, dst))
+            for index, payload in enumerate(payloads):
+                sender, receiver, src, dst = pairs[index % len(pairs)]
+                encap = sender.encapsulate(payload, peer=dst, src=src, dst=dst, home_id=home_id)
+                wire = encap.encode()
+                checksum = _crc(checksum, wire)
+                if index in tampered:
+                    forged = S2Encapsulated(
+                        encap.seq_no, encap.extensions, encap.blob[:-1] + bytes([encap.blob[-1] ^ 1])
+                    )
+                    try:
+                        receiver.decapsulate(forged, peer=src, src=src, dst=dst, home_id=home_id)
+                    except NonceError:
+                        checksum = _crc(checksum, b"rejected")
+                if index < _S2_OPENED_PER_KEY:
+                    plaintext = receiver.decapsulate(encap, peer=src, src=src, dst=dst, home_id=home_id)
+                    checksum = _crc(checksum, plaintext)
+        return WorkloadRun(n_keys * _S2_FRAMES_PER_KEY, checksum)
+
+    return run
+
+
 # -- lint over a synthetic tree -------------------------------------------------
 
 
@@ -363,4 +453,5 @@ WORKLOADS: Dict[str, WorkloadPrepare] = {
     "campaign_fps": prepare_campaign_fps,
     "resultio_wire": prepare_resultio_wire,
     "lint_tree": prepare_lint_tree,
+    "s2_crypto": prepare_s2_crypto,
 }

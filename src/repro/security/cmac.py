@@ -8,7 +8,7 @@ function in :mod:`repro.security.kdf`.
 from __future__ import annotations
 
 from ..errors import CryptoError
-from .aes import AES128, BLOCK_SIZE
+from .aes import AES128, BLOCK_SIZE, xor_bytes
 
 _RB = 0x87  # The GF(2^128) reduction constant of RFC 4493.
 
@@ -32,25 +32,35 @@ def _generate_subkeys(cipher: AES128) -> tuple:
     return k1, k2
 
 
+class Cmac:
+    """AES-CMAC under one key: the key schedule and K1/K2 are built once.
+
+    Hold one where a key tags many messages (the S2 SPAN's MEI key draws a
+    nonce per frame); :func:`aes_cmac` is the one-shot form.
+    """
+
+    def __init__(self, key: bytes):
+        self._cipher = AES128(key)
+        self._k1, self._k2 = _generate_subkeys(self._cipher)
+
+    def tag(self, message: bytes) -> bytes:
+        """Compute the 16-byte AES-CMAC tag of *message*."""
+        encrypt = self._cipher.encrypt_block
+        n_blocks = max(1, (len(message) + BLOCK_SIZE - 1) // BLOCK_SIZE)
+        tail = message[(n_blocks - 1) * BLOCK_SIZE :]
+        if len(tail) == BLOCK_SIZE:
+            last = xor_bytes(tail, self._k1)
+        else:
+            last = xor_bytes(tail + b"\x80" + bytes(BLOCK_SIZE - len(tail) - 1), self._k2)
+        mac = bytes(BLOCK_SIZE)
+        for i in range(0, (n_blocks - 1) * BLOCK_SIZE, BLOCK_SIZE):
+            mac = encrypt(xor_bytes(mac, message[i : i + BLOCK_SIZE]))
+        return encrypt(xor_bytes(mac, last))
+
+
 def aes_cmac(key: bytes, message: bytes) -> bytes:
     """Compute the 16-byte AES-CMAC tag of *message* under *key*."""
-    cipher = AES128(key)
-    k1, k2 = _generate_subkeys(cipher)
-    n_blocks = max(1, (len(message) + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    complete = len(message) > 0 and len(message) % BLOCK_SIZE == 0
-    if complete:
-        last = bytes(
-            m ^ k for m, k in zip(message[(n_blocks - 1) * BLOCK_SIZE :], k1)
-        )
-    else:
-        tail = message[(n_blocks - 1) * BLOCK_SIZE :]
-        padded = tail + b"\x80" + bytes(BLOCK_SIZE - len(tail) - 1)
-        last = bytes(m ^ k for m, k in zip(padded, k2))
-    mac = bytes(BLOCK_SIZE)
-    for i in range(n_blocks - 1):
-        block = message[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE]
-        mac = cipher.encrypt_block(bytes(m ^ b for m, b in zip(mac, block)))
-    return cipher.encrypt_block(bytes(m ^ b for m, b in zip(mac, last)))
+    return Cmac(key).tag(message)
 
 
 def verify_cmac(key: bytes, message: bytes, tag: bytes, tag_length: int = 16) -> bool:

@@ -15,24 +15,16 @@ derived key a deterministic function of its parent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import CryptoError
-from .cmac import aes_cmac
+from .cmac import Cmac, aes_cmac
 
 #: Constants from the S2 key-derivation schedule.
 _TEMP_EXTRACT_CONST = b"\x33" * 16
 _CCM_KEY_CONST = b"\x88"
 _NONCE_PS_CONST = b"\x88"
 _MPAN_CONST = b"\x88"
-
-#: Derivations are deterministic functions of the network key, and a
-#: campaign batch builds hundreds of fresh SUTs over the same handful of
-#: keys — memoising the (pure-Python, slow) AES-CMAC schedules turns every
-#: rebuild after the first into a dictionary hit.  Bounded so adversarial
-#: key churn cannot grow the process.
-_EXPAND_CACHE: dict = {}
-_S0_CACHE: dict = {}
-_KDF_CACHE_MAX = 64
 
 
 def ckdf_temp_extract(shared_secret: bytes, pub_a: bytes, pub_b: bytes) -> bytes:
@@ -59,17 +51,7 @@ def ckdf_expand(network_key: bytes) -> ExpandedKeys:
     """Expand a network key into its CCM / nonce / MPAN components."""
     if len(network_key) != 16:
         raise CryptoError(f"network key must be 16 bytes, got {len(network_key)}")
-    key = bytes(network_key)
-    cached = _EXPAND_CACHE.get(key)
-    if cached is not None:
-        return cached
-    t1 = aes_cmac(key, _CCM_KEY_CONST + b"\x00" * 14 + b"\x01")
-    t2 = aes_cmac(key, t1 + _NONCE_PS_CONST + b"\x00" * 14 + b"\x02")
-    t3 = aes_cmac(key, t2 + _MPAN_CONST + b"\x00" * 14 + b"\x03")
-    expanded = ExpandedKeys(ccm_key=t1, nonce_personalization=t2, mpan_key=t3)
-    if len(_EXPAND_CACHE) < _KDF_CACHE_MAX:
-        _EXPAND_CACHE[key] = expanded
-    return expanded
+    return _expand(bytes(network_key))
 
 
 def derive_s0_keys(network_key: bytes) -> tuple:
@@ -80,11 +62,25 @@ def derive_s0_keys(network_key: bytes) -> tuple:
     """
     if len(network_key) != 16:
         raise CryptoError(f"network key must be 16 bytes, got {len(network_key)}")
-    key = bytes(network_key)
-    cached = _S0_CACHE.get(key)
-    if cached is not None:
-        return cached
-    derived = (aes_cmac(key, b"\xaa" * 16), aes_cmac(key, b"\x55" * 16))
-    if len(_S0_CACHE) < _KDF_CACHE_MAX:
-        _S0_CACHE[key] = derived
-    return derived
+    return _s0_keys(bytes(network_key))
+
+
+# Derivations are pure functions of the network key, and a campaign batch
+# builds hundreds of fresh SUTs over the same handful of keys, so both are
+# memoised.  The caches are least-recently-used and bounded, so a long-lived
+# process that has seen many keys still hits on the ones it uses now.
+
+
+@lru_cache(maxsize=64)
+def _expand(key: bytes) -> ExpandedKeys:
+    cmac = Cmac(key)
+    t1 = cmac.tag(_CCM_KEY_CONST + b"\x00" * 14 + b"\x01")
+    t2 = cmac.tag(t1 + _NONCE_PS_CONST + b"\x00" * 14 + b"\x02")
+    t3 = cmac.tag(t2 + _MPAN_CONST + b"\x00" * 14 + b"\x03")
+    return ExpandedKeys(ccm_key=t1, nonce_personalization=t2, mpan_key=t3)
+
+
+@lru_cache(maxsize=64)
+def _s0_keys(key: bytes) -> tuple:
+    cmac = Cmac(key)
+    return cmac.tag(b"\xaa" * 16), cmac.tag(b"\x55" * 16)

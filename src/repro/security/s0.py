@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import AuthenticationError, NonceError
-from .aes import AES128
+from .aes import AES128, xor_bytes
 from .kdf import derive_s0_keys
 
 #: S0 command class and commands carried inside command class 0x98.
@@ -115,7 +115,7 @@ class S0Context:
         mac = first
         for offset in range(0, len(padded), 16):
             block = padded[offset : offset + 16]
-            mac = self._auth.encrypt_block(bytes(m ^ b for m, b in zip(mac, block)))
+            mac = self._auth.encrypt_block(xor_bytes(mac, block))
         return mac[:MAC_SIZE]
 
     def encapsulate(

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import AuthenticationError, NonceError
-from .ccm import NONCE_LENGTH, ccm_decrypt, ccm_encrypt
-from .cmac import aes_cmac
+from .aes import AES128
+from .ccm import NONCE_LENGTH, ccm_open, ccm_seal
+from .cmac import Cmac, aes_cmac
 from .curve25519 import public_key, shared_secret
 from .kdf import ExpandedKeys, ckdf_expand, ckdf_temp_extract
 
@@ -95,7 +96,7 @@ class SpanState:
     def __init__(self, personalization: bytes, sender_entropy: bytes, receiver_entropy: bytes):
         if len(sender_entropy) != ENTROPY_SIZE or len(receiver_entropy) != ENTROPY_SIZE:
             raise NonceError("SPAN entropy inputs must be 16 bytes")
-        self._mei = aes_cmac(personalization, sender_entropy + receiver_entropy)
+        self._mei_cmac = Cmac(aes_cmac(personalization, sender_entropy + receiver_entropy))
         self._counter = 0
 
     @property
@@ -104,13 +105,13 @@ class SpanState:
 
     def next_nonce(self) -> bytes:
         """Draw the next 13-byte CCM nonce, advancing the state."""
-        block = aes_cmac(self._mei, self._counter.to_bytes(4, "big"))
+        block = self._mei_cmac.tag(self._counter.to_bytes(4, "big"))
         self._counter += 1
         return block[:NONCE_LENGTH]
 
     def peek_nonce(self, offset: int = 0) -> bytes:
         """Compute a future nonce without advancing (receiver-side window)."""
-        block = aes_cmac(self._mei, (self._counter + offset).to_bytes(4, "big"))
+        block = self._mei_cmac.tag((self._counter + offset).to_bytes(4, "big"))
         return block[:NONCE_LENGTH]
 
     def advance(self, count: int) -> None:
@@ -127,6 +128,7 @@ class S2Context:
 
     def __init__(self, network_key: bytes, node_id: int, rng: Optional[random.Random] = None):
         self._keys: ExpandedKeys = ckdf_expand(network_key)
+        self._ccm = AES128(self._keys.ccm_key)
         self._node_id = node_id
         self._rng = rng or random.Random(0)
         self._spans: Dict[Tuple[int, int], SpanState] = {}
@@ -177,7 +179,7 @@ class S2Context:
         self._seq = (self._seq + 1) % 256
         nonce = span.next_nonce()
         aad = self._aad(src, dst, home_id, seq_no, len(plaintext))
-        blob = ccm_encrypt(self._keys.ccm_key, nonce, aad, plaintext)
+        blob = ccm_seal(self._ccm, nonce, aad, plaintext)
         return S2Encapsulated(seq_no=seq_no, extensions=0, blob=blob)
 
     def decapsulate(self, encap: S2Encapsulated, peer: int, src: int, dst: int, home_id: int) -> bytes:
@@ -195,7 +197,7 @@ class S2Context:
         for offset in range(self.SPAN_WINDOW):
             nonce = span.peek_nonce(offset)
             try:
-                plaintext = ccm_decrypt(self._keys.ccm_key, nonce, aad, encap.blob)
+                plaintext = ccm_open(self._ccm, nonce, aad, encap.blob)
             except AuthenticationError:
                 continue
             span.advance(offset + 1)

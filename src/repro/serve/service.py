@@ -481,7 +481,7 @@ class ZCoverService:
 
     def _post_job(self, body: bytes) -> Tuple[int, str, str]:
         """``POST /jobs``: validate, enqueue (idempotently), checkpoint."""
-        from ..core.resultio import WireVersionError
+        from ..core.resultio import WireError, WireVersionError
 
         try:
             data = json.loads(body.decode("utf-8"))
@@ -497,7 +497,7 @@ class ZCoverService:
                 ),
                 _JSON,
             )
-        except (KeyError, TypeError) as exc:
+        except (WireError, KeyError, TypeError) as exc:
             return 400, _error_body("layout", reason=str(exc)), _JSON
         try:
             from .protocol import validate_spec

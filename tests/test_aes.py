@@ -118,3 +118,31 @@ class TestModes:
         cipher = AES128(KEY)
         iv = b"\x42" * 16
         assert cipher.decrypt_ofb(iv, cipher.encrypt_ofb(iv, data)) == data
+
+
+class TestTableKernel:
+    """The T-table encryption against published vectors and the spec-form inverse."""
+
+    SP800_38A_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+
+    @pytest.mark.parametrize(
+        "plaintext, ciphertext",
+        [
+            ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97"),
+            ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf"),
+            ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688"),
+            ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4"),
+        ],
+    )
+    def test_sp800_38a_ecb_vectors(self, plaintext, ciphertext):
+        # NIST SP 800-38A F.1.1 ECB-AES128.Encrypt.
+        cipher = AES128(self.SP800_38A_KEY)
+        assert cipher.encrypt_block(bytes.fromhex(plaintext)) == bytes.fromhex(ciphertext)
+        assert cipher.decrypt_block(bytes.fromhex(ciphertext)) == bytes.fromhex(plaintext)
+
+    @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
+    @settings(max_examples=200)
+    def test_spec_decrypt_inverts_table_encrypt(self, key, block):
+        cipher = AES128(key)
+        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
+        assert cipher.encrypt_block(cipher.decrypt_block(block)) == block

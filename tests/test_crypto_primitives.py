@@ -207,3 +207,22 @@ class TestKdf:
     def test_s0_keys_reject_bad_size(self):
         with pytest.raises(CryptoError):
             derive_s0_keys(b"tiny")
+
+    def test_caches_evict_least_recently_used(self):
+        # Past 64 distinct keys the oldest entry is evicted and recomputed,
+        # not frozen out: every key keeps its derivation and the cache stays bounded.
+        from repro.security import kdf
+
+        keys = [i.to_bytes(2, "big") * 8 for i in range(70)]
+        first_expand, first_s0 = ckdf_expand(keys[0]), derive_s0_keys(keys[0])
+        for key in keys[1:]:
+            ckdf_expand(key)
+            derive_s0_keys(key)
+        for cached, derive, first in (
+            (kdf._expand, ckdf_expand, first_expand),
+            (kdf._s0_keys, derive_s0_keys, first_s0),
+        ):
+            misses = cached.cache_info().misses
+            assert derive(keys[0]) == first
+            assert cached.cache_info().misses == misses + 1
+            assert cached.cache_info().currsize <= 64

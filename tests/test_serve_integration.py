@@ -145,6 +145,21 @@ class TestProtocolSurface:
         assert payload["error"]["found"] == WIRE_VERSION + 1
         assert payload["error"]["expected"] == WIRE_VERSION
 
+    def test_non_object_body_rejected_as_layout(self, service):
+        import http.client
+
+        connection = http.client.HTTPConnection("127.0.0.1", service.port, timeout=30)
+        try:
+            connection.request(
+                "POST", "/jobs", body=b"[]", headers={"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read().decode("utf-8"))
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert payload["error"]["kind"] == "layout"
+
     def test_unknown_job_and_path_are_404(self, client):
         with pytest.raises(ServeClientError) as excinfo:
             client.status("job-ffffffff")
