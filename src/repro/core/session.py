@@ -43,7 +43,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..errors import CampaignError
 from ..faults.schedule import derive_seed
 from ..obs import metrics as obs
-from ..obs.metrics import MetricsCollector, MetricsSnapshot, collecting, merge_all
+from ..obs.metrics import (
+    MetricsCollector,
+    MetricsSnapshot,
+    collecting,
+    coverage_key,
+    merge_all,
+    state_coverage_key,
+)
 from ..simulator.vulnerabilities import (
     SESSION_VULNS,
     SessionFrame,
@@ -96,6 +103,13 @@ class FlowStep:
         return self.sender == sender and self.cmdcl == cmdcl and self.cmd == cmd
 
 
+#: Compiled-table key: the walk's state plus the frame signature.
+TransitionKey = Tuple[str, str, int, int]
+
+#: Compiled-table entry: ``(mark, next_state, state_coverage_key, pair_key)``.
+Transition = Tuple[str, str, str, str]
+
+
 @dataclass(frozen=True)
 class FlowGraph:
     """The explicit state graph of one multi-frame flow.
@@ -104,6 +118,10 @@ class FlowGraph:
     frame an attacker splices in to weaken the exchange (non-zero scheme
     offer, escalated key grant, stale NIF, mid-transfer re-offer) and the
     frame that closes it prematurely (early TRANSFER_END / STATUS OK).
+
+    ``happy`` and ``table`` are derived once by :func:`_graph`: the
+    happy-path events, and the transition table over every state × every
+    signature the graph defines (see :func:`_compile_table`).
     """
 
     name: str
@@ -112,32 +130,43 @@ class FlowGraph:
     steps: Tuple[FlowStep, ...]
     downgrade: Event
     commit: Event
+    happy: Tuple[Event, ...] = field(compare=False, repr=False)
+    table: Dict[TransitionKey, Transition] = field(compare=False, repr=False)
 
-    def happy_events(self) -> Tuple[Event, ...]:
-        return tuple(step.event() for step in self.steps)
 
-    def states(self) -> Tuple[str, ...]:
-        ordered: List[str] = [self.initial]
-        for step in self.steps:
-            if step.dst not in ordered:
-                ordered.append(step.dst)
-        return tuple(ordered)
+def _compile_table(
+    name: str, steps: Tuple[FlowStep, ...], events: Sequence[Event]
+) -> Dict[TransitionKey, Transition]:
+    """The lenient walk of one graph, precomputed for every reachable input.
 
-    def step_from(
-        self, state: str, sender: str, cmdcl: int, cmd: int
-    ) -> Optional[FlowStep]:
-        """The first step leaving *state* that the frame satisfies."""
-        for step in self.steps:
-            if step.src == state and step.matches(sender, cmdcl, cmd):
-                return step
-        return None
-
-    def known_step(self, sender: str, cmdcl: int, cmd: int) -> Optional[FlowStep]:
-        """The first step anywhere in the graph with this signature."""
-        for step in self.steps:
-            if step.matches(sender, cmdcl, cmd):
-                return step
-        return None
+    The walk only ever sits in the initial state or a step's destination,
+    and :func:`apply_ops` only emits the signatures of *events* — the
+    happy path plus the injection templates (``mutate`` rewrites params
+    alone) — so this table answers every frame a schedule can produce.
+    Per ``(state, signature)``: the first step leaving *state* with that
+    signature advances to its destination; otherwise the first step
+    anywhere with it is an off-path acceptance ``"!<label>"``; otherwise
+    the frame is unknown, ``"?"``.  Both coverage keys are built here, once.
+    """
+    states = dict.fromkeys([steps[0].src] + [step.dst for step in steps])
+    table: Dict[TransitionKey, Transition] = {}
+    for sender, cmdcl, cmd in dict.fromkeys(event[:3] for event in events):
+        known = [step for step in steps if step.matches(sender, cmdcl, cmd)]
+        pair_key = coverage_key(cmdcl, cmd)
+        for state in states:
+            on_path = [step for step in known if step.src == state]
+            if on_path:
+                mark = next_state = on_path[0].dst
+            else:
+                mark = f"!{known[0].label}" if known else "?"
+                next_state = state
+            table[(state, sender, cmdcl, cmd)] = (
+                mark,
+                next_state,
+                state_coverage_key(name, state, mark),
+                pair_key,
+            )
+    return table
 
 
 def _graph(
@@ -147,6 +176,7 @@ def _graph(
     commit: Event,
 ) -> FlowGraph:
     flow_steps = tuple(FlowStep(*entry) for entry in steps)
+    happy = tuple(step.event() for step in flow_steps)
     return FlowGraph(
         name=name,
         initial=flow_steps[0].src,
@@ -154,6 +184,8 @@ def _graph(
         steps=flow_steps,
         downgrade=downgrade,
         commit=commit,
+        happy=happy,
+        table=_compile_table(name, flow_steps, happy + (downgrade, commit)),
     )
 
 
@@ -242,7 +274,7 @@ FLOW_GRAPHS: Dict[str, FlowGraph] = {
 
 def happy_path(flow: str) -> Tuple[Event, ...]:
     """The unmutated frame sequence of *flow* (the oracle's clean trace)."""
-    return flow_graph(flow).happy_events()
+    return flow_graph(flow).happy
 
 
 def flow_graph(flow: str) -> FlowGraph:
@@ -293,7 +325,7 @@ class SessionOp:
 def apply_ops(flow: str, ops: Sequence[SessionOp]) -> Tuple[Event, ...]:
     """The mutated event sequence: happy path of *flow* + *ops* in order."""
     graph = flow_graph(flow)
-    events: List[Event] = list(graph.happy_events())
+    events: List[Event] = list(graph.happy)
     for op in ops:
         n = len(events)
         if n == 0:
@@ -391,6 +423,15 @@ def directed_corpus(flow: str) -> Tuple[Tuple[str, Tuple[SessionOp, ...]], ...]:
 # -- plans and schedules -------------------------------------------------------
 
 
+def _require_count(name: str, value: object) -> None:
+    """Plan counts are plain ints: a float or a bool would pass the range
+    checks and only fail later, inside the schedule's ``randrange``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CampaignError(
+            f"session plan: {name} must be an integer, got {type(value).__name__}"
+        )
+
+
 @dataclass(frozen=True)
 class SessionPlan:
     """Declarative knobs of a session campaign (the *what*, never the *when*).
@@ -424,6 +465,12 @@ class SessionPlan:
 
     def validate(self) -> None:
         """Reject plans the schedule compiler cannot honour."""
+        if not isinstance(self.name, str):
+            raise CampaignError("session plan: name must be a string")
+        for name in ("trials", "batch_trials", "min_ops", "max_ops", "exploit_boost"):
+            _require_count(name, getattr(self, name))
+        if not isinstance(self.directed_seeds, bool):
+            raise CampaignError("session plan: directed_seeds must be a boolean")
         if self.trials <= 0:
             raise CampaignError("session plan: trials must be positive")
         if self.batch_trials <= 0:
@@ -434,7 +481,17 @@ class SessionPlan:
             raise CampaignError("session plan: exploit_boost must be >= 0")
         if not self.weights:
             raise CampaignError("session plan: weights must be non-empty")
-        for kind, weight in self.weights:
+        for entry in self.weights:
+            if not (
+                isinstance(entry, (tuple, list))
+                and len(entry) == 2
+                and isinstance(entry[0], str)
+            ):
+                raise CampaignError(
+                    f"session plan: each weight must be a [kind, weight] pair, got {entry!r}"
+                )
+            kind, weight = entry
+            _require_count(f"weight for {kind!r}", weight)
             if kind not in OP_KINDS:
                 raise CampaignError(f"session plan: unknown op kind {kind!r}")
             if weight <= 0:
@@ -499,8 +556,10 @@ def loads_session_plan(text: str) -> SessionPlan:
     return SessionPlan.from_wire(data)
 
 
-def _weighted_kind(rng: random.Random, weights: Tuple[Tuple[str, int], ...]) -> str:
-    roll = rng.randrange(sum(weight for _, weight in weights))
+def _weighted_kind(
+    rng: random.Random, weights: Tuple[Tuple[str, int], ...], total: int
+) -> str:
+    roll = rng.randrange(total)
     for kind, weight in weights:
         if roll < weight:
             return kind
@@ -533,6 +592,8 @@ class SessionSchedule:
         self.seed = seed
         self.graph = flow_graph(flow)
         self.corpus = directed_corpus(flow) if plan.directed_seeds else ()
+        self._weight_total = sum(weight for _, weight in plan.weights)
+        self._span = len(self.graph.steps) + 2
 
     @property
     def total_trials(self) -> int:
@@ -547,11 +608,10 @@ class SessionSchedule:
             derive_seed(self.seed, f"session.{self.flow}.trial.{trial}")
         )
         count = rng.randint(self.plan.min_ops, self.plan.max_ops)
-        span = len(self.graph.steps) + 2
         ops = []
         for _ in range(count):
-            kind = _weighted_kind(rng, self.plan.weights)
-            ops.append(_random_op(rng, kind, span))
+            kind = _weighted_kind(rng, self.plan.weights, self._weight_total)
+            ops.append(_random_op(rng, kind, self._span))
         return tuple(ops)
 
     def havoc_ops(self, trial: int) -> Tuple[SessionOp, ...]:
@@ -559,9 +619,10 @@ class SessionSchedule:
         rng = random.Random(
             derive_seed(self.seed, f"session.{self.flow}.havoc.{trial}")
         )
-        span = len(self.graph.steps) + 2
         return tuple(
-            _random_op(rng, _weighted_kind(rng, self.plan.weights), span)
+            _random_op(
+                rng, _weighted_kind(rng, self.plan.weights, self._weight_total), self._span
+            )
             for _ in range(self.plan.exploit_boost)
         )
 
@@ -618,33 +679,40 @@ def evaluate_trace(flow: str, events: Sequence[Event]) -> SessionEvaluation:
     The walk models a *lenient* controller: on-path frames advance the
     state, everything else is consumed without aborting — the planted
     predicates are exactly the acceptances a strict implementation would
-    reject.  Per-frame coverage (both the ``flow@state>mark`` transition
-    bitmap and the CMDCL×CMD bitmap) lands on the active obs collector.
+    reject.  Each frame is one lookup in the graph's compiled table
+    (:func:`_compile_table`); a signature the graph does not define is
+    unknown (``"?"``) and leaves the state unchanged.  Per-frame coverage
+    (both the ``flow@state>mark`` transition bitmap and the CMDCL×CMD
+    bitmap) lands on the active obs collector in one call per trace.
     """
     graph = flow_graph(flow)
+    table = graph.table
     state = graph.initial
     frames: List[SessionFrame] = []
     transitions: List[Tuple[str, str]] = []
+    keys: List[str] = []
     for sender, cmdcl, cmd, params in events:
-        frames.append(
-            SessionFrame(state=state, sender=sender, cmdcl=cmdcl, cmd=cmd, params=params)
-        )
-        step = graph.step_from(state, sender, cmdcl, cmd)
-        if step is not None:
-            mark = step.dst
-        else:
-            known = graph.known_step(sender, cmdcl, cmd)
-            mark = f"!{known.label}" if known is not None else "?"
+        frames.append(SessionFrame(state, sender, cmdcl, cmd, params))
+        entry = table.get((state, sender, cmdcl, cmd))
+        if entry is None:
+            entry = (
+                "?",
+                state,
+                state_coverage_key(flow, state, "?"),
+                coverage_key(cmdcl, cmd),
+            )
+        mark, next_state, state_key, pair_key = entry
         transitions.append((state, mark))
-        obs.cover_state(flow, state, mark)
-        obs.cover(cmdcl, cmd)
-        if step is not None:
-            state = step.dst
+        keys.append(state_key)
+        keys.append(pair_key)
+        state = next_state
+    obs.cover_keys(keys)
+    trace = tuple(frames)
     return SessionEvaluation(
         flow=flow,
-        frames=tuple(frames),
+        frames=trace,
         transitions=tuple(transitions),
-        findings=tuple(match_session_vulns(flow, tuple(frames))),
+        findings=tuple(match_session_vulns(flow, trace)),
         final_state=state,
     )
 

@@ -14,7 +14,7 @@ while a campaign runs:
 
 Instrumented code never threads a collector through constructors; it
 calls the module-level helpers (:func:`inc`, :func:`observe`,
-:func:`cover`, ...) which write to the innermost collector activated via
+:func:`cover_keys`, ...) which write to the innermost collector activated via
 ``with collecting(collector):`` — and are cheap no-ops when none is
 active, so library code stays usable outside campaigns.
 
@@ -168,6 +168,12 @@ class MetricsCollector:
         key = state_coverage_key(flow, state, mark)
         self._coverage[key] = self._coverage.get(key, 0) + int(amount)
 
+    def cover_keys(self, keys: Iterable[str]) -> None:
+        """Mark one processing of each prebuilt coverage key, in order."""
+        coverage = self._coverage
+        for key in keys:
+            coverage[key] = coverage.get(key, 0) + 1
+
     def coverage_size(self) -> int:
         """How many distinct coverage coordinates the bitmap holds.
 
@@ -279,16 +285,10 @@ def observe(name: str, value: int) -> None:
         _ACTIVE[-1].observe(name, value)
 
 
-def cover(cmdcl: int, cmd: Optional[int] = None) -> None:
-    """Coverage mark on the active collector (no-op when inactive)."""
+def cover_keys(keys: Iterable[str]) -> None:
+    """Prebuilt coverage keys on the active collector (no-op when inactive)."""
     if _ACTIVE:
-        _ACTIVE[-1].cover(cmdcl, cmd)
-
-
-def cover_state(flow: str, state: str, mark: str) -> None:
-    """Session-transition mark on the active collector (no-op when inactive)."""
-    if _ACTIVE:
-        _ACTIVE[-1].cover_state(flow, state, mark)
+        _ACTIVE[-1].cover_keys(keys)
 
 
 # -- merging -------------------------------------------------------------------

@@ -83,9 +83,21 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
+    413: "Content Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+
+#: Largest request body the service reads; a JobSpec is well under 1 KiB.
+MAX_BODY_BYTES = 1 << 20
+
+#: Most header lines one request may carry.
+MAX_HEADER_LINES = 64
+
+#: Wall-clock seconds a client gets to deliver its whole request.
+REQUEST_READ_TIMEOUT_S = 10.0
 
 _JSON = "application/json"
 
@@ -405,7 +417,11 @@ class ZCoverService:
     ) -> None:
         """One request/response exchange (HTTP/1.1, connection: close)."""
         try:
-            status, body, ctype = await self._handle_request(reader)
+            status, body, ctype = await asyncio.wait_for(
+                self._handle_request(reader), timeout=REQUEST_READ_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            status, body, ctype = 408, _error_body("timeout"), _JSON
         except Exception:
             status, body, ctype = 500, _error_body("internal"), _JSON
         payload = body.encode("utf-8")
@@ -427,15 +443,28 @@ class ZCoverService:
     async def _handle_request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, str, str]:
-        """Parse one request off the stream and route it."""
-        request_line = await reader.readline()
+        """Parse one request off the stream and route it.
+
+        The read is bounded: at most :data:`MAX_HEADER_LINES` headers
+        (431) and a declared body of at most :data:`MAX_BODY_BYTES` (413,
+        answered without reading it); a body cut short by the client is a
+        400.  The caller bounds the whole read by
+        :data:`REQUEST_READ_TIMEOUT_S` (408).
+        """
+        try:
+            request_line = await reader.readline()
+        except ValueError:  # longer than the stream's line limit
+            return 400, _error_body("request-line"), _JSON
         parts = request_line.decode("latin-1", "replace").split()
         if len(parts) != 3:
             return 400, _error_body("request-line"), _JSON
         method, target = parts[0].upper(), parts[1]
         length = 0
-        while True:
-            header = await reader.readline()
+        for _ in range(MAX_HEADER_LINES + 1):
+            try:
+                header = await reader.readline()
+            except ValueError:
+                return 431, _error_body("headers", reason="line too long"), _JSON
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1", "replace").partition(":")
@@ -444,7 +473,20 @@ class ZCoverService:
                     length = int(value.strip())
                 except ValueError:
                     return 400, _error_body("content-length"), _JSON
-        body = await reader.readexactly(length) if length > 0 else b""
+                if length < 0:
+                    return 400, _error_body("content-length"), _JSON
+        else:
+            return 431, _error_body("headers", limit=MAX_HEADER_LINES), _JSON
+        if length > MAX_BODY_BYTES:
+            return 413, _error_body("body-size", limit=MAX_BODY_BYTES), _JSON
+        try:
+            body = await reader.readexactly(length) if length > 0 else b""
+        except asyncio.IncompleteReadError as exc:
+            return (
+                400,
+                _error_body("truncated-body", expected=length, received=len(exc.partial)),
+                _JSON,
+            )
         path = target.partition("?")[0]
         return self._route(method, path, body)
 

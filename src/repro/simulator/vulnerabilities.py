@@ -808,9 +808,15 @@ def session_vuln_by_id(vuln_id: str) -> SessionVulnerability:
     raise KeyError(f"no session vulnerability with id {vuln_id}")
 
 
+_SESSION_VULNS_BY_FLOW: Dict[str, Tuple[SessionVulnerability, ...]] = {
+    flow: tuple(v for v in SESSION_VULNS if v.flow == flow)
+    for flow in dict.fromkeys(v.flow for v in SESSION_VULNS)
+}
+
+
 def session_vulns_for_flow(flow: str) -> Tuple[SessionVulnerability, ...]:
     """The planted bugs scoped to one flow, in vuln-id order."""
-    return tuple(v for v in SESSION_VULNS if v.flow == flow)
+    return _SESSION_VULNS_BY_FLOW.get(flow, ())
 
 
 def match_session_vulns(

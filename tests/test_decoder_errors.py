@@ -35,3 +35,37 @@ def test_loads_session_plan_rejects_empty_object():
 def test_loads_session_plan_rejects_array():
     with pytest.raises(CampaignError, match="expected a JSON object"):
         loads_session_plan("[]")
+
+
+def _session_plan_text(**overrides):
+    import json
+
+    from repro.core.session import SessionPlan
+
+    wire = SessionPlan().to_wire()
+    wire.update(overrides)
+    return json.dumps(wire)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param({"trials": "24"}, "trials must be an integer, got str", id="str-trials"),
+        pytest.param({"trials": 24.0}, "trials must be an integer, got float", id="float-trials"),
+        pytest.param({"min_ops": 1.5}, "min_ops must be an integer, got float", id="float-min-ops"),
+        pytest.param(
+            {"batch_trials": True}, "batch_trials must be an integer, got bool", id="bool-count"
+        ),
+        pytest.param(
+            {"weights": [["drop", 2.5]]}, "weight for 'drop' must be an integer", id="float-weight"
+        ),
+        pytest.param(
+            {"weights": [[3, 2]]}, r"each weight must be a \[kind, weight\] pair", id="int-kind"
+        ),
+        pytest.param({"name": 7}, "name must be a string", id="int-name"),
+        pytest.param({"directed_seeds": 1}, "directed_seeds must be a boolean", id="int-flag"),
+    ],
+)
+def test_loads_session_plan_rejects_mistyped_fields(overrides, message):
+    with pytest.raises(CampaignError, match=message):
+        loads_session_plan(_session_plan_text(**overrides))

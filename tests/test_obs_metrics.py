@@ -20,7 +20,7 @@ from repro.obs.metrics import (
     SpanStats,
     active_collector,
     collecting,
-    cover,
+    cover_keys,
     coverage_key,
     format_frames_per_bug,
     frames_per_bug,
@@ -114,7 +114,7 @@ class TestActiveStack:
         assert active_collector() is None
         inc("never")  # must not raise
         observe("never", 1)
-        cover(0x25, 0x01)
+        cover_keys([coverage_key(0x25, 0x01)])
 
     def test_collecting_routes_and_restores(self):
         c = MetricsCollector()
@@ -122,7 +122,7 @@ class TestActiveStack:
             assert active_collector() is c
             inc("hits")
             observe("lens", 3)
-            cover(0x25, 0x01)
+            cover_keys([coverage_key(0x25, 0x01)])
         assert active_collector() is None
         snap = c.snapshot()
         assert snap.counters == {"hits": 1}

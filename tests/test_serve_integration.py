@@ -188,6 +188,105 @@ class TestProtocolSurface:
         assert health["ok"] is True
 
 
+def _raw_exchange(port, request, close_write=False, timeout=5.0):
+    """Send raw *request* bytes on a fresh socket; return (status, payload).
+
+    *close_write* half-closes the socket after sending, as a client that
+    hangs up mid-request does.  *timeout* bounds every socket read, so a
+    server that waits for bytes that never come fails the test quickly.
+    """
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body.decode("utf-8"))
+
+
+class TestRequestBounds:
+    """The HTTP read is bounded in size, header count and time."""
+
+    def test_oversized_body_rejected_without_reading_it(self, service):
+        from repro.serve.service import MAX_BODY_BYTES, REQUEST_READ_TIMEOUT_S
+
+        started = wall_monotonic()
+        status, payload = _raw_exchange(
+            service.port,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (1 << 40),
+        )
+        assert status == 413
+        assert payload["error"] == {"kind": "body-size", "limit": MAX_BODY_BYTES}
+        assert wall_monotonic() - started < REQUEST_READ_TIMEOUT_S
+
+    def test_too_many_headers_rejected(self, service):
+        from repro.serve.service import MAX_HEADER_LINES
+
+        headers = b"".join(b"X-Filler-%d: 1\r\n" % i for i in range(MAX_HEADER_LINES + 1))
+        status, payload = _raw_exchange(
+            service.port, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert status == 431
+        assert payload["error"] == {"kind": "headers", "limit": MAX_HEADER_LINES}
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, kind",
+        [
+            pytest.param(
+                b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", 400, "request-line",
+                id="request-line",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n", 431,
+                "headers", id="header",
+            ),
+        ],
+    )
+    def test_overlong_line_rejected(self, service, request_bytes, status, kind):
+        got, payload = _raw_exchange(service.port, request_bytes, close_write=True)
+        assert got == status
+        assert payload["error"]["kind"] == kind
+
+    def test_headers_at_the_limit_accepted(self, service):
+        from repro.serve.service import MAX_HEADER_LINES
+
+        headers = b"".join(b"X-Filler-%d: 1\r\n" % i for i in range(MAX_HEADER_LINES))
+        status, payload = _raw_exchange(
+            service.port, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert status == 200
+        assert payload["ok"] is True
+
+    def test_stalled_request_times_out(self, service, monkeypatch):
+        import repro.serve.service as service_module
+
+        monkeypatch.setattr(service_module, "REQUEST_READ_TIMEOUT_S", 0.3)
+        status, payload = _raw_exchange(service.port, b"POST /jobs HTTP/1.1\r\n")
+        assert status == 408
+        assert payload["error"]["kind"] == "timeout"
+
+    def test_truncated_body_is_a_400(self, service):
+        status, payload = _raw_exchange(
+            service.port,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"kind\":",
+            close_write=True,
+        )
+        assert status == 400
+        assert payload["error"] == {
+            "kind": "truncated-body",
+            "expected": 100,
+            "received": 8,
+        }
+
+
 class TestKillAndResume:
     """Kill the service mid-trial-set; a resumed one is byte-identical."""
 
