@@ -4,9 +4,10 @@ Devices and the attacker's dongle attach to one :class:`RadioMedium` at
 physical positions.  A transmission is delivered to every attached endpoint
 tuned to the same region whose received signal strength clears its
 sensitivity floor; delivery is scheduled on the simulated clock after the
-frame's airtime.  A log-distance path-loss model gives the 10-70 m attack
-range of Figure 2 realistic behaviour: near receivers always hear the
-frame, far ones suffer increasing loss until the link dies.
+frame's airtime.  An endpoint attached with an address is handed only the
+frames for its own network and node.  A log-distance path-loss model gives
+the 10-70 m attack range of Figure 2 realistic behaviour: near receivers
+always hear the frame, far ones suffer increasing loss until the link dies.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import RadioError
+from ..zwave import constants as const
 from ..zwave.constants import Region
 from .clock import SimClock
 from .signal import airtime_seconds, corrupt_bits, decode_phy, encode_phy
@@ -46,19 +48,23 @@ def loss_probability(rssi_dbm: float) -> float:
     return (PERFECT_LINK_DBM - rssi_dbm) / (PERFECT_LINK_DBM - SENSITIVITY_DBM)
 
 
-@dataclass(slots=True)
+@dataclass
 class Reception:
     """What an endpoint's receive callback is handed.
 
-    ``slots=True`` because one is allocated per endpoint per transmission —
-    the single hottest allocation site in a fuzzing campaign.
+    Slotted because one is allocated per kept delivery — the single
+    hottest allocation site in a fuzzing campaign.  The slots are declared
+    by hand (``dataclass(slots=True)`` needs Python 3.10), which is also
+    why no field has a default.
     """
+
+    __slots__ = ("raw", "rssi_dbm", "timestamp", "rate_kbaud", "bit_errors")
 
     raw: bytes
     rssi_dbm: float
     timestamp: float
     rate_kbaud: float
-    bit_errors: int = 0
+    bit_errors: int
 
 
 #: Endpoint receive callback signature.
@@ -84,15 +90,32 @@ def active_engine() -> str:
     return engine
 
 
+#: Shortest buffer that carries a MAC header and checksum.
+_MIN_FRAME_SIZE = const.MAC_HEADER_SIZE + const.CS8_TRAILER_SIZE
+
+
+def _address_key(raw: bytes) -> Optional[Tuple[int, int]]:
+    """The ``(home id, destination)`` pair an addressed endpoint filters
+    on, or ``None`` for a buffer too short to carry a MAC header."""
+    if len(raw) < _MIN_FRAME_SIZE:
+        return None
+    return int.from_bytes(raw[const.HOME_ID_SLICE], "big"), raw[const.DST_OFFSET]
+
+
 @dataclass
 class _Endpoint:
-    """Book-keeping for one attached radio."""
+    """Book-keeping for one attached radio.
+
+    *accepts* is ``None`` for an unaddressed endpoint, which hears every
+    frame; an addressed one keeps only frames whose :func:`_address_key`
+    is in the set — its own node id or broadcast, on its home id.
+    """
 
     name: str
     position: Tuple[float, float]
     region: Region
     callback: ReceiveCallback
-    promiscuous: bool = False
+    accepts: Optional[FrozenSet[Tuple[int, int]]] = None
     enabled: bool = True
     sensitivity_dbm: float = SENSITIVITY_DBM
 
@@ -132,21 +155,15 @@ class RadioMedium:
         #: Optional fault-injection hook (repro.faults.MediumFaultInjector);
         #: consulted once per transmission when set.
         self.fault_injector = None
-        # Topology caches, invalidated whenever geometry changes (attach /
-        # detach / move).  RSSI between two stationary endpoints is a pure
-        # function of their positions, yet the log10 path-loss evaluation
-        # dominated the per-transmission cost; the enabled/region checks
-        # stay live so cache state can never change who hears a frame.
-        self._endpoint_cache: Optional[Tuple[_Endpoint, ...]] = None
-        self._rssi_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
         # Per-sender delivery plans: the sender/enabled/region/sensitivity
-        # filter chain is a pure function of topology and power state, so
-        # it runs once per (sender, topology) instead of once per transmit.
-        # A plan is (records, out_of_range): records are the endpoints that
-        # reach the rng draw — in listener order, so rng consumption is
-        # unchanged — and out_of_range counts the sub-sensitivity listeners
-        # the legacy loop tallied as losses on every transmission.
-        # Invalidated with the topology caches and on every enabled flip
+        # filter chain and the log10 path-loss model are pure functions of
+        # topology and power state, so they run once per (sender, topology)
+        # instead of once per transmit.  A plan is (records, out_of_range):
+        # records are (endpoint, rssi, loss probability) for the endpoints
+        # that reach the rng draw — in listener order, so rng consumption
+        # is unchanged — and out_of_range counts the sub-sensitivity
+        # listeners the legacy loop tallied as losses on every transmission.
+        # Invalidated on attach / detach / move and on every enabled flip
         # (the only write path is :meth:`set_enabled`).
         self._plan_cache: Dict[str, Tuple[Tuple[Tuple[_Endpoint, float, float], ...], int]] = {}
         # Airtime keyed by (frame length, rate): the duration formula only
@@ -165,14 +182,27 @@ class RadioMedium:
         position: Tuple[float, float],
         region: Region,
         callback: ReceiveCallback,
-        promiscuous: bool = False,
+        address: Optional[Tuple[int, int]] = None,
         sensitivity_dbm: float = SENSITIVITY_DBM,
     ) -> None:
-        """Register an endpoint; *name* must be unique on this medium."""
+        """Register an endpoint; *name* must be unique on this medium.
+
+        With *address* ``(home_id, node_id)`` the endpoint is addressed:
+        its callback runs only for frames at least a MAC header plus
+        checksum long whose home-id bytes match and whose destination is
+        *node_id* or broadcast — the check a slave's MAC layer makes before
+        anything else, moved here so the frames it would drop never cost a
+        ``Reception`` or a callback.  ``None`` hears every frame, as the
+        sniffer, controllers and repeaters must.
+        """
         if name in self._endpoints:
             raise RadioError(f"endpoint {name!r} already attached")
+        accepts = None
+        if address is not None:
+            home_id, node_id = address
+            accepts = frozenset({(home_id, node_id), (home_id, const.BROADCAST_NODE_ID)})
         self._endpoints[name] = _Endpoint(
-            name, position, region, callback, promiscuous, True, sensitivity_dbm
+            name, position, region, callback, accepts, True, sensitivity_dbm
         )
         self._invalidate_topology()
 
@@ -200,8 +230,6 @@ class RadioMedium:
         return sorted(self._endpoints)
 
     def _invalidate_topology(self) -> None:
-        self._endpoint_cache = None
-        self._rssi_cache.clear()
         self._plan_cache.clear()
 
     # -- statistics --------------------------------------------------------------
@@ -250,71 +278,25 @@ class RadioMedium:
                 duplicate = action.duplicate
         if self._collisions and self._collides(airtime):
             return airtime
-        phy_bits = encode_phy(frame_bytes, rate_kbaud) if self._bit_accurate else None
-        listeners = self._endpoint_cache
-        if listeners is None:
-            listeners = self._endpoint_cache = tuple(self._endpoints.values())
-        return self._transmit_batched(
-            sender, source, frame_bytes, phy_bits, airtime, rate_kbaud,
-            extra_delay, duplicate, listeners, self._rssi_cache,
-        )
-
-    def _transmit_batched(
-        self,
-        sender: str,
-        source: _Endpoint,
-        frame_bytes: bytes,
-        phy_bits: Optional[List[int]],
-        airtime: float,
-        rate_kbaud: float,
-        extra_delay: float,
-        duplicate: bool,
-        listeners: Tuple[_Endpoint, ...],
-        rssi_cache: Dict[Tuple[str, str], Tuple[float, float]],
-    ) -> float:
-        """Batched delivery: one clock event carries every listener record.
-
-        The per-endpoint filter/rng sequence is byte-identical to the
-        legacy loop (same draws, same order); only the scheduling changes.
-        Legacy pushed one closure per (endpoint, offset) with consecutive
-        seq numbers and a shared fire time, so the heap drained them in
-        listener order anyway — the batch event replays exactly that order
-        from a tuple of records, with one heap push per fire time instead
-        of one per delivery.  Collision cancellation maps 1:1: cancelling
-        the batch id cancels all of the transmission's deliveries.
-        """
         plan = self._plan_cache.get(sender)
         if plan is None:
-            plan = self._plan_cache[sender] = self._build_plan(
-                sender, source, listeners, rssi_cache
-            )
+            plan = self._plan_cache[sender] = self._build_plan(sender, source)
         reachable, out_of_range = plan
         self._losses += out_of_range
-        rng_random = self._rng.random
-        deliveries: List[tuple] = []
-        for endpoint, rssi, loss_p in reachable:
-            # The draw happens for every endpoint above sensitivity even on
-            # a perfect link — cache state must never change rng consumption.
-            if rng_random() < loss_p:
-                self._losses += 1
-                continue
-            if phy_bits is None:
-                deliveries.append((endpoint, frame_bytes, None, rssi, 0))
-                continue
-            delivered_bits = phy_bits
-            bit_errors = 0
-            if self._noise_bit_rate > 0.0:
-                flips = tuple(
-                    i
-                    for i in range(len(phy_bits))
-                    if rng_random() < self._noise_bit_rate
-                )
-                if flips:
-                    delivered_bits = corrupt_bits(phy_bits, flips)
-                    bit_errors = len(flips)
-            deliveries.append((endpoint, None, delivered_bits, rssi, bit_errors))
-        if deliveries:
-            records = tuple(deliveries)
+        # The loss draw happens for every endpoint above sensitivity even on
+        # a perfect link, in listener order — the plan must never change
+        # rng consumption.
+        if self._bit_accurate:
+            data = None
+            records = self._draw_phy(reachable, encode_phy(frame_bytes, rate_kbaud))
+            deliver = self._deliver_phy
+        else:
+            rng_random = self._rng.random
+            data = frame_bytes
+            records = [record for record in reachable if rng_random() >= record[2]]
+            self._losses += len(reachable) - len(records)
+            deliver = self._deliver_clean
+        if records:
             # A duplicated transmission arrives a second time one airtime
             # after the original (back-to-back repeat on the channel).
             offsets = (
@@ -323,19 +305,45 @@ class RadioMedium:
             for offset in offsets:
                 event_id = self._clock.schedule_call(
                     airtime + offset,
-                    self._deliver_batch,
-                    (records, airtime, rate_kbaud, offset),
+                    deliver,
+                    (data, records, airtime, rate_kbaud, offset),
                 )
                 if self._collisions:
                     self._current_transmission["events"].append(event_id)
         return airtime
 
-    def _build_plan(
+    def _draw_phy(
         self,
-        sender: str,
-        source: _Endpoint,
-        listeners: Tuple[_Endpoint, ...],
-        rssi_cache: Dict[Tuple[str, str], Tuple[float, float]],
+        reachable: Tuple[Tuple[_Endpoint, float, float], ...],
+        phy_bits: List[int],
+    ) -> List[Tuple[_Endpoint, float, List[int], int]]:
+        """Loss and channel-noise draws for the bit-accurate path.
+
+        Each surviving endpoint gets its own bitstream record
+        ``(endpoint, rssi, bits, bit_errors)``: noise flips bits per
+        receiver, so the batch cannot share one buffer.
+        """
+        rng_random = self._rng.random
+        noise = self._noise_bit_rate
+        records = []
+        for endpoint, rssi, loss_p in reachable:
+            if rng_random() < loss_p:
+                self._losses += 1
+                continue
+            delivered_bits = phy_bits
+            bit_errors = 0
+            if noise > 0.0:
+                flips = tuple(
+                    i for i in range(len(phy_bits)) if rng_random() < noise
+                )
+                if flips:
+                    delivered_bits = corrupt_bits(phy_bits, flips)
+                    bit_errors = len(flips)
+            records.append((endpoint, rssi, delivered_bits, bit_errors))
+        return records
+
+    def _build_plan(
+        self, sender: str, source: _Endpoint
     ) -> Tuple[Tuple[Tuple[_Endpoint, float, float], ...], int]:
         """Run the listener filter chain once for *sender*.
 
@@ -346,58 +354,67 @@ class RadioMedium:
         """
         reachable: List[Tuple[_Endpoint, float, float]] = []
         out_of_range = 0
-        for endpoint in listeners:
+        for endpoint in self._endpoints.values():
             if endpoint.name == sender or not endpoint.enabled:
                 continue
             if endpoint.region != source.region:
                 continue
-            link = (sender, endpoint.name)
-            cached = rssi_cache.get(link)
-            if cached is None:
-                distance = math.dist(source.position, endpoint.position)
-                rssi = received_power_dbm(distance)
-                cached = rssi_cache[link] = (rssi, loss_probability(rssi))
-            rssi, loss_p = cached
+            rssi = received_power_dbm(math.dist(source.position, endpoint.position))
             if rssi < endpoint.sensitivity_dbm:
                 out_of_range += 1
                 continue
-            reachable.append((endpoint, rssi, loss_p))
+            reachable.append((endpoint, rssi, loss_probability(rssi)))
         return tuple(reachable), out_of_range
 
-    def _deliver_batch(self, batch: tuple) -> None:
-        """Fire every delivery of one transmission, in listener order.
+    # -- delivery ------------------------------------------------------------------
+    #
+    # Both delivery paths run at the batch's fire time, one clock event per
+    # transmission (and offset).  Legacy pushed one closure per (endpoint,
+    # offset) with consecutive seq numbers and a shared fire time, so the
+    # heap drained them in listener order anyway — the batch replays
+    # exactly that order, with one heap push per fire time instead of one
+    # per delivery.  Collision cancellation maps 1:1: cancelling the batch
+    # id cancels all of the transmission's deliveries.
+    #
+    # The enabled check happens per record, immediately before its
+    # callback, so a callback earlier in the batch that powers a later
+    # listener down still suppresses that delivery.  Callbacks never
+    # advance the clock, so every record of the batch sees the same
+    # ``now`` and the timestamp (fire-time now + airtime + offset) is
+    # hoisted.  The address filter runs last, on the bytes actually
+    # delivered, and a filtered delivery still counts in ``deliveries``.
 
-        Runs at the batch's fire time.  The enabled check happens here —
-        per record, immediately before its callback — so a callback
-        earlier in the batch that powers a later listener down still
-        suppresses that delivery, exactly as the per-event legacy path
-        did.  The ``Reception`` timestamp is read from the live clock per
-        record for the same reason.
-        """
-        records, airtime, rate_kbaud, offset = batch
-        # Callbacks never advance the clock, so every record of the batch
-        # sees the same ``now`` — hoisting the timestamp preserves the
-        # legacy per-event value (fire-time now + airtime + offset) exactly.
+    def _deliver_clean(self, batch: tuple) -> None:
+        """Deliver one clean-channel transmission: shared bytes, plan records."""
+        raw, records, airtime, rate_kbaud, offset = batch
         timestamp = self._clock.now + airtime + offset
-        for endpoint, raw_bytes, phy_bits, rssi, bit_errors in records:
+        key = _address_key(raw)
+        for endpoint, rssi, _ in records:
             if not endpoint.enabled:
                 continue
-            if raw_bytes is not None:
-                raw = raw_bytes
-            else:
-                try:
-                    raw = decode_phy(phy_bits, rate_kbaud)
-                except RadioError:
-                    continue  # Undecodable garbage — receiver never syncs.
             self._deliveries += 1
+            accepts = endpoint.accepts
+            if accepts is not None and key not in accepts:
+                continue
+            endpoint.callback(Reception(raw, rssi, timestamp, rate_kbaud, 0))
+
+    def _deliver_phy(self, batch: tuple) -> None:
+        """Deliver one bit-accurate transmission: decode each receiver's bits."""
+        _, records, airtime, rate_kbaud, offset = batch
+        timestamp = self._clock.now + airtime + offset
+        for endpoint, rssi, phy_bits, bit_errors in records:
+            if not endpoint.enabled:
+                continue
+            try:
+                raw = decode_phy(phy_bits, rate_kbaud)
+            except RadioError:
+                continue  # Undecodable garbage — receiver never syncs.
+            self._deliveries += 1
+            accepts = endpoint.accepts
+            if accepts is not None and _address_key(raw) not in accepts:
+                continue
             endpoint.callback(
-                Reception(
-                    raw=raw,
-                    rssi_dbm=rssi,
-                    timestamp=timestamp,
-                    rate_kbaud=rate_kbaud,
-                    bit_errors=bit_errors,
-                )
+                Reception(raw, rssi, timestamp, rate_kbaud, bit_errors)
             )
 
     def _collides(self, airtime: float) -> bool:

@@ -28,15 +28,18 @@ from .medium import RadioMedium, Reception
 CAPTURE_BUFFER_SIZE = 4096
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CapturedFrame:
     """One sniffed frame with its radio metadata.
 
     ``frame`` is a zero-copy :class:`~repro.zwave.frame.FrameView` over
     ``raw`` (``None`` when the buffer is not dissectable): fields decode
     lazily on first touch, so captures that are only length-filtered or
-    ack-scanned never pay for a full parse.
+    ack-scanned never pay for a full parse.  Slots are declared by hand
+    because ``dataclass(slots=True)`` needs Python 3.10.
     """
+
+    __slots__ = ("raw", "frame", "rssi_dbm", "timestamp", "bit_errors")
 
     raw: bytes
     frame: Optional[FrameView]
@@ -65,7 +68,10 @@ class Transceiver:
         self._position = position
         self._region: Optional[Region] = None
         self._rate_kbaud: Optional[float] = None
-        self._captures: Deque[CapturedFrame] = deque(maxlen=CAPTURE_BUFFER_SIZE)
+        # The ring holds the medium's ``Reception`` objects as delivered;
+        # ``CapturedFrame`` and its view are built only when read, since most
+        # captures are cleared unread by the next ping.
+        self._captures: Deque[Reception] = deque(maxlen=CAPTURE_BUFFER_SIZE)
         self._attached = False
         self._injected = 0
 
@@ -86,8 +92,7 @@ class Transceiver:
                 self._name,
                 self._position,
                 region,
-                self._on_receive,
-                promiscuous=True,
+                self._captures.append,
             )
             self._attached = True
 
@@ -116,27 +121,16 @@ class Transceiver:
 
     # -- receive path ----------------------------------------------------------------
 
-    def _on_receive(self, reception: Reception) -> None:
-        # Zero-copy capture: wrap the buffer in a lazy view (None when the
-        # length makes it undissectable) instead of eagerly decoding every
-        # sniffed frame — most captures are only ack-scanned or dst-filtered.
-        self._captures.append(
-            CapturedFrame(
-                raw=reception.raw,
-                frame=lenient_view(reception.raw),
-                rssi_dbm=reception.rssi_dbm,
-                timestamp=reception.timestamp,
-                bit_errors=reception.bit_errors,
-            )
-        )
-
     def captures(self) -> List[CapturedFrame]:
         """Snapshot of the capture buffer (oldest first)."""
-        return list(self._captures)
+        return [
+            CapturedFrame(r.raw, lenient_view(r.raw), r.rssi_dbm, r.timestamp, r.bit_errors)
+            for r in self._captures
+        ]
 
     def drain_captures(self) -> List[CapturedFrame]:
         """Return and clear the capture buffer."""
-        captured = list(self._captures)
+        captured = self.captures()
         self._captures.clear()
         return captured
 

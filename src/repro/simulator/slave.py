@@ -55,7 +55,16 @@ class VirtualSlave:
         self._sequence = 0
         self._report_interval: Optional[float] = None
         self.frames_received = 0
-        medium.attach(name, position, region=Region.US, callback=self._on_receive)
+        # Addressed: the medium drops frames for other networks and other
+        # nodes before they reach :meth:`_on_receive` — most traffic on
+        # the shared channel is addressed to the controller.
+        medium.attach(
+            name,
+            position,
+            region=Region.US,
+            callback=self._on_receive,
+            address=(home_id, node_id),
+        )
 
     # -- reporting --------------------------------------------------------------
 
@@ -100,21 +109,8 @@ class VirtualSlave:
         self._medium.transmit(self.name, frame.encode(), rate_kbaud=100.0)
 
     def _on_receive(self, reception: Reception) -> None:
-        raw = reception.raw
-        # Zero-copy prefilter on the buffer: most traffic on the shared
-        # medium is addressed to the controller, so the dst/home-id bytes
-        # reject it before any decode work.  Outcome-identical to decoding
-        # first — a frame rejected here would have been rejected by the
-        # same checks (or failed verification) right after the decode, and
-        # neither path counts anything before ``frames_received``.
-        if len(raw) >= const.MAC_HEADER_SIZE + const.CS8_TRAILER_SIZE:
-            if int.from_bytes(raw[const.HOME_ID_SLICE], "big") != self.home_id:
-                return
-            dst = raw[const.DST_OFFSET]
-            if dst != self.node_id and dst != const.BROADCAST_NODE_ID:
-                return
         try:
-            frame = ZWaveFrame.decode(raw, verify=True)
+            frame = ZWaveFrame.decode(reception.raw, verify=True)
         except FrameError:
             return
         if frame.home_id != self.home_id:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from ..errors import SimulatorError
@@ -122,11 +123,14 @@ class SystemUnderTest:
         return self.controller.nvm.snapshot()
 
 
+@lru_cache(maxsize=None)
 def supported_cmdcls() -> Tuple[int, ...]:
     """The 45 classes every testbed controller's firmware implements.
 
     43 controller-relevant spec classes plus the proprietary 0x01/0x02 —
     the ground truth ZCover's discovery phase recovers (Table IV).
+    Derived once per process: the registry is a fixed singleton, and a
+    campaign item builds about ten SUTs.
     """
     public = load_public_registry()
     return tuple(sorted(public.controller_relevant_ids() + (0x01, 0x02)))
