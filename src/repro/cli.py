@@ -29,7 +29,6 @@ from .analysis.report import (
     render_table6,
 )
 from .analysis.triage import CrashTriage, render_triage_report
-from .core.baseline import VFuzzBaseline
 from .core.buglog import BugLog
 from .core.campaign import HOUR, Mode, run_ablation, run_campaign
 from .core.discovery import discover_unknown_properties
@@ -216,40 +215,30 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run the Table V comparison (ZCover vs VFuzz)."""
+    from .core.parallel import CampaignUnit, execute_units
+    from .faults.plan import dumps_plan
+
     devices = [d.strip() for d in args.devices.split(",") if d.strip()]
     duration = args.hours * HOUR
-    workers = _resolve_workers_arg(args)
     # Fault plans apply to the ZCover campaigns only — the VFuzz baseline
     # has no campaign/fault machinery to degrade gracefully through.
     plan = _resolve_fault_plan(args)
+    plan_json = None if plan is None else dumps_plan(plan)
+    units = [
+        CampaignUnit(device=d, kind=kind, mode=Mode.FULL, duration=duration,
+                     seed=args.seed,
+                     fault_plan_json=plan_json if kind == "zcover" else None,
+                     scheduler=args.scheduler if kind == "zcover" else "static")
+        for d in devices
+        for kind in ("vfuzz", "zcover")
+    ]
     vfuzz_results, zcover_results = {}, {}
-    if workers > 1:
-        from .core.parallel import CampaignUnit, execute_units
-        from .faults.plan import dumps_plan
-
-        plan_json = None if plan is None else dumps_plan(plan)
-        units = [
-            CampaignUnit(device=d, kind=kind, mode=Mode.FULL, duration=duration,
-                         seed=args.seed,
-                         fault_plan_json=plan_json if kind == "zcover" else None,
-                         scheduler=args.scheduler if kind == "zcover" else "static")
-            for d in devices
-            for kind in ("vfuzz", "zcover")
-        ]
-        for outcome in execute_units(units, workers=workers):
-            if outcome.failure is not None:
-                print(outcome.failure.render(), file=sys.stderr)
-                return 1
-            target = vfuzz_results if outcome.unit.kind == "vfuzz" else zcover_results
-            target[outcome.unit.device] = outcome.result
-    else:
-        for device in devices:
-            sut = build_sut(device, seed=args.seed)
-            vfuzz_results[device] = VFuzzBaseline(sut, seed=args.seed).run(duration)
-            zcover_results[device] = run_campaign(
-                device=device, mode=Mode.FULL, duration=duration, seed=args.seed,
-                fault_plan=plan, scheduler=args.scheduler,
-            )
+    for outcome in execute_units(units, workers=_resolve_workers_arg(args)):
+        if outcome.failure is not None:
+            print(outcome.failure.render(), file=sys.stderr)
+            return 1
+        target = vfuzz_results if outcome.unit.kind == "vfuzz" else zcover_results
+        target[outcome.unit.device] = outcome.result
     print(render_table5(vfuzz_results, zcover_results))
     if args.metrics_out:
         snapshots = []

@@ -414,7 +414,8 @@ def run_ablation(
 ) -> Dict[object, CampaignResult]:
     """The Table VI experiment: all three modes for one hour on one device.
 
-    ``workers > 1`` shards the arms across a process pool; the returned
+    Each arm is one unit of :func:`repro.core.parallel.execute_units`;
+    ``workers > 1`` shards the arms across a process pool and the returned
     mapping is identical to the serial run either way — including under a
     *fault_plan*, which applies to every arm.
 
@@ -435,19 +436,6 @@ def run_ablation(
     ]
     if scheduler == SCHEDULER_COVERAGE:
         arms.append((COVERAGE_ARM, Mode.FULL, SCHEDULER_COVERAGE))
-    if workers <= 1:
-        return {
-            key: run_campaign(
-                device=device,
-                mode=mode,
-                duration=duration,
-                seed=seed,
-                fault_plan=fault_plan,
-                scheduler=arm_scheduler,
-            )
-            for key, mode, arm_scheduler in arms
-        }
-
     from ..faults.plan import dumps_plan
     from .parallel import CampaignUnit, execute_units
 

@@ -1,4 +1,4 @@
-"""Process-pool campaign execution: shard trials across CPU cores.
+"""Campaign-unit execution: one attempt policy for every caller.
 
 The paper's evaluation is embarrassingly parallel — five independent
 trials per controller, nine controllers, three ablation modes — and every
@@ -8,46 +8,51 @@ campaign *unit* is a small picklable spec, each worker process builds its
 own testbed from the spec, and the parent reassembles results in canonical
 submission order, so parallel output is byte-identical to a serial run.
 
-Robustness model:
+The attempt policy lives in one place, :func:`unit_attempts`, and every
+caller — :func:`execute_units` (trials, ablation, compare, sessions) and
+the job service — drives it:
 
 * each unit gets up to ``1 + retries`` attempts;
-* a worker that raises, dies (``BrokenProcessPool``) or exceeds the
-  per-unit *timeout* fails only its own unit for that round — units that
-  were collateral damage of a pool breakage are retried too;
-* the retry round runs each remaining unit in its **own** single-worker
-  pool, so one persistently crashing unit cannot take healthy retries
-  down with it;
+* first attempts are submitted in index order and settled in index
+  order; a failure is classified once (exception, worker crash or
+  timeout) and the unit is retried in a fresh single-worker pool, so one
+  persistently crashing unit cannot take healthy neighbours down;
 * a unit that exhausts its attempts surfaces as a structured
-  :class:`UnitFailure` in the merged output instead of an exception, so
-  one bad shard never discards the others' results.
+  :class:`UnitFailure` instead of an exception, so one bad shard never
+  discards the others' results;
+* a drain (Ctrl-C, or the service's shutdown) cancels queued attempts,
+  stops retrying and lets in-flight units finish and report.
 
-Workers return results in the :mod:`repro.core.resultio` wire form (plain
-JSON-safe data), never live simulator objects, so nothing heavyweight —
-in particular no :class:`~repro.zwave.registry.SpecRegistry` — crosses a
-process boundary.
+Units run in the caller's process when ``workers <= 1`` and no timeout
+is set (an in-process unit cannot be interrupted, so a timeout always
+runs units in a worker process).  Worker processes return results in the
+:mod:`repro.core.resultio` wire form (plain JSON-safe data), never live
+simulator objects, so nothing heavyweight — in particular no
+:class:`~repro.zwave.registry.SpecRegistry` — crosses a process boundary.
 
 Fault injection rides the unit itself: ``fault`` carries a
 :mod:`repro.faults.worker` token ("raise", "exit", "hang:<s>", ...)
-applied inside the worker before the campaign starts, and
-``fault_plan_json`` a serialised :class:`~repro.faults.plan.FaultPlan`
-the worker compiles against the unit's seed for in-simulation faults.
-Both are ``None`` in production campaigns.  Retry rounds can be spaced
-by a seeded :class:`~repro.faults.resilience.BackoffPolicy`.
+applied before the campaign starts, and ``fault_plan_json`` a serialised
+:class:`~repro.faults.plan.FaultPlan` the worker compiles against the
+unit's seed for in-simulation faults.  Both are ``None`` in production
+campaigns.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures import (
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    TimeoutError as FutureTimeout,
+)
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import CampaignError
-from ..faults.resilience import BackoffPolicy, backoff_delays
 from ..faults.worker import apply_worker_fault
-from ..obs import metrics as obs
 from .campaign import Mode, run_campaign
 
 #: Failure categories recorded on :class:`UnitFailure`.
@@ -59,12 +64,13 @@ FAILURE_TIMEOUT = "timeout"
 class ExecutionInterrupted(BaseException):
     """A graceful drain finished: in-flight units were flushed first.
 
-    Raised instead of letting a raw ``KeyboardInterrupt`` (Ctrl-C, or the
-    SIGTERM handler the job service installs) tear the executor mid-unit.
+    Raised by :func:`execute_units` instead of letting a raw
+    ``KeyboardInterrupt`` (Ctrl-C, or SIGTERM routed through a handler)
+    tear units down mid-flight.
     ``outcomes`` carries **every** unit's :class:`UnitOutcome` in
     canonical order — completed units hold their results, undone units
-    hold neither result nor failure — so callers (the service checkpoint
-    above all) can persist the completed prefix before exiting.
+    hold neither result nor failure — so callers can persist the
+    completed prefix before exiting.
 
     Derives from ``BaseException`` like the interrupt it replaces, so
     generic ``except Exception`` recovery paths cannot swallow it.
@@ -151,10 +157,9 @@ class UnitOutcome:
 def execute_unit(unit: CampaignUnit) -> Any:
     """Run one unit in-process and return the live result object.
 
-    This is the serial path — exactly what the pre-parallel code did,
-    modulo fault injection.  The determinism suite compares its output
-    against the pooled (wire round-tripped) path to prove the codec is
-    lossless.
+    The in-process path runs this directly; worker processes run it via
+    :func:`execute_unit_to_wire`.  The determinism suite compares the two
+    to prove the codec is lossless.
     """
     apply_worker_fault(unit.fault)
     fault_plan = None
@@ -206,38 +211,14 @@ def execute_unit_to_wire(unit: CampaignUnit) -> dict:
     return campaign_to_wire(result)
 
 
-def execute_unit_to_shm_wire(unit: CampaignUnit) -> dict:
-    """Worker entry for pooled rounds: large wire results ride shared memory.
+def rehydrate_unit_result(unit: CampaignUnit, wire: dict) -> Any:
+    """Decode one unit's wire-form result (worker reply or checkpoint).
 
-    Identical to :func:`execute_unit_to_wire` except the resulting wire
-    dict is staged in a shared-memory segment when big enough (see
-    :func:`repro.core.resultio.wire_to_shm_token`), so the pool's result
-    channel carries a tiny claim token instead of pickling a multi-
-    kilobyte campaign document through a pipe.  Harvest sites resolve the
-    token with :func:`repro.core.resultio.claim_wire`.
+    The job service's checkpoint stores completed units exactly as
+    workers returned them, so resuming a killed job replays this decode —
+    the same one a live settle uses — and merged output cannot tell the
+    difference.
     """
-    from .resultio import wire_to_shm_token
-
-    return wire_to_shm_token(execute_unit_to_wire(unit))
-
-
-def _discard_late_wire(future: Any) -> None:
-    """Done-callback for abandoned futures: unlink a late shm segment.
-
-    A unit that times out is failed immediately, but the worker may still
-    finish and stage its result in shared memory; nobody will ever claim
-    that token, so this callback releases the segment the moment the late
-    future resolves.
-    """
-    from .resultio import discard_wire_token
-
-    try:
-        discard_wire_token(future.result(timeout=0))
-    except BaseException:
-        pass
-
-
-def _rehydrate(unit: CampaignUnit, wire: dict) -> Any:
     from .resultio import campaign_from_wire, session_from_wire, vfuzz_from_wire
 
     if unit.kind == "vfuzz":
@@ -245,24 +226,6 @@ def _rehydrate(unit: CampaignUnit, wire: dict) -> Any:
     if unit.kind == "sessions":
         return session_from_wire(wire)
     return campaign_from_wire(wire)
-
-
-# -- parent side ---------------------------------------------------------------
-
-
-def outcomes_harness_snapshot(outcomes: Sequence[UnitOutcome]) -> Any:
-    """Executor metrics for a finished batch: units, retries, failures."""
-    from ..obs.metrics import harness_snapshot
-
-    return harness_snapshot(
-        units=len(outcomes),
-        attempts=[outcome.attempts for outcome in outcomes],
-        failure_categories=[
-            outcome.failure.category
-            for outcome in outcomes
-            if outcome.failure is not None
-        ],
-    )
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -282,7 +245,7 @@ def parallel_supported() -> bool:
 
     ``ProcessPoolExecutor`` needs working multiprocessing synchronisation
     primitives; some minimal containers ship Python without them, in which
-    case every parallel request silently degrades to the serial path.
+    case every unit runs in the caller's process.
     """
     try:
         import multiprocessing.synchronize  # noqa: F401
@@ -291,266 +254,51 @@ def parallel_supported() -> bool:
     return True
 
 
-def _retry_delays(
-    backoff: Optional[BackoffPolicy], retries: int
-) -> tuple:
-    """The planned (deterministic) spacing before each retry round."""
-    if backoff is None or retries <= 0:
-        return (0.0,) * max(retries, 0)
-    delays = backoff_delays(backoff, retries)
-    obs.inc("parallel.backoff_planned_ms", int(sum(delays) * 1000))
-    return delays
-
-
-def _run_serial(
-    units: Sequence[CampaignUnit],
-    retries: int,
-    backoff: Optional[BackoffPolicy] = None,
-) -> List[UnitOutcome]:
-    delays = _retry_delays(backoff, retries)
-    outcomes = [UnitOutcome(unit=unit) for unit in units]
-    for outcome in outcomes:
-        unit = outcome.unit
-        for attempt in range(1, retries + 2):
-            outcome.attempts = attempt
-            if attempt > 1 and delays[attempt - 2] > 0.0:
-                time.sleep(delays[attempt - 2])
-            try:
-                outcome.result = execute_unit(unit)
-                outcome.failure = None
-                break
-            except KeyboardInterrupt:
-                # Graceful drain, serial flavour: the interrupt landed
-                # inside the current unit, which is lost by definition —
-                # flush the completed prefix so the caller can persist it.
-                raise ExecutionInterrupted(outcomes) from None
-            except Exception:
-                outcome.failure = UnitFailure(
-                    unit=unit,
-                    category=FAILURE_EXCEPTION,
-                    error=traceback.format_exc(),
-                    attempts=attempt,
-                )
-    return outcomes
-
-
-def _drain_round(
-    pool: ProcessPoolExecutor,
-    pending: Dict[int, UnitOutcome],
-    futures: Dict[int, Any],
-) -> None:
-    """Graceful drain: let in-flight units finish, harvest their results.
-
-    Called when an interrupt lands mid-round.  Queued-but-unstarted
-    futures are cancelled; futures already executing run to completion
-    (``shutdown(wait=True)`` blocks on them), and every finished result
-    is flushed into its outcome so the caller's checkpoint sees each
-    completed unit exactly once — never a torn one.
-    """
-    from .resultio import claim_wire
-
-    for future in futures.values():
-        future.cancel()
-    pool.shutdown(wait=True, cancel_futures=True)
-    for index, future in futures.items():
-        if index not in pending or not future.done() or future.cancelled():
-            continue
-        try:
-            wire = claim_wire(future.result(timeout=0))
-        except BaseException:
-            continue  # the unit failed while draining; retry accounting keeps it
-        outcome = pending[index]
-        outcome.result = _rehydrate(outcome.unit, wire)
-        outcome.failure = None
-        del pending[index]
-
-
-def _collect_round(
-    pool: ProcessPoolExecutor,
-    pending: Dict[int, UnitOutcome],
-    timeout: Optional[float],
-) -> None:
-    """Submit every pending unit to *pool* and harvest results/failures.
-
-    Mutates the outcomes in place; entries that got a result are removed
-    from *pending*.  A broken pool fails every still-unresolved future for
-    this round (they all keep their retry budget).  A ``KeyboardInterrupt``
-    during the harvest triggers the graceful drain (in-flight units finish
-    and flush) before the interrupt propagates.
-    """
-    from .resultio import claim_wire
-
-    futures = {}
-    for index, outcome in pending.items():
-        outcome.attempts += 1
-        futures[index] = pool.submit(execute_unit_to_shm_wire, outcome.unit)
-    for index, future in futures.items():
-        outcome = pending[index]
-        try:
-            wire = claim_wire(future.result(timeout=timeout))
-        except FutureTimeout:
-            future.cancel()
-            future.add_done_callback(_discard_late_wire)
-            outcome.failure = UnitFailure(
-                unit=outcome.unit,
-                category=FAILURE_TIMEOUT,
-                error=f"no result within {timeout}s",
-                attempts=outcome.attempts,
-            )
-            continue
-        except KeyboardInterrupt:
-            _drain_round(pool, pending, futures)
-            raise
-        except BaseException as exc:  # worker raise, pool breakage, cancel
-            crashed = type(exc).__name__ in ("BrokenProcessPool", "BrokenExecutor")
-            outcome.failure = UnitFailure(
-                unit=outcome.unit,
-                category=FAILURE_CRASH if crashed else FAILURE_EXCEPTION,
-                error="".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip(),
-                attempts=outcome.attempts,
-            )
-            continue
-        outcome.result = _rehydrate(outcome.unit, wire)
-        outcome.failure = None
-        del pending[index]
-
-
-def execute_units(
-    units: Sequence[CampaignUnit],
-    workers: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    backoff: Optional[BackoffPolicy] = None,
-    pool: "Optional[WorkerPool]" = None,
-) -> List[UnitOutcome]:
-    """Run *units*, sharded over *workers* processes, in canonical order.
-
-    Returns one :class:`UnitOutcome` per unit **in the input order**,
-    regardless of which worker finished first — the caller's merge step
-    (:func:`repro.core.resultio.merge_trials`) depends on this.
-
-    ``workers <= 1`` — or a platform without multiprocessing support —
-    runs everything serially in-process.  *timeout* bounds the wall-clock
-    wait for each unit's result per attempt; *retries* is the number of
-    extra attempts a failing unit gets before its failure is surfaced.
-    *backoff* spaces the retry rounds with seeded-jitter delays (see
-    :mod:`repro.faults.resilience`) instead of immediate resubmission;
-    the delay sequence is pure in the policy, never in wall clock.
-
-    With *pool* (a :class:`WorkerPool`) the first round runs on that
-    persistent executor instead of a freshly spawned one, and the pool is
-    left running afterwards — the job service keeps one pool across every
-    job it executes.  Retry rounds still isolate each surviving unit in
-    its own single-worker pool, so a persistently crashing shard can
-    never break the shared pool for its neighbours.
-
-    A ``KeyboardInterrupt`` (Ctrl-C, or SIGTERM routed through a handler)
-    no longer tears the round down mid-unit: in-flight units finish,
-    their results are flushed, and :class:`ExecutionInterrupted` carries
-    every outcome so callers can persist the completed prefix.
-    """
-    if pool is not None and pool.executor is not None:
-        outcomes = [UnitOutcome(unit=unit) for unit in units]
-        pending: Dict[int, UnitOutcome] = dict(enumerate(outcomes))
-        try:
-            _collect_round(pool.executor, pending, timeout)
-        except KeyboardInterrupt:
-            raise ExecutionInterrupted(outcomes) from None
-        _retry_in_isolation(pending, timeout, retries, backoff)
-        return outcomes
-
-    if workers <= 1 or len(units) <= 1 or not parallel_supported():
-        return _run_serial(units, retries, backoff)
-
-    outcomes = [UnitOutcome(unit=unit) for unit in units]
-    pending = dict(enumerate(outcomes))
-    pool_size = min(resolve_workers(workers), len(units))
-
+def _run_now(fn: Callable[[CampaignUnit], Any], unit: CampaignUnit) -> Future:
+    """Run ``fn(unit)`` here; an already-settled future holds the outcome."""
+    future: Future = Future()
     try:
-        round_pool = ProcessPoolExecutor(max_workers=pool_size)
-    except (OSError, ImportError, NotImplementedError):
-        return _run_serial(units, retries, backoff)
-    try:
-        _collect_round(round_pool, pending, timeout)
-    except KeyboardInterrupt:
-        raise ExecutionInterrupted(outcomes) from None
-    finally:
-        round_pool.shutdown(wait=False, cancel_futures=True)
-
-    _retry_in_isolation(pending, timeout, retries, backoff)
-    return outcomes
-
-
-def _retry_in_isolation(
-    pending: Dict[int, UnitOutcome],
-    timeout: Optional[float],
-    retries: int,
-    backoff: Optional[BackoffPolicy],
-) -> None:
-    """Retry rounds: each surviving unit in its own single-worker pool.
-
-    Isolation means one persistently crashing unit cannot take healthy
-    retries (or a caller's persistent pool) down with it.
-    """
-    delays = _retry_delays(backoff, retries)
-    for round_index in range(retries):
-        if not pending:
-            break
-        if delays[round_index] > 0.0:
-            time.sleep(delays[round_index])
-        for index in list(pending):
-            retry_pool = ProcessPoolExecutor(max_workers=1)
-            try:
-                _collect_round(retry_pool, {index: pending[index]}, timeout)
-            finally:
-                retry_pool.shutdown(wait=False, cancel_futures=True)
-            if index in pending and pending[index].result is not None:
-                del pending[index]
+        future.set_result(fn(unit))
+    except Exception as exc:  # surfaced when settled, as a pool would
+        future.set_exception(exc)
+    return future
 
 
 class WorkerPool:
-    """A persistent process pool the job service reuses across jobs.
-
-    ``execute_units`` historically spawned (and tore down) one
-    ``ProcessPoolExecutor`` per batch; a long-lived service would pay
-    that interpreter-spawn cost on every submitted job.  A ``WorkerPool``
-    owns the executor for the whole service lifetime: pass it to
-    :func:`execute_units` (``pool=``) or submit single units with
-    :meth:`submit` (the asyncio service awaits those futures directly).
+    """A process pool: per batch for :func:`execute_units`, or kept for
+    the service's whole lifetime so jobs do not pay a spawn each.
 
     On platforms without multiprocessing support ``executor`` is ``None``
-    and callers fall back to in-process execution — the same degradation
-    :func:`execute_units` applies.  Unlike the batch path, a pool is
-    spawned even for ``workers=1``: a service wants submission to return
-    immediately (the single worker process runs the unit) rather than
-    execute inline and block its event loop.
+    and :meth:`submit` runs the unit in-process.  A pool is spawned even
+    for ``workers=1``: the service wants submission to return immediately
+    (the worker process runs the unit) rather than block its event loop.
     """
 
     def __init__(self, workers: int = 1):
         self.workers = resolve_workers(workers)
+        #: How often :meth:`respawn` replaced a broken executor.
+        self.respawns = 0
         self.executor: Optional[ProcessPoolExecutor] = None
+        self._spawn()
+
+    def _spawn(self) -> None:
         if parallel_supported():
             try:
                 self.executor = ProcessPoolExecutor(max_workers=self.workers)
             except (OSError, ImportError, NotImplementedError):
                 self.executor = None
 
-    def submit(self, unit: CampaignUnit):
-        """Submit one unit; returns a future resolving to its wire form.
-
-        Falls back to synchronous in-process execution (an already-
-        resolved future) when the platform has no process pool.
-        """
+    def submit(self, unit: CampaignUnit) -> Future:
+        """Submit one unit; returns a future resolving to its wire form."""
         if self.executor is None:
-            future: Future = Future()
-            try:
-                future.set_result(execute_unit_to_wire(unit))
-            except BaseException as exc:  # surfaced at result() like a pool would
-                future.set_exception(exc)
-            return future
+            return _run_now(execute_unit_to_wire, unit)
         return self.executor.submit(execute_unit_to_wire, unit)
+
+    def respawn(self) -> None:
+        """Replace a broken executor so later submissions stay healthy."""
+        self.drain(wait=False)
+        self._spawn()
+        self.respawns += 1
 
     def drain(self, wait: bool = True) -> None:
         """Shut the executor down; ``wait=True`` lets in-flight units finish."""
@@ -558,8 +306,190 @@ class WorkerPool:
             self.executor.shutdown(wait=wait, cancel_futures=True)
             self.executor = None
 
-    def __enter__(self) -> "WorkerPool":
-        return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.drain(wait=exc_type is None)
+# -- the attempt policy ---------------------------------------------------------
+
+#: What a driver sends back for each yielded future: ``(value, None)`` or
+#: ``(None, exception)``.  A wait that outlived the timeout is reported
+#: as a :class:`concurrent.futures.TimeoutError`.
+Settled = Tuple[Any, Optional[BaseException]]
+
+
+def _submit(pool: Optional[WorkerPool], unit: CampaignUnit) -> Future:
+    """One attempt: in this process (*pool* None) or on *pool*."""
+    if pool is None:
+        return _run_now(execute_unit, unit)
+    try:
+        return pool.submit(unit)
+    except RuntimeError as exc:  # a pool broken while idle fails the attempt, not the caller
+        failed: Future = Future()
+        failed.set_exception(exc)
+        return failed
+
+
+def _failure(
+    unit: CampaignUnit, error: BaseException, attempts: int, timeout: Optional[float]
+) -> UnitFailure:
+    """Classify one failed attempt; the text is the exception's last line."""
+    if isinstance(error, FutureTimeout):
+        category, error = FAILURE_TIMEOUT, FutureTimeout(f"no result within {timeout}s")
+    elif isinstance(error, BrokenExecutor):
+        category = FAILURE_CRASH
+    else:
+        category = FAILURE_EXCEPTION
+    text = "".join(traceback.format_exception_only(type(error), error)).strip()
+    return UnitFailure(unit=unit, category=category, error=text, attempts=attempts)
+
+
+def _ignore_report(index: int, outcome: UnitOutcome, wire: Optional[dict]) -> None:
+    pass
+
+
+def _never() -> bool:
+    return False
+
+
+def unit_attempts(
+    outcomes: List[UnitOutcome],
+    pool: Optional[WorkerPool],
+    retries: int,
+    timeout: Optional[float] = None,
+    report: Callable[[int, UnitOutcome, Optional[dict]], None] = _ignore_report,
+    draining: Callable[[], bool] = _never,
+    rehydrate: Callable[[CampaignUnit, dict], Any] = rehydrate_unit_result,
+) -> Generator[Future, Settled, bool]:
+    """The unit attempt policy; a generator its driver settles futures for.
+
+    It yields each future it needs settled and receives that future's
+    :data:`Settled` reply; :func:`execute_units` drives it with
+    ``future.result(timeout)``, the job service with an ``await`` on its
+    event loop.  Outcomes that already hold a result (the service's
+    checkpoint-restored units) are skipped.  Units run in this process
+    when *pool* is ``None`` (live results) and on *pool* otherwise (wire
+    results, decoded by *rehydrate*).
+
+    *report* is called once per unit that settles for good — with the
+    wire form of a completed pooled unit, else ``None``.  A
+    ``KeyboardInterrupt`` thrown in at a yield, or *draining()* turning
+    true, starts the drain: queued attempts are cancelled, nothing is
+    retried, in-flight units finish and report, and units left undone
+    hold neither result nor failure.  Returns whether it drained.
+
+    A crash of a first attempt respawns *pool* — once, and only while
+    it is still the executor that attempt ran on; collateral crashes of
+    the same breakage and crashes in isolated retries leave it alone.
+    """
+    origin = pool.executor if pool is not None else None
+    submitted: Dict[int, Future] = {}
+    drained = False
+    try:
+        for index, outcome in enumerate(outcomes):
+            if outcome.result is None:
+                outcome.attempts += 1
+                submitted[index] = _submit(pool, outcome.unit)
+    except KeyboardInterrupt:
+        drained = True
+    for index, future in submitted.items():
+        outcome = outcomes[index]
+        solo: Optional[WorkerPool] = None
+        while True:
+            drained = drained or draining()
+            if drained:
+                for queued in submitted.values():
+                    queued.cancel()
+                if future.cancelled():
+                    break
+            try:
+                value, error = yield future
+            except KeyboardInterrupt:
+                drained = True
+                continue  # cancel what is queued, then wait for this one
+            if solo is not None:
+                solo.drain(wait=False)
+            if error is None:
+                decoded = value if pool is None else rehydrate(outcome.unit, value)
+                outcome.result, outcome.failure = decoded, None
+                break
+            outcome.failure = _failure(outcome.unit, error, outcome.attempts, timeout)
+            crashed = outcome.failure.category == FAILURE_CRASH
+            if crashed and solo is None and origin is not None and pool.executor is origin:
+                pool.respawn()
+            drained = drained or draining()
+            if drained or outcome.attempts > retries:
+                break
+            outcome.attempts += 1
+            try:
+                if pool is None:
+                    future = _submit(None, outcome.unit)
+                else:
+                    solo = WorkerPool(workers=1)
+                    future = _submit(solo, outcome.unit)
+            except KeyboardInterrupt:
+                drained = True
+                break
+        if outcome.result is not None:
+            report(index, outcome, None if pool is None else value)
+        elif drained:
+            outcome.failure = None  # undone: it keeps its full budget for a rerun
+        else:
+            report(index, outcome, None)
+    return drained
+
+
+def execute_units(
+    units: Sequence[CampaignUnit],
+    workers: int = 1,
+    timeout: Optional[float] = None,
+    retries: int = 1,
+) -> List[UnitOutcome]:
+    """Run *units* over *workers* processes and return outcomes in order.
+
+    Returns one :class:`UnitOutcome` per unit **in the input order**,
+    regardless of which worker finished first — the caller's merge step
+    (:func:`repro.core.resultio.merge_trials`) depends on this.
+
+    With at most one worker to use (``min(workers, len(units)) <= 1``)
+    and no *timeout*, or on a platform without a process pool, units run
+    in this process.  *timeout* bounds the
+    wall-clock wait for each attempt and forces worker processes even at
+    ``workers=1``; *retries* is the number of extra attempts a failing
+    unit gets before its failure is surfaced.
+
+    A ``KeyboardInterrupt`` (Ctrl-C, or SIGTERM routed through a handler)
+    drains instead of tearing units down mid-flight, then raises
+    :class:`ExecutionInterrupted` carrying every outcome so callers can
+    persist the completed prefix.
+    """
+    outcomes = [UnitOutcome(unit=unit) for unit in units]
+    size = min(workers, len(units))
+    pool = None
+    if parallel_supported() and (size > 1 or timeout is not None):
+        pool = WorkerPool(max(size, 1))
+    core = unit_attempts(outcomes, pool, retries, timeout)
+    try:
+        drained = _settle_all(core, timeout)
+    except KeyboardInterrupt:
+        drained = True
+    finally:
+        if pool is not None:
+            pool.drain(wait=False)
+    if drained:
+        raise ExecutionInterrupted(outcomes)
+    return outcomes
+
+
+def _settle_all(core: Generator[Future, Settled, bool], timeout: Optional[float]) -> bool:
+    """Drive :func:`unit_attempts` by blocking on each future in turn."""
+    try:
+        future = next(core)
+        while True:
+            try:
+                error = future.exception(timeout=timeout)  # waits; a unit's error is data
+            except KeyboardInterrupt:
+                future = core.throw(KeyboardInterrupt())
+                continue
+            except FutureTimeout as exc:
+                error = exc
+            future = core.send((None, error) if error is not None else (future.result(), None))
+    except StopIteration as stop:
+        return stop.value

@@ -474,135 +474,7 @@ def loads_wire(text: str) -> dict:
     return json.loads(text)
 
 
-# -- shared-memory fast path ---------------------------------------------------
-
-try:  # minimal containers may ship Python without _posixshmem
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - platform without shm support
-    _shared_memory = None
-
-#: Wire payloads below this many encoded bytes travel as plain dicts —
-#: a shared-memory segment has fixed setup cost (shm_open + mmap + unlink)
-#: that only pays off once the pickle it replaces is big enough.
-SHM_MIN_BYTES = 4096
-
-#: Key marking a dict as a shared-memory token rather than a wire payload.
-SHM_TOKEN_KEY = "__shm__"
-
-
-def shm_supported() -> bool:
-    """Whether this platform can move wire payloads via shared memory."""
-    return _shared_memory is not None
-
-
-def wire_to_shm_token(wire: dict) -> dict:
-    """Worker side: stage *wire* in shared memory, return a claim token.
-
-    The canonical-JSON encoding of *wire* is written into a fresh
-    ``SharedMemory`` segment and a small ``{"__shm__": name, "size": n}``
-    token is returned for the parent to :func:`claim_wire`.  Payloads
-    under :data:`SHM_MIN_BYTES`, or any platform/OS refusal to allocate a
-    segment, fall back to returning *wire* itself — the token form is a
-    pure optimisation, never a requirement.
-
-    The worker-side resource tracker is told to forget the segment:
-    ownership transfers to the parent, which unlinks after reading.
-    Without the ``unregister`` the tracker would unlink the segment when
-    the worker process exits, racing the parent's read.
-    """
-    if _shared_memory is None:
-        return wire
-    payload = dumps_wire(wire).encode("utf-8")
-    if len(payload) < SHM_MIN_BYTES:
-        return wire
-    try:
-        segment = _shared_memory.SharedMemory(create=True, size=len(payload))
-    except (OSError, ValueError):
-        return wire
-    try:
-        segment.buf[: len(payload)] = payload
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API drift
-            pass
-        return {SHM_TOKEN_KEY: segment.name, "size": len(payload)}
-    finally:
-        segment.close()
-
-
-def claim_wire(obj: dict) -> dict:
-    """Parent side: resolve a shared-memory token back into a wire dict.
-
-    Plain wire dicts pass through untouched, so harvest sites can call
-    this unconditionally on whatever the worker returned.  A token is
-    claimed exactly once: the segment is read, closed and **unlinked**
-    here — a second claim of the same token raises.
-    """
-    if not isinstance(obj, dict) or SHM_TOKEN_KEY not in obj:
-        return obj
-    if _shared_memory is None:  # pragma: no cover - token from alien worker
-        raise WireError("shared-memory wire token on a platform without shm")
-    size = obj["size"]
-    segment = _shared_memory.SharedMemory(name=obj[SHM_TOKEN_KEY])
-    try:
-        payload = bytes(segment.buf[:size])
-    finally:
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reclaimed
-            pass
-    return loads_wire(payload.decode("utf-8"))
-
-
-def discard_wire_token(obj: object) -> None:
-    """Release a staged segment whose result will never be merged.
-
-    Used when a worker's result arrives after its unit was already failed
-    (e.g. a timeout fired and the late future finally resolved): the
-    segment must still be unlinked or it would outlive the campaign.
-    Non-token values are ignored.
-    """
-    if not isinstance(obj, dict) or SHM_TOKEN_KEY not in obj:
-        return
-    if _shared_memory is None:  # pragma: no cover - token from alien worker
-        return
-    try:
-        segment = _shared_memory.SharedMemory(name=obj[SHM_TOKEN_KEY])
-    except FileNotFoundError:
-        return
-    segment.close()
-    try:
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - concurrent reclaim
-        pass
-
-
 # -- deterministic merging -----------------------------------------------------
-
-
-def merge_campaign_outcomes(
-    outcomes: List[Any],
-) -> Tuple[List[CampaignResult], List[Any]]:
-    """Split executor outcomes into results and failures, preserving order.
-
-    *outcomes* are :class:`repro.core.parallel.UnitOutcome` objects in
-    canonical (submission/seed) order; the executor already guarantees that
-    order is independent of worker scheduling.  Returns ``(results,
-    failures)`` where *results* keeps the canonical order and *failures*
-    are the structured :class:`repro.core.parallel.UnitFailure` records of
-    the shards that never produced a result.
-    """
-    results: List[CampaignResult] = []
-    failures: List[Any] = []
-    for outcome in outcomes:
-        if outcome.result is not None:
-            results.append(outcome.result)
-        elif outcome.failure is not None:
-            failures.append(outcome.failure)
-    return results, failures
 
 
 def merge_trials(
@@ -611,29 +483,28 @@ def merge_trials(
     duration: float,
     outcomes: List[Any],
 ) -> "TrialSummary":
-    """Reassemble sharded trial outcomes into a :class:`TrialSummary`.
+    """Reassemble executor outcomes into a :class:`TrialSummary`.
 
-    The summary's ``trials`` list follows canonical seed order (the order
-    the serial loop would have produced), so aggregate statistics, bug-ID
-    unions/intersections and the rendered report are byte-identical to a
-    serial run.  Failed shards become structured entries in
+    *outcomes* are :class:`repro.core.parallel.UnitOutcome` records in
+    canonical seed order, which the executor guarantees whatever the
+    worker scheduling, so aggregate statistics, bug-ID
+    unions/intersections and the rendered report are byte-identical at
+    every worker count.  Failed shards become structured entries in
     ``summary.failures`` without disturbing the surviving trials.
 
     The summary also carries a harness metrics snapshot (unit counts,
-    per-unit attempts, failure categories); on a clean run it matches the
-    serial loop's snapshot exactly, keeping merged ``--metrics-out``
-    documents byte-identical across worker counts.
+    per-unit attempts, failure categories), keeping merged
+    ``--metrics-out`` documents byte-identical across worker counts.
     """
     from ..obs.metrics import harness_snapshot
     from .trials import TrialSummary  # local import: trials imports us too
 
-    results, failures = merge_campaign_outcomes(outcomes)
     return TrialSummary(
         device=device,
         mode=mode,
         duration=duration,
-        trials=results,
-        failures=failures,
+        trials=[o.result for o in outcomes if o.result is not None],
+        failures=[o.failure for o in outcomes if o.result is None and o.failure is not None],
         harness_metrics=harness_snapshot(
             units=len(outcomes),
             attempts=[outcome.attempts for outcome in outcomes],

@@ -902,6 +902,34 @@ def run_session_flow(
     )
 
 
+def session_units(
+    device: str,
+    flows: Optional[Sequence[str]] = None,
+    seed: int = 0,
+    plan: Optional[SessionPlan] = None,
+) -> "List[CampaignUnit]":
+    """One :class:`~repro.core.parallel.CampaignUnit` per flow, in
+    canonical flow order; validates the plan and every flow name."""
+    from .parallel import CampaignUnit
+
+    plan = plan or default_session_plan()
+    plan.validate()
+    chosen = tuple(flows) if flows else FLOWS
+    for flow in chosen:
+        flow_graph(flow)  # validates the name
+    plan_json = dumps_session_plan(plan)
+    return [
+        CampaignUnit(
+            device=device,
+            seed=seed,
+            kind="sessions",
+            flow=flow,
+            session_plan_json=plan_json,
+        )
+        for flow in chosen
+    ]
+
+
 def run_sessions(
     device: str,
     flows: Optional[Sequence[str]] = None,
@@ -916,25 +944,15 @@ def run_sessions(
     the process boundary in wire v5 form, so ``workers=N`` output is
     byte-identical to ``workers=1``.
     """
-    from .parallel import CampaignUnit, execute_units
+    from .parallel import execute_units
 
-    plan = plan or default_session_plan()
-    plan.validate()
-    chosen = tuple(flows) if flows else FLOWS
-    for flow in chosen:
-        flow_graph(flow)  # validates the name
-    plan_json = dumps_session_plan(plan)
-    units = [
-        CampaignUnit(
-            device=device,
-            seed=seed,
-            kind="sessions",
-            flow=flow,
-            session_plan_json=plan_json,
-        )
-        for flow in chosen
-    ]
-    outcomes = execute_units(units, workers=workers)
+    units = session_units(device, flows, seed, plan)
+    return merge_session_outcomes(execute_units(units, workers=workers))
+
+
+def merge_session_outcomes(outcomes: Sequence[object]) -> SessionResult:
+    """Merge per-flow executor outcomes; any failed flow fails the whole
+    campaign, since a partial merge would change flow-union semantics."""
     results: List[SessionResult] = []
     for outcome in outcomes:
         if outcome.result is None:

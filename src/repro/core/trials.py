@@ -20,8 +20,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.metrics import MetricsSnapshot, harness_snapshot, merge_all, merge_snapshots
-from .campaign import CampaignResult, DAY, Mode, run_campaign
+from ..obs.metrics import MetricsSnapshot, merge_all, merge_snapshots
+from .campaign import CampaignResult, DAY, Mode
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class TrialSummary:
     #: Structured records of shards that never produced a result
     #: (:class:`repro.core.parallel.UnitFailure`); empty on a clean run.
     failures: List[object] = field(default_factory=list)
-    #: Executor-side metrics (unit counts, retries, failure categories);
-    #: built identically by the serial loop and the parallel merge.
+    #: Executor-side metrics (unit counts, retries, failure categories),
+    #: built by :func:`repro.core.resultio.merge_trials`.
     harness_metrics: Optional[MetricsSnapshot] = None
 
     @property
@@ -209,49 +209,23 @@ def run_trials(
     workers: int = 1,
     timeout: Optional[float] = None,
     fault_plan: "Optional[FaultPlan]" = None,
-    backoff: "Optional[BackoffPolicy]" = None,
     scheduler: str = "static",
 ) -> TrialSummary:
     """Run *n_trials* independent campaigns with distinct seeds.
 
     ``workers > 1`` shards the trials across a process pool; the result is
     identical to the serial run (``tests/test_parallel_determinism.py``).
+    Every worker count runs the same unit executor, so worker-layer
+    faults and retry accounting apply identically everywhere.
 
     With *fault_plan* every trial runs under the plan's deterministic
-    fault injection (:mod:`repro.faults`).  A plan forces even the
-    serial path through the unit executor so worker-layer faults and
-    retry accounting apply identically at every worker count — the
-    resilience audit's serial/parallel byte-identity depends on it.
+    fault injection (:mod:`repro.faults`).
     """
-    if workers <= 1 and fault_plan is None and backoff is None:
-        # The historical serial loop, kept free of executor machinery so
-        # the parallel path has a reference output to be compared against.
-        summary = TrialSummary(device=device, mode=mode, duration=duration)
-        for trial_index in range(n_trials):
-            summary.trials.append(
-                run_campaign(
-                    device=device,
-                    mode=mode,
-                    duration=duration,
-                    seed=base_seed + SEED_STRIDE * trial_index,
-                    scheduler=scheduler,
-                )
-            )
-        # One clean attempt per unit, mirroring what merge_trials builds
-        # from real executor outcomes, so --metrics-out documents are
-        # byte-identical across worker counts.
-        summary.harness_metrics = harness_snapshot(
-            units=n_trials, attempts=[1] * n_trials, failure_categories=[]
-        )
-        return summary
-
     from .parallel import execute_units
     from .resultio import merge_trials
 
     units = trial_units(
         device, mode, n_trials, duration, base_seed, fault_plan, scheduler
     )
-    outcomes = execute_units(
-        units, workers=workers, timeout=timeout, backoff=backoff
-    )
+    outcomes = execute_units(units, workers=workers, timeout=timeout)
     return merge_trials(device, mode, duration, outcomes)

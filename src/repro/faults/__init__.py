@@ -32,14 +32,12 @@ from .plan import (
     stock_plan,
 )
 from .report import build_chaos_document, dumps_chaos_document, render_chaos_text
-from .resilience import BackoffPolicy, backoff_delays
 from .schedule import ControllerEvent, FaultPlanner, FaultSchedule, derive_seed
 from .worker import WorkerFault, WorkerFaultError, apply_worker_fault
 
 __all__ = [
     "AbortHook",
     "AbortSignal",
-    "BackoffPolicy",
     "ControllerEvent",
     "ControllerFaultInjector",
     "DegradationRecord",
@@ -53,7 +51,6 @@ __all__ = [
     "WorkerFault",
     "WorkerFaultError",
     "apply_worker_fault",
-    "backoff_delays",
     "build_chaos_document",
     "canonical_mixed_plan",
     "derive_seed",

@@ -16,8 +16,8 @@ Per-layer determinism contracts:
 * **controller** — periodic events are *computed*, not drawn:
   ``k * every_s`` for ``k >= 1``, so they are trivially order-invariant;
 * **worker** — the spec maps a unit's index in its series to a
-  :class:`~repro.faults.worker.WorkerFault` token, the same token the
-  serial executor path applies, keeping serial and sharded runs aligned;
+  :class:`~repro.faults.worker.WorkerFault` token, applied by the unit
+  executor at every worker count, keeping serial and sharded runs aligned;
 * **campaign** — the abort offset is read straight off the plan.
 """
 

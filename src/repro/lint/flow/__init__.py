@@ -50,7 +50,6 @@ DEFAULT_ENTRY_MODULES: Tuple[str, ...] = (
     "faults/schedule.py",
     "faults/injector.py",
     "faults/worker.py",
-    "faults/resilience.py",
     "faults/report.py",
     "obs/metrics.py",
     "obs/export.py",

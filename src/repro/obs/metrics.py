@@ -375,10 +375,9 @@ def harness_snapshot(
 ) -> MetricsSnapshot:
     """Executor-side metrics: unit counts, per-unit retries, failures.
 
-    Built identically by the serial trial loop (one attempt each, no
-    failures) and by :func:`repro.core.resultio.merge_trials` from real
-    :class:`~repro.core.parallel.UnitOutcome` records, so a clean
-    parallel run merges to the same bytes as a serial one.
+    Built by :func:`repro.core.resultio.merge_trials` from the
+    :class:`~repro.core.parallel.UnitOutcome` records every worker count
+    shares, so a parallel run merges to the same bytes as a serial one.
     """
     collector = MetricsCollector()
     collector.inc("parallel.units", units)

@@ -27,18 +27,11 @@ from __future__ import annotations
 from typing import Any, List, Sequence
 
 from ..core.campaign import HOUR, Mode
-from ..core.parallel import CampaignUnit
-from ..core.resultio import (
-    campaign_from_wire,
-    jobspec_to_wire,
-    merge_trials,
-    session_from_wire,
-    session_to_wire,
-    vfuzz_from_wire,
-)
-from ..core.session import FLOWS, session_plan_with_trials
+# rehydrate_unit_result is re-exported: service and checkpoint callers import it here.
+from ..core.parallel import CampaignUnit, rehydrate_unit_result  # noqa: F401
+from ..core.resultio import jobspec_to_wire, merge_trials, session_to_wire
+from ..core.session import merge_session_outcomes, session_plan_with_trials, session_units
 from ..core.trials import trial_units
-from ..errors import CampaignError
 from ..obs.export import canonical_dumps, snapshot_to_document
 from .protocol import JobSpec, job_id_for
 
@@ -71,11 +64,6 @@ def spec_fault_plan(spec: JobSpec):
     return stock_plan(spec.fault_plan)
 
 
-def spec_flows(spec: JobSpec) -> tuple:
-    """The session flows a spec selects (empty means every flow)."""
-    return tuple(spec.flows) if spec.flows else FLOWS
-
-
 def spec_units(spec: JobSpec) -> List[CampaignUnit]:
     """The campaign units of one job, in canonical (merge) order.
 
@@ -86,22 +74,9 @@ def spec_units(spec: JobSpec) -> List[CampaignUnit]:
     here, with identical shards.
     """
     if spec.kind == "sessions":
-        from ..core.session import dumps_session_plan, flow_graph
-
-        flows = spec_flows(spec)
-        for flow in flows:
-            flow_graph(flow)  # validates the name
-        plan_json = dumps_session_plan(session_plan_with_trials(spec.trials))
-        return [
-            CampaignUnit(
-                device=spec.device,
-                seed=spec.seed,
-                kind="sessions",
-                flow=flow,
-                session_plan_json=plan_json,
-            )
-            for flow in flows
-        ]
+        return session_units(
+            spec.device, spec.flows, spec.seed, session_plan_with_trials(spec.trials)
+        )
     return trial_units(
         device=spec.device,
         mode=spec_mode(spec),
@@ -111,20 +86,6 @@ def spec_units(spec: JobSpec) -> List[CampaignUnit]:
         fault_plan=spec_fault_plan(spec),
         scheduler=spec.scheduler,
     )
-
-
-def rehydrate_unit_result(unit: CampaignUnit, wire: dict) -> Any:
-    """Decode one unit's wire-form result (pool harvest or checkpoint).
-
-    The checkpoint stores completed units exactly as workers returned
-    them, so resuming a killed job replays this decode — the same one the
-    live harvest path uses — and merged output cannot tell the difference.
-    """
-    if unit.kind == "sessions":
-        return session_from_wire(wire)
-    if unit.kind == "vfuzz":
-        return vfuzz_from_wire(wire)
-    return campaign_from_wire(wire)
 
 
 # -- the per-kind document builders (shared by service and oracle) -------------
@@ -196,22 +157,13 @@ def _session_document(spec: JobSpec, result) -> dict:
 def document_from_outcomes(spec: JobSpec, outcomes: Sequence[Any]) -> dict:
     """Fold executor outcomes (canonical order) into the result document.
 
-    This is the service path; *outcomes* may mix live pool harvests and
-    checkpoint-restored units.  Session jobs mirror
-    :func:`~repro.core.session.run_sessions` exactly: any failed flow
-    shard fails the whole job (a partial session merge would silently
-    change flow-union semantics).
+    This is the service path; *outcomes* may mix live pool settles and
+    checkpoint-restored units.  Session jobs merge exactly as
+    :func:`~repro.core.session.run_sessions` does: any failed flow shard
+    fails the whole job.
     """
     if spec.kind == "sessions":
-        from ..core.session import merge_session_results
-
-        results = []
-        for outcome in outcomes:
-            if outcome.result is None:
-                failure = outcome.failure.render() if outcome.failure else "unknown"
-                raise CampaignError(f"session unit failed: {failure}")
-            results.append(outcome.result)
-        return _session_document(spec, merge_session_results(results))
+        return _session_document(spec, merge_session_outcomes(outcomes))
     summary = merge_trials(
         spec.device, spec_mode(spec), spec_duration(spec), list(outcomes)
     )
@@ -231,7 +183,7 @@ def direct_document(spec: JobSpec) -> dict:
 
         result = run_sessions(
             device=spec.device,
-            flows=spec_flows(spec),
+            flows=spec.flows,
             seed=spec.seed,
             plan=session_plan_with_trials(spec.trials),
             workers=1,

@@ -8,10 +8,10 @@ rule.  The interesting machinery is behind the socket:
 * a single **runner task** drains the :class:`~repro.serve.jobs.JobQueue`
   in ticket order, one job at a time, so execution order is a pure
   function of arrival order;
-* each job's units are submitted to a persistent
-  :class:`~repro.core.parallel.WorkerPool` up front and harvested **in
-  canonical index order** (mirroring the batch executor's accounting
-  exactly), so the merged document is byte-identical to an in-process
+* each job's units run through the same attempt policy as the batch
+  executor (:func:`~repro.core.parallel.unit_attempts`) on a persistent
+  :class:`~repro.core.parallel.WorkerPool`, settled **in canonical index
+  order**, so the merged document is byte-identical to an in-process
   run;
 * every completed unit is appended to the write-ahead checkpoint
   (:mod:`repro.serve.checkpoint`) *before* it is observable as progress,
@@ -40,17 +40,12 @@ real sockets, and its ``stop(drain=False)`` simulates a hard kill.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..core.parallel import (
-    FAILURE_CRASH,
-    FAILURE_EXCEPTION,
-    UnitFailure,
-    UnitOutcome,
-    WorkerPool,
-)
+from ..core.parallel import UnitOutcome, WorkerPool, unit_attempts
 from ..core.resultio import (
     dumps_wire,
     jobspec_from_wire,
@@ -270,13 +265,8 @@ class ZCoverService:
             )
 
     async def _execute_job(self, record: JobRecord) -> None:
-        """Run one job: submit units, harvest in order, checkpoint each.
-
-        Mirrors the batch executor's accounting exactly (attempts counted
-        at submission, harvest in canonical index order, retries in
-        isolated single-worker pools) so the merged document matches an
-        in-process run byte for byte.
-        """
+        """Run one job through the shared attempt policy, checkpointing
+        each unit as it completes; a drain re-queues the job."""
         outcomes = self._preloaded_outcomes(record)
         record.units_total = len(outcomes)
         record.units_done = 0
@@ -284,21 +274,26 @@ class ZCoverService:
         for outcome in outcomes:
             if outcome.result is not None:
                 self._count_done(record, outcome)
-        pending = {
-            index: outcome
-            for index, outcome in enumerate(outcomes)
-            if outcome.result is None
-        }
-        futures: Dict[int, object] = {}
         assert self.pool is not None
-        for index in sorted(pending):
-            pending[index].attempts += 1
-            futures[index] = self.pool.submit(pending[index].unit)
-        for index in sorted(futures):
-            if self._draining:
-                for future in futures.values():
-                    future.cancel()
-            await self._harvest_unit(record, index, futures[index], pending)
+        respawns = self.pool.respawns
+        core = unit_attempts(
+            outcomes,
+            self.pool,
+            self.retries,
+            report=functools.partial(self._unit_settled, record),
+            draining=lambda: self._draining,
+            rehydrate=rehydrate_unit_result,
+        )
+        try:
+            future = next(core)
+            while True:
+                await asyncio.wait([asyncio.wrap_future(future)])
+                error = future.exception()
+                future = core.send((None, error) if error is not None else (future.result(), None))
+        except StopIteration:
+            pass
+        if self.pool.respawns > respawns:
+            self.collector.inc("serve.pool.respawns", self.pool.respawns - respawns)
         if any(o.result is None and o.failure is None for o in outcomes):
             # Drained mid-job: completed units are checkpointed; the job
             # re-queues so the next service life resumes where we stopped.
@@ -306,80 +301,17 @@ class ZCoverService:
             return
         self._finish_with_document(record, outcomes)
 
-    async def _harvest_unit(
-        self,
-        record: JobRecord,
-        index: int,
-        future,
-        pending: Dict[int, UnitOutcome],
+    def _unit_settled(
+        self, record: JobRecord, index: int, outcome: UnitOutcome, wire: Optional[dict]
     ) -> None:
-        """Await one unit's future; retry, then checkpoint or fail it."""
-        outcome = pending.get(index)
-        if outcome is None or getattr(future, "cancelled", lambda: False)():
-            return  # cancelled by the drain before it ever ran
-        wire = await self._await_unit(outcome, future)
-        retry = 0
-        while wire is None and retry < self.retries and not self._draining:
-            retry += 1
-            outcome.attempts += 1
-            wire = await self._await_unit(outcome, self._retry_future(outcome))
-        if wire is None:
+        """Checkpoint a completed unit before its progress is visible."""
+        if outcome.result is None:
             self.collector.inc("serve.units.failed")
             return
-        outcome.result = rehydrate_unit_result(outcome.unit, wire)
-        outcome.failure = None
-        del pending[index]
         if self._writer is not None:
-            self._writer.append(
-                unit_record(record.job_id, index, outcome.attempts, wire)
-            )
+            self._writer.append(unit_record(record.job_id, index, outcome.attempts, wire))
         self.collector.inc("serve.units.completed")
         self._count_done(record, outcome)
-
-    async def _await_unit(self, outcome: UnitOutcome, future) -> Optional[dict]:
-        """Await a unit future; on failure, record it and respawn the pool.
-
-        Distinguishes the runner task being cancelled (abrupt abort —
-        re-raised) from the future being cancelled by a drain (the unit
-        simply stays unfinished).
-        """
-        try:
-            return await asyncio.wrap_future(future)
-        except asyncio.CancelledError:
-            if future.cancelled():
-                return None
-            raise
-        except BaseException as exc:
-            crashed = type(exc).__name__ in ("BrokenProcessPool", "BrokenExecutor")
-            if crashed:
-                self._respawn_pool()
-            outcome.failure = UnitFailure(
-                unit=outcome.unit,
-                category=FAILURE_CRASH if crashed else FAILURE_EXCEPTION,
-                error=f"{type(exc).__name__}: {exc}",
-                attempts=outcome.attempts,
-            )
-            return None
-
-    def _retry_future(self, outcome: UnitOutcome):
-        """A fresh future for one retry, isolated from the shared pool.
-
-        Mirrors the batch executor's retry isolation: a dedicated
-        single-worker pool per attempt, torn down as soon as the future
-        resolves, so a persistently crashing unit can never poison the
-        service's shared pool.
-        """
-        solo = WorkerPool(workers=1)
-        future = solo.submit(outcome.unit)
-        future.add_done_callback(lambda _done: solo.drain(wait=False))
-        return future
-
-    def _respawn_pool(self) -> None:
-        """Replace a broken process pool so later jobs stay healthy."""
-        assert self.pool is not None
-        self.pool.drain(wait=False)
-        self.pool = WorkerPool(self.workers)
-        self.collector.inc("serve.pool.respawns")
 
     def _count_done(self, record: JobRecord, outcome: UnitOutcome) -> None:
         """Fold one completed unit into the job's progress counters."""

@@ -5,8 +5,7 @@ property.  The contracts under test are the ones the resilience audit's
 byte-identity stands on — compilation is a pure function of
 ``(plan, seed)``, plan serialisation round-trips losslessly, controller
 event schedules are order- and horizon-stable, medium decision streams
-replay exactly, retry backoff sequences are reproducible and
-budget-capped, and worker tokens survive their token round trip.
+replay exactly, and worker tokens survive their token round trip.
 """
 
 import json
@@ -25,7 +24,6 @@ from repro.faults.plan import (
     dumps_plan,
     loads_plan,
 )
-from repro.faults.resilience import BackoffPolicy, backoff_delays
 from repro.faults.schedule import FaultPlanner, derive_seed
 from repro.faults.worker import WorkerFault
 
@@ -104,24 +102,6 @@ class TestFaultProperties:
         assert [a.random() for _ in range(64)] == [b.random() for _ in range(64)]
         # Layers draw from independent sub-seeds.
         assert derive_seed(seed, "faults.medium") != derive_seed(seed, "faults.controller")
-
-    def test_backoff_sequences_reproduce_and_respect_budget(self, seed):
-        rng = random.Random(seed)
-        policy = BackoffPolicy(
-            base_s=round(rng.uniform(0.0, 0.5), 6),
-            factor=round(rng.uniform(1.0, 3.0), 6),
-            cap_s=round(rng.uniform(0.1, 2.0), 6),
-            jitter=round(rng.uniform(0.0, 1.0), 6),
-            budget_s=round(rng.uniform(0.5, 5.0), 6),
-            seed=seed,
-        )
-        rounds = rng.randrange(1, 9)
-        delays = backoff_delays(policy, rounds)
-        assert delays == backoff_delays(policy, rounds)
-        assert all(d >= 0.0 for d in delays)
-        assert sum(delays) <= policy.budget_s + 1e-6
-        # A longer schedule keeps the shared prefix byte-identical.
-        assert backoff_delays(policy, rounds + 3)[:rounds] == delays
 
     def test_worker_tokens_round_trip(self, seed):
         plan = _random_plan(random.Random(seed))
