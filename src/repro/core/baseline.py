@@ -29,6 +29,7 @@ from typing import List, Optional, Set, Tuple
 from ..errors import FuzzerError
 from ..obs.metrics import MetricsCollector, MetricsSnapshot, collecting
 from ..simulator.testbed import SystemUnderTest
+from ..wire import layout
 from ..zwave.checksum import cs8
 from .monitor import LivenessMonitor, SutObserver
 
@@ -52,6 +53,7 @@ class VFuzzConfig:
     seed_capture_duration: float = 120.0
 
 
+@layout(versioned=True)
 @dataclass
 class VFuzzResult:
     """What a VFuzz trial produced."""

@@ -8,11 +8,11 @@ Bug_Logs ... Save Bug_Logs to file for future analysis".
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
+from ..wire import dump_lines, load_lines
 from .monitor import ObservedKind
 
 
@@ -103,18 +103,13 @@ class BugLog:
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the log as JSON lines."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as handle:
-            for record in self._records:
-                handle.write(json.dumps(asdict(record)) + "\n")
+        dump_lines(self._records, path)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "BugLog":
-        """Reload a previously saved log."""
-        records = []
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(BugRecord(**json.loads(line)))
-        return cls(records)
+        """Reload a previously saved log.
+
+        A malformed line raises :class:`~repro.wire.WireError` naming
+        ``path:line``.
+        """
+        return cls(load_lines(BugRecord, path))

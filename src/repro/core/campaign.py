@@ -34,20 +34,23 @@ from ..obs.metrics import (
 )
 from ..obs.tracing import Tracer, span, tracing_to
 from ..simulator.testbed import build_sut
+from ..wire import layout
 from ..zwave.registry import SpecRegistry, load_full_registry, load_public_registry
 from .discovery import discover_unknown_properties
 from .fingerprint import fingerprint
 from .fuzzer import FuzzerConfig, FuzzingEngine, FuzzResult, psm_streams, random_stream
+from .monitor import ObservedKind
 from .mutation import PositionSensitiveMutator, RandomMutator, prioritize_static
 from .properties import ControllerProperties
 from .scheduler import SCHEDULERS, CoverageScheduler
-from .tester import PacketTester, Signature, VerifiedUnique
+from .tester import PacketTester, Signature, VerifiedFinding, VerifiedUnique
 
 #: Simulated durations used by the paper's experiments.
 HOUR = 3600.0
 DAY = 24 * HOUR
 
 
+@layout(by_name=True)
 class Mode(Enum):
     """The three configurations of the Table VI ablation."""
 
@@ -71,6 +74,51 @@ def arm_name(key) -> str:
     return key.name if isinstance(key, Mode) else str(key)
 
 
+@dataclass
+class UniqueRow:
+    """One ``CampaignResult.unique`` entry on the wire: the signature, the
+    verified finding and its first detection, flattened into one object."""
+
+    signature: Signature
+    payload_hex: str
+    cmdcl: int
+    cmd: Optional[int]
+    kind: ObservedKind
+    duration_s: Optional[float]
+    first_detection_time: float
+    first_detection_packet: int
+
+    @staticmethod
+    def rows(unique: Dict[Signature, VerifiedUnique]) -> List["UniqueRow"]:
+        """The wire rows of a ``unique`` map, in its order."""
+        return [
+            UniqueRow(
+                signature,
+                u.finding.payload_hex,
+                u.finding.cmdcl,
+                u.finding.cmd,
+                u.finding.kind,
+                u.finding.duration_s,
+                u.first_detection_time,
+                u.first_detection_packet,
+            )
+            for signature, u in unique.items()
+        ]
+
+    @staticmethod
+    def table(rows: List["UniqueRow"]) -> Dict[Signature, VerifiedUnique]:
+        """The ``unique`` map the rows encode."""
+        return {
+            row.signature: VerifiedUnique(
+                VerifiedFinding(row.payload_hex, row.cmdcl, row.cmd, row.kind, row.duration_s),
+                row.first_detection_time,
+                row.first_detection_packet,
+            )
+            for row in rows
+        }
+
+
+@layout(versioned=True, via={"unique": (List[UniqueRow], UniqueRow.rows, UniqueRow.table)})
 @dataclass
 class CampaignResult:
     """Everything one trial produced, post-verification."""

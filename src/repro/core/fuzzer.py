@@ -24,6 +24,7 @@ from ..obs.tracing import span
 from ..radio.clock import SimClock
 from ..simulator.testbed import SystemUnderTest
 from ..zwave import constants as const
+from ..wire import layout
 from ..zwave.checksum import cs8
 from .buglog import BugLog, BugRecord
 from .fingerprint import SCANNER_NODE_ID
@@ -43,6 +44,7 @@ class FuzzerConfig:
     requeue: bool = True  # restart the queue for long trials
 
 
+@layout(row=True)
 @dataclass(frozen=True)
 class DetectionMark:
     """One red cross of Figure 12."""
@@ -53,6 +55,7 @@ class DetectionMark:
     observed: str
 
 
+@layout(row=True)
 @dataclass(frozen=True)
 class TimelinePoint:
     """One sample of the packets-over-time curve of Figure 12."""
@@ -62,6 +65,7 @@ class TimelinePoint:
     detections: int
 
 
+@layout(via={"bug_log": (List[BugRecord], BugLog.records, BugLog)})
 @dataclass
 class FuzzResult:
     """Everything one engine run produced."""

@@ -25,7 +25,7 @@ Determinism contract (the same one every other subsystem carries):
 * flows are independent shards: :func:`run_sessions` executes one
   :class:`~repro.core.parallel.CampaignUnit` per flow and merges in
   canonical flow order, so ``--workers N`` output is byte-identical to
-  serial (the results ride wire v5, see :mod:`repro.core.resultio`).
+  serial (the results ride wire v6, see :mod:`repro.core.resultio`).
 
 Energy follows novelty: each flow runs batches of trials, starting with
 the directed protocol-guided corpus (:data:`DIRECTED_ATTACKS`, which
@@ -36,6 +36,7 @@ coverage bitmap earns the next batch extra havoc ops.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -58,6 +59,7 @@ from ..simulator.vulnerabilities import (
     match_session_vulns,
     session_vulns_for_flow,
 )
+from ..wire import decode, dumps_wire, encode, layout
 
 #: Canonical flow order: unit submission, merge and report order.
 FLOWS: Tuple[str, ...] = ("inclusion", "exclusion", "replication", "s0", "s2", "ota")
@@ -296,6 +298,7 @@ def planted_vuln_ids(flows: Iterable[str] = FLOWS) -> Tuple[str, ...]:
 # -- mutation ops --------------------------------------------------------------
 
 
+@layout(row=True)
 @dataclass(frozen=True)
 class SessionOp:
     """One sequence mutation, applied to the evolving event list.
@@ -312,14 +315,7 @@ class SessionOp:
     xor: int = 0
 
     def to_wire(self) -> list:
-        return [self.kind, self.index, self.index2, self.byte_pos, self.xor]
-
-    @staticmethod
-    def from_wire(data: Sequence) -> "SessionOp":
-        kind, index, index2, byte_pos, xor = data
-        return SessionOp(
-            kind=kind, index=index, index2=index2, byte_pos=byte_pos, xor=xor
-        )
+        return encode(self)
 
 
 def apply_ops(flow: str, ops: Sequence[SessionOp]) -> Tuple[Event, ...]:
@@ -432,6 +428,9 @@ def _require_count(name: str, value: object) -> None:
         )
 
 
+# validate() checks the weight pairs and names a bad one, so the codec
+# carries them as plain arrays.
+@layout(error=CampaignError, via={"weights": (Tuple[tuple, ...], tuple, tuple)})
 @dataclass(frozen=True)
 class SessionPlan:
     """Declarative knobs of a session campaign (the *what*, never the *when*).
@@ -498,39 +497,8 @@ class SessionPlan:
                 raise CampaignError(f"session plan: weight for {kind!r} must be > 0")
 
     def to_wire(self) -> dict:
-        """JSON-ready form; inverse of :meth:`from_wire`."""
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "batch_trials": self.batch_trials,
-            "min_ops": self.min_ops,
-            "max_ops": self.max_ops,
-            "exploit_boost": self.exploit_boost,
-            "weights": [[kind, weight] for kind, weight in self.weights],
-            "directed_seeds": self.directed_seeds,
-        }
-
-    @staticmethod
-    def from_wire(data: dict) -> "SessionPlan":
-        if not isinstance(data, dict):
-            raise CampaignError(f"session plan: expected a JSON object, got {type(data).__name__}")
-        try:
-            plan = SessionPlan(
-                name=data["name"],
-                trials=data["trials"],
-                batch_trials=data["batch_trials"],
-                min_ops=data["min_ops"],
-                max_ops=data["max_ops"],
-                exploit_boost=data["exploit_boost"],
-                weights=tuple((kind, weight) for kind, weight in data["weights"]),
-                directed_seeds=data["directed_seeds"],
-            )
-        except KeyError as exc:
-            raise CampaignError(f"session plan: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise CampaignError(f"session plan: malformed field: {exc}") from exc
-        plan.validate()
-        return plan
+        """JSON-ready form; inverse of :func:`loads_session_plan`."""
+        return encode(self)
 
 
 def default_session_plan() -> SessionPlan:
@@ -540,20 +508,18 @@ def default_session_plan() -> SessionPlan:
 
 def dumps_session_plan(plan: SessionPlan) -> str:
     """Canonical JSON encoding of *plan* (the cross-worker carrier)."""
-    import json
-
-    return json.dumps(plan.to_wire(), sort_keys=True, separators=(",", ":"))
+    return dumps_wire(encode(plan))
 
 
 def loads_session_plan(text: str) -> SessionPlan:
     """Decode and validate a plan from :func:`dumps_session_plan` text."""
-    import json
-
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CampaignError(f"session plan: not valid JSON: {exc}") from exc
-    return SessionPlan.from_wire(data)
+    except (ValueError, RecursionError) as exc:
+        raise CampaignError(f"session plan: not valid JSON: {exc}") from None
+    plan = decode(SessionPlan, data, "session plan")
+    plan.validate()
+    return plan
 
 
 def _weighted_kind(
@@ -720,9 +686,10 @@ def evaluate_trace(flow: str, events: Sequence[Event]) -> SessionEvaluation:
 # -- results -------------------------------------------------------------------
 
 
+@layout(row=True)
 @dataclass(frozen=True)
 class SessionBugRecord:
-    """First discovery of one planted session bug (wire v5, W3xx)."""
+    """First discovery of one planted session bug (a wire row, W3xx)."""
 
     flow: str
     trial: int
@@ -731,9 +698,10 @@ class SessionBugRecord:
     state: str
 
 
+@layout(versioned=True, const=(("kind", "sessions"),))
 @dataclass(frozen=True)
 class SessionResult:
-    """Everything one session campaign produced (wire v5, W3xx).
+    """Everything one session campaign produced (wire v6, W3xx).
 
     ``trajectory`` is the mutation trajectory — one ``(flow, trial,
     label)`` entry per executed trial, where *label* is the directed
@@ -941,7 +909,7 @@ def run_sessions(
 
     Serial and pooled execution take the same unit path
     (:func:`repro.core.parallel.execute_units`), and pooled results cross
-    the process boundary in wire v5 form, so ``workers=N`` output is
+    the process boundary in wire form, so ``workers=N`` output is
     byte-identical to ``workers=1``.
     """
     from .parallel import execute_units

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..errors import ReproError
+from ..wire import decode, encode, is_negative, is_zero, layout
 
 #: Plan document envelope, mirroring the obs/lint schema convention.
 SCHEMA = "zcover-fault-plan"
@@ -55,6 +56,15 @@ class FaultPlanError(ReproError):
     """A fault plan does not match the expected schema or constraints."""
 
 
+@layout(
+    elide={
+        "rate": is_zero,
+        "every_s": is_zero,
+        "at_s": is_negative,
+        "magnitude": is_zero,
+        "unit_index": is_negative,
+    },
+)
 @dataclass(frozen=True)
 class FaultSpec:
     """One declared fault.  Which fields matter depends on the kind:
@@ -100,37 +110,10 @@ class FaultSpec:
 
     def to_wire(self) -> dict:
         """Plain-data form; defaulted fields are elided for stable docs."""
-        wire: dict = {"layer": self.layer, "kind": self.kind}
-        if self.rate:
-            wire["rate"] = self.rate
-        if self.every_s:
-            wire["every_s"] = self.every_s
-        if self.at_s >= 0.0:
-            wire["at_s"] = self.at_s
-        if self.magnitude:
-            wire["magnitude"] = self.magnitude
-        if self.unit_index >= 0:
-            wire["unit_index"] = self.unit_index
-        return wire
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "FaultSpec":
-        try:
-            spec = cls(
-                layer=data["layer"],
-                kind=data["kind"],
-                rate=float(data.get("rate", 0.0)),
-                every_s=float(data.get("every_s", 0.0)),
-                at_s=float(data.get("at_s", -1.0)),
-                magnitude=float(data.get("magnitude", 0.0)),
-                unit_index=int(data.get("unit_index", -1)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FaultPlanError(f"malformed fault spec {data!r}: {exc}") from exc
-        spec.validate()
-        return spec
+        return encode(self)
 
 
+@layout(error=FaultPlanError, const=(("schema", SCHEMA), ("schema_version", SCHEMA_VERSION)))
 @dataclass(frozen=True)
 class FaultPlan:
     """A named, ordered collection of fault specs."""
@@ -147,30 +130,16 @@ class FaultPlan:
         return tuple(spec for spec in self.faults if spec.layer == layer)
 
     def to_wire(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "faults": [spec.to_wire() for spec in self.faults],
-        }
+        return encode(self)
 
-    @classmethod
-    def from_wire(cls, data: dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise FaultPlanError(f"fault plan must be a JSON object, got {type(data).__name__}")
-        if data.get("schema") != SCHEMA:
-            raise FaultPlanError(
-                f"not a {SCHEMA} document (schema={data.get('schema')!r})"
-            )
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise FaultPlanError(
-                f"schema version {data.get('schema_version')!r} "
-                f"!= expected {SCHEMA_VERSION}"
-            )
-        faults = tuple(FaultSpec.from_wire(entry) for entry in data.get("faults", []))
-        plan = cls(name=str(data.get("name", "unnamed")), faults=faults)
-        plan.validate()
-        return plan
+
+def _plan_from_data(data: object) -> FaultPlan:
+    """Decode and validate a parsed plan document."""
+    if not isinstance(data, dict):
+        raise FaultPlanError(f"fault plan must be a JSON object, got {type(data).__name__}")
+    plan = decode(FaultPlan, data, "fault plan")
+    plan.validate()
+    return plan
 
 
 def dumps_plan(plan: FaultPlan) -> str:
@@ -189,18 +158,18 @@ def load_plan(path: str) -> FaultPlan:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FaultPlanError(f"{path}: not valid JSON: {exc}") from exc
-    return FaultPlan.from_wire(data)
+        except (ValueError, RecursionError) as exc:
+            raise FaultPlanError(f"{path}: not valid JSON: {exc}") from None
+    return _plan_from_data(data)
 
 
 def loads_plan(text: str) -> FaultPlan:
     """Parse a plan from a JSON string (the unit wire form)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FaultPlanError(f"not valid JSON: {exc}") from exc
-    return FaultPlan.from_wire(data)
+    except (ValueError, RecursionError) as exc:
+        raise FaultPlanError(f"not valid JSON: {exc}") from None
+    return _plan_from_data(data)
 
 
 # -- stock plans ---------------------------------------------------------------
@@ -295,20 +264,4 @@ class DegradationRecord:
     detail: str = ""
 
     def to_wire(self) -> dict:
-        return {
-            "stage": self.stage,
-            "reason": self.reason,
-            "at_s": self.at_s,
-            "faults_injected": self.faults_injected,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "DegradationRecord":
-        return cls(
-            stage=data["stage"],
-            reason=data["reason"],
-            at_s=data["at_s"],
-            faults_injected=data["faults_injected"],
-            detail=data.get("detail", ""),
-        )
+        return encode(self)

@@ -49,7 +49,7 @@ CLOCK_OWNER_MODULE = "radio/clock.py"
 #: The wire codec module (W401 cross-check target).
 WIRE_MODULE = "core/resultio.py"
 
-#: Non-dataclass types with hand-written codecs (mirrors W3xx).
+#: Non-dataclass types carried through a declared adapter (mirrors W3xx).
 KNOWN_CODECS = frozenset({"BugLog"})
 
 #: A taint witness: either a direct seed site in the function itself

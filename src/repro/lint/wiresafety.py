@@ -2,7 +2,8 @@
 
 The parallel campaign engine ships results between processes through the
 codec in :mod:`repro.core.resultio`, which round-trips a fixed vocabulary
-of dataclasses via plain JSON documents.  A field added with a type the
+of dataclasses via plain JSON documents (the encoders and decoders are
+derived from the dataclass fields by :mod:`repro.wire`).  A field added with a type the
 codec cannot represent (an arbitrary object, ``Any``, an un-encoded
 class) does not fail loudly at the definition site — it fails at runtime
 inside a worker, or worse, silently truncates data.  This analyzer walks
@@ -32,8 +33,8 @@ Allowed grammar: the atoms ``int``/``float``/``str``/``bool``/``bytes``/
 ``None``; ``List``/``Sequence``/``Tuple``/``Set``/``FrozenSet``/``Dict``/
 ``Mapping``/``Optional``/``Union`` (and their lowercase builtins) over
 allowed types; ``Enum`` subclasses; nested dataclasses (checked
-recursively); classes named in :data:`KNOWN_CODECS`, for which
-``resultio`` carries hand-written encode/decode support.
+recursively); classes named in :data:`KNOWN_CODECS`, which cross the
+wire through an adapter declared on the field that holds them.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Dict, List, Set, Tuple
 from .base import Analyzer, SourceFile, class_kind, dotted_name
 from .findings import LintFinding, Severity
 
-#: Non-dataclass types with hand-written codecs in ``core/resultio.py``.
+#: Non-dataclass types carried through a declared ``repro.wire`` adapter.
 KNOWN_CODECS = frozenset({"BugLog"})
 
 #: The wire codec module whose module-level imports define the vocabulary.

@@ -12,8 +12,11 @@ snapshots produce byte-identical files — the property the golden test
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..errors import ObsError
+from ..wire import decode, encode, layout
 from .metrics import (
     HISTOGRAM_BOUNDS,
     MetricsSnapshot,
@@ -28,54 +31,59 @@ SCHEMA = "zcover-obs-metrics"
 SCHEMA_VERSION = 1
 
 
-class ObsExportError(ValueError):
+class ObsExportError(ObsError, ValueError):
     """A metrics document does not match the expected schema or version."""
 
 
 # -- the JSON document ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SpanEntry:
+    """A span aggregate as the document spells it (an object, not a row)."""
+
+    count: int
+    sim_time_us: int
+
+
+@layout(error=ObsExportError, const=(("schema", SCHEMA), ("schema_version", SCHEMA_VERSION)))
+@dataclass(frozen=True)
+class MetricsDocument:
+    """Layout of the schema-v1 document: free-form ``meta`` plus a snapshot."""
+
+    meta: dict
+    counters: Dict[str, int]
+    gauges: Dict[str, float]
+    histograms: Dict[str, Dict[str, int]]
+    coverage: Dict[str, int]
+    spans: Dict[str, SpanEntry]
+
+
 def snapshot_to_document(
     snapshot: MetricsSnapshot, meta: Optional[dict] = None
 ) -> dict:
     """Wrap *snapshot* in the schema-v1 envelope."""
-    return {
-        "schema": SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "meta": dict(meta or {}),
-        "counters": {k: snapshot.counters[k] for k in sorted(snapshot.counters)},
-        "gauges": {k: snapshot.gauges[k] for k in sorted(snapshot.gauges)},
-        "histograms": {
-            k: dict(snapshot.histograms[k]) for k in sorted(snapshot.histograms)
-        },
-        "coverage": {k: snapshot.coverage[k] for k in sorted(snapshot.coverage)},
-        "spans": {
-            k: {
-                "count": snapshot.spans[k].count,
-                "sim_time_us": snapshot.spans[k].sim_time_us,
-            }
-            for k in sorted(snapshot.spans)
-        },
-    }
+    return encode(
+        MetricsDocument(
+            meta=dict(meta or {}),
+            counters=snapshot.counters,
+            gauges=snapshot.gauges,
+            histograms=snapshot.histograms,
+            coverage=snapshot.coverage,
+            spans={k: SpanEntry(s.count, s.sim_time_us) for k, s in snapshot.spans.items()},
+        )
+    )
 
 
 def document_to_snapshot(doc: dict) -> MetricsSnapshot:
-    """Rebuild the snapshot from a document, validating the envelope."""
-    if doc.get("schema") != SCHEMA:
-        raise ObsExportError(f"not a {SCHEMA} document (schema={doc.get('schema')!r})")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ObsExportError(
-            f"schema version {doc.get('schema_version')!r} != expected {SCHEMA_VERSION}"
-        )
+    """Rebuild the snapshot from a document, validating envelope and layout."""
+    parsed = decode(MetricsDocument, doc, "metrics document")
     return MetricsSnapshot(
-        counters=dict(doc.get("counters", {})),
-        gauges=dict(doc.get("gauges", {})),
-        histograms={k: dict(v) for k, v in doc.get("histograms", {}).items()},
-        coverage=dict(doc.get("coverage", {})),
-        spans={
-            name: SpanStats(count=entry["count"], sim_time_us=entry["sim_time_us"])
-            for name, entry in doc.get("spans", {}).items()
-        },
+        counters=parsed.counters,
+        gauges=parsed.gauges,
+        histograms=parsed.histograms,
+        coverage=parsed.coverage,
+        spans={k: SpanStats(e.count, e.sim_time_us) for k, e in parsed.spans.items()},
     )
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SpanValueError
+from ..wire import layout
 
 #: Upper bucket bounds of every histogram (values above fall in ``inf``).
 HISTOGRAM_BOUNDS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
@@ -44,6 +45,7 @@ HISTOGRAM_KEYS: Tuple[str, ...] = tuple(
 ) + ("inf", "sum", "count")
 
 
+@layout(row=True)
 @dataclass(frozen=True)
 class SpanStats:
     """Aggregate of every completed span sharing one name.

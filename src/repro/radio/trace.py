@@ -9,17 +9,18 @@ and a human-readable dissector for inspection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
+from ..wire import dump_lines, layout, load_lines
 from ..zwave.application import ApplicationPayload
 from ..zwave.frame import ZWaveFrame
 from ..zwave.registry import SpecRegistry, load_full_registry
 from .transceiver import CapturedFrame
 
 
+@layout(rename={"timestamp": "t", "rssi_dbm": "rssi", "raw_hex": "raw"})
 @dataclass(frozen=True)
 class TraceRecord:
     """One persisted capture."""
@@ -54,41 +55,16 @@ def save_trace(
     captures: Iterable[CapturedFrame], path: Union[str, Path]
 ) -> int:
     """Persist *captures* as JSON lines; returns the record count."""
-    records = [TraceRecord.from_capture(c) for c in captures]
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "t": record.timestamp,
-                        "rssi": record.rssi_dbm,
-                        "raw": record.raw_hex,
-                        "bit_errors": record.bit_errors,
-                    }
-                )
-                + "\n"
-            )
-    return len(records)
+    return dump_lines((TraceRecord.from_capture(c) for c in captures), path)
 
 
 def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
-    """Reload a trace written by :func:`save_trace`."""
-    records: List[TraceRecord] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            blob = json.loads(line)
-            records.append(
-                TraceRecord(
-                    timestamp=blob["t"],
-                    rssi_dbm=blob["rssi"],
-                    raw_hex=blob["raw"],
-                    bit_errors=blob.get("bit_errors", 0),
-                )
-            )
-    return records
+    """Reload a trace written by :func:`save_trace`.
+
+    A malformed line raises :class:`~repro.wire.WireError` naming
+    ``path:line``.
+    """
+    return load_lines(TraceRecord, path)
 
 
 def dissect(record: TraceRecord, registry: Optional[SpecRegistry] = None) -> str:

@@ -12,14 +12,14 @@ Three record kinds:
 
 Records are appended with flush + fsync *before* the service reports the
 matching progress, so the log is always at least as advanced as any
-observable status.  :func:`load_checkpoint` stops at the first torn or
-corrupt line (a crash mid-append leaves at most one), making the loaded
-prefix trustworthy without any repair step.  Replay folds the records
-into per-job state: a job with a ``done`` record is terminal; any other
-job re-enters the queue with its completed units preloaded, so a resumed
-service re-runs only the missing shards — and because completed units
-were stored in wire form, the merged output is byte-identical to a run
-that was never interrupted.
+observable status.  :func:`load_checkpoint` stops at the first torn,
+corrupt or malformed line (a crash mid-append leaves at most one),
+making the loaded prefix trustworthy without any repair step.  Replay
+folds the records into per-job state: a job with a ``done`` record is
+terminal; any other job re-enters the queue with its completed units
+preloaded, so a resumed service re-runs only the missing shards — and
+because completed units were stored in wire form, the merged output is
+byte-identical to a run that was never interrupted.
 
 Determinism: records are written in completion order, which for one job
 is canonical unit order (the runner harvests in index order), and the
@@ -35,24 +35,69 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import ReproError
+from ..wire import decode, dumps_wire, encode, layout
+from .protocol import JobSpec, validate_spec
+
 RECORD_JOB = "job"
 RECORD_UNIT = "unit"
 RECORD_DONE = "done"
 
 
-def _canonical(record: dict) -> str:
-    """Canonical JSON for CRC keying (sorted keys, no spaces)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# The record layouts.  A unit's result is decoded when it is rehydrated.
+
+
+@layout(const=(("kind", RECORD_JOB),))
+@dataclass(frozen=True)
+class JobLine:
+    job_id: str
+    sequence: int
+    spec: JobSpec
+
+
+@layout(const=(("kind", RECORD_UNIT),))
+@dataclass(frozen=True)
+class UnitLine:
+    job_id: str
+    index: int
+    attempts: int
+    result: dict
+
+
+@layout(const=(("kind", RECORD_DONE),))
+@dataclass(frozen=True)
+class DoneLine:
+    job_id: str
+    state: str
+    error: str
+
+
+_LINES = {RECORD_JOB: JobLine, RECORD_UNIT: UnitLine, RECORD_DONE: DoneLine}
 
 
 def record_crc(record: dict) -> int:
     """CRC-32 of a record's canonical serialisation."""
-    return zlib.crc32(_canonical(record).encode("utf-8"))
+    return zlib.crc32(dumps_wire(record).encode("utf-8"))
 
 
 def encode_line(record: dict) -> str:
     """One checkpoint line: the record wrapped with its CRC key."""
-    return _canonical({"crc": record_crc(record), "record": record})
+    return dumps_wire({"crc": record_crc(record), "record": record})
+
+
+def _trusted(record: dict) -> bool:
+    """Whether a CRC-valid record decodes against its kind's layout."""
+    kind = record.get("kind")
+    line = _LINES.get(kind) if isinstance(kind, str) else None
+    if line is None:
+        return False
+    try:
+        decoded = decode(line, record, f"checkpoint {line.__name__}")
+        if line is JobLine:
+            validate_spec(decoded.spec)
+    except ReproError:
+        return False
+    return True
 
 
 class CheckpointWriter:
@@ -90,9 +135,10 @@ def load_checkpoint(path: str) -> List[dict]:
     """The trustworthy record prefix of a checkpoint file.
 
     Stops at the first line that is not valid JSON, lacks the wrapper
-    shape, or fails its CRC — everything before a torn tail is intact by
-    construction (appends are ordered and fsynced).  A missing file is an
-    empty checkpoint.
+    shape, fails its CRC, fails its kind's layout or carries a spec that
+    fails :func:`~repro.serve.protocol.validate_spec` — everything before
+    a torn tail is intact by construction (appends are ordered and
+    fsynced).  A missing file is an empty checkpoint.
     """
     if not os.path.exists(path):
         return []
@@ -104,12 +150,14 @@ def load_checkpoint(path: str) -> List[dict]:
                 break
             try:
                 wrapper = json.loads(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 break
             if not isinstance(wrapper, dict) or "crc" not in wrapper:
                 break
             record = wrapper.get("record")
             if not isinstance(record, dict) or wrapper["crc"] != record_crc(record):
+                break
+            if not _trusted(record):
                 break
             records.append(record)
     return records
@@ -173,15 +221,9 @@ def job_record(job_id: str, sequence: int, spec_wire: dict) -> dict:
 
 def unit_record(job_id: str, index: int, attempts: int, result: dict) -> dict:
     """Build a ``unit`` record (one completed campaign unit)."""
-    return {
-        "kind": RECORD_UNIT,
-        "job_id": job_id,
-        "index": index,
-        "attempts": attempts,
-        "result": result,
-    }
+    return encode(UnitLine(job_id, index, attempts, result))
 
 
 def done_record(job_id: str, state: str, error: str = "") -> dict:
     """Build a ``done`` record (terminal job state)."""
-    return {"kind": RECORD_DONE, "job_id": job_id, "state": state, "error": error}
+    return encode(DoneLine(job_id, state, error))

@@ -10,9 +10,10 @@ client receives must be **byte-identical** to running the same spec
 in-process (see :mod:`repro.serve.results`).
 
 This module is deliberately free of any :mod:`repro.core.resultio`
-import: the wire codecs for :class:`JobSpec`/:class:`JobStatus` live in
-``resultio`` itself (wire v6), which imports these classes at module
-level so the W3xx wire-safety lint proves their fields JSON-clean.
+import: ``resultio`` exposes the :class:`JobSpec`/:class:`JobStatus`
+codecs (wire v6) and imports these classes at module level so the W3xx
+wire-safety lint proves their fields JSON-clean; their layouts are
+declared here, with :func:`repro.wire.layout`.
 
 Job identity is content-addressed: :func:`job_id_for` hashes the
 canonical spec serialisation, so submitting the same spec twice is
@@ -31,12 +32,12 @@ restart (``running`` collapses back to ``queued``); ``done`` and
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..errors import CampaignError
+from ..wire import dumps_wire, encode, layout
 
 #: Job lifecycle states, in nominal order.
 JOB_QUEUED = "queued"
@@ -74,6 +75,7 @@ class SpecError(CampaignError):
         self.reason = message
 
 
+@layout(versioned=True)
 @dataclass(frozen=True)
 class JobSpec:
     """Everything the service needs to run one job, as plain scalars.
@@ -146,22 +148,14 @@ def validate_spec(spec: JobSpec) -> None:
 
 
 def spec_key(spec: JobSpec) -> str:
-    """Canonical serialisation of a spec (job-identity preimage)."""
-    return json.dumps(
-        {
-            "kind": spec.kind,
-            "device": spec.device,
-            "mode": spec.mode,
-            "seed": spec.seed,
-            "trials": spec.trials,
-            "hours": spec.hours,
-            "scheduler": spec.scheduler,
-            "fault_plan": spec.fault_plan,
-            "flows": list(spec.flows),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """Canonical serialisation of a spec (job-identity preimage).
+
+    The spec's wire form without its ``wire_version``: a job's identity
+    is what it computes, not which codec revision carried it.
+    """
+    wire = encode(spec)
+    del wire["wire_version"]
+    return dumps_wire(wire)
 
 
 def job_id_for(spec: JobSpec) -> str:
@@ -174,6 +168,7 @@ def job_id_for(spec: JobSpec) -> str:
     return f"job-{zlib.crc32(spec_key(spec).encode('utf-8')):08x}"
 
 
+@layout(versioned=True)
 @dataclass(frozen=True)
 class JobStatus:
     """A point-in-time view of one job, as returned by ``GET /jobs/<id>``.

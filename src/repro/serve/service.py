@@ -47,6 +47,8 @@ from typing import Optional, Tuple
 
 from ..core.parallel import UnitOutcome, WorkerPool, unit_attempts
 from ..core.resultio import (
+    WireError,
+    WireVersionError,
     dumps_wire,
     jobspec_from_wire,
     jobspec_to_wire,
@@ -226,13 +228,20 @@ class ZCoverService:
         record.state = state
 
     def _preloaded_outcomes(self, record: JobRecord) -> list:
-        """Outcomes in canonical order, filled from checkpointed units."""
+        """Outcomes in canonical order, filled from checkpointed units.
+
+        A stored result that no longer decodes (a record from another
+        build) is left out, so its unit runs again.
+        """
         outcomes = [UnitOutcome(unit=unit) for unit in spec_units(record.spec)]
         for index in sorted(record.preloaded):
             if 0 <= index < len(outcomes):
                 attempts, wire = record.preloaded[index]
                 outcome = outcomes[index]
-                outcome.result = rehydrate_unit_result(outcome.unit, wire)
+                try:
+                    outcome.result = rehydrate_unit_result(outcome.unit, wire)
+                except WireError:
+                    continue
                 outcome.attempts = attempts
         return outcomes
 
@@ -455,11 +464,9 @@ class ZCoverService:
 
     def _post_job(self, body: bytes) -> Tuple[int, str, str]:
         """``POST /jobs``: validate, enqueue (idempotently), checkpoint."""
-        from ..core.resultio import WireError, WireVersionError
-
         try:
             data = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             return 400, _error_body("body", reason=str(exc)), _JSON
         try:
             spec = jobspec_from_wire(data)
@@ -471,7 +478,7 @@ class ZCoverService:
                 ),
                 _JSON,
             )
-        except (WireError, KeyError, TypeError) as exc:
+        except WireError as exc:
             return 400, _error_body("layout", reason=str(exc)), _JSON
         try:
             from .protocol import validate_spec
