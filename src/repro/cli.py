@@ -59,6 +59,19 @@ def _add_device(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _hours(text: str) -> float:
+    """``--hours`` type: a positive, finite number of simulated hours.
+
+    A campaign runs until the simulated clock passes its duration, so NaN
+    or infinity would never end.
+    """
+    value = float(text)
+    # The comparison is false for NaN; infinity fails the finite bound.
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_device(parser)
     parser.add_argument("--seed", type=int, default=0, help="deterministic seed")
@@ -396,8 +409,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             for rule, description in sorted(analyzer.rules.items()):
                 print(f"{rule}  [{analyzer.name}]  {description}")
         return 0
-    cache_path = Path(args.cache) if args.cache else None
-    report = run_lint(root=root, jobs=args.jobs, cache_path=cache_path)
+    report = run_lint(root=root)
     if args.format == "json":
         rendered = json.dumps(report.to_document(), indent=2)
     elif args.format == "sarif":
@@ -412,9 +424,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(rendered)
 
     if args.write_manifest or args.check_manifest:
-        if report.manifest is None:
-            print("purity manifest unavailable (flow analyzer did not run)")
-            return 2
         manifest_path = Path(args.write_manifest or args.check_manifest)
         rendered_manifest = canonical_dumps(report.manifest)
         if args.write_manifest:
@@ -799,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="phase 3: run a fuzzing campaign")
     _add_common(fuzz)
-    fuzz.add_argument("--hours", type=float, default=1.0, help="simulated hours")
+    fuzz.add_argument("--hours", type=_hours, default=1.0, help="simulated hours")
     fuzz.add_argument("--mode", choices=sorted(_MODES), default="full")
     fuzz.add_argument("--log", help="save the bug log (JSON lines) here")
     fuzz.add_argument("--json", help="save the machine-readable summary here")
@@ -811,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(--scheduler coverage adds a coverage-guided fourth arm)",
     )
     _add_common(ablation)
-    ablation.add_argument("--hours", type=float, default=1.0)
+    ablation.add_argument("--hours", type=_hours, default=1.0)
     _add_workers(ablation)
     _add_metrics_out(ablation)
     _add_fault_plan(ablation)
@@ -820,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="Table V: ZCover vs VFuzz")
     compare.add_argument("--devices", default="D1,D2,D3,D4,D5")
-    compare.add_argument("--hours", type=float, default=6.0)
+    compare.add_argument("--hours", type=_hours, default=6.0)
     compare.add_argument("--seed", type=int, default=0)
     _add_workers(compare)
     _add_metrics_out(compare)
@@ -835,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="render a paper figure")
     _add_common(figure)
     figure.add_argument("--which", type=int, default=5, choices=(5, 12))
-    figure.add_argument("--hours", type=float, default=1.0)
+    figure.add_argument("--hours", type=_hours, default=1.0)
     figure.set_defaults(func=cmd_figure)
 
     sniff = sub.add_parser("sniff", help="capture and dissect network traffic")
@@ -863,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="run a campaign and write a report")
     _add_common(report)
     report.add_argument("--mode", choices=sorted(_MODES), default="full")
-    report.add_argument("--hours", type=float, default=1.0)
+    report.add_argument("--hours", type=_hours, default=1.0)
     report.add_argument("--out", help="markdown report path (default: stdout)")
     report.add_argument("--svg", help="also write the Figure 12 panel here")
     report.set_defaults(func=cmd_report)
@@ -872,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(trials)
     trials.add_argument("--mode", choices=sorted(_MODES), default="full")
     trials.add_argument("--trials", type=int, default=5)
-    trials.add_argument("--hours", type=float, default=1.0)
+    trials.add_argument("--hours", type=_hours, default=1.0)
     _add_workers(trials)
     _add_metrics_out(trials)
     _add_fault_plan(trials)
@@ -890,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--mode", choices=sorted(_MODES), default="full")
     chaos.add_argument("--trials", type=int, default=2)
-    chaos.add_argument("--hours", type=float, default=0.25)
+    chaos.add_argument("--hours", type=_hours, default=0.25)
     chaos.add_argument("--format", choices=("text", "json"), default="text")
     chaos.add_argument("--out", help="write the report here (default: stdout)")
     _add_workers(chaos)
@@ -927,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs = sub.add_parser("obs", help="observability: metrics + tracing spans")
     _add_common(obs)
     obs.add_argument("--mode", choices=sorted(_MODES), default="full")
-    obs.add_argument("--hours", type=float, default=1.0)
+    obs.add_argument("--hours", type=_hours, default=1.0)
     obs.add_argument(
         "--in",
         dest="in_path",
@@ -973,16 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("text", "json", "sarif"), default="text")
     lint.add_argument("--root", help="lint this tree instead of the installed package")
     lint.add_argument("--rules", action="store_true", help="list every rule and exit")
-    lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="shard per-file flow summarization across N processes",
-    )
     lint.add_argument("--out", help="write the report here instead of stdout")
-    lint.add_argument(
-        "--cache", help="incremental flow-summary cache file (content-CRC keyed)"
-    )
     lint.add_argument(
         "--strict",
         action="store_true",
@@ -1041,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trial count (kind-specific stock default when omitted)",
     )
     submit.add_argument(
-        "--hours", type=float, default=1.0, help="simulated hours per campaign"
+        "--hours", type=_hours, default=1.0, help="simulated hours per campaign"
     )
     _add_scheduler(submit)
     submit.add_argument(

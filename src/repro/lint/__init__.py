@@ -17,7 +17,7 @@ Four analyzer families guard the invariants the test suite cannot see
   type inference, and the committed purity manifest whose drift CI gates.
 
 Run it as ``zcover lint`` (``--format json``/``--format sarif`` for
-machine output, ``--jobs N`` to shard the flow summarize stage).
+machine output).
 """
 
 from .conformance import ConformanceAnalyzer

@@ -6,32 +6,28 @@ transitively reach global entropy, an unseeded generator, or the wall
 clock, and whether statically-typed values entering the wire codecs stay
 inside the W3xx vocabulary.  The pipeline is
 
-    summarize (per file, cacheable, shardable)
+    summarize (per file)
       -> link (:class:`~repro.lint.flow.callgraph.CallGraph`)
       -> fixpoint (:mod:`repro.lint.flow.taint`)
       -> findings + purity manifest (:mod:`repro.lint.flow.purity`)
 
-Findings derive only from JSON-clean summaries, so a serial run, a
-``--jobs N`` run and a cache-warm run are byte-identical by construction.
+Findings derive only from JSON-clean summaries, so every run over the
+same text is byte-identical by construction.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..base import Analyzer, SourceFile
 from ..findings import LintFinding
 from . import purity, taint
-from .cache import SummaryCache
 from .callgraph import CallGraph
-from .symbols import SUMMARY_VERSION, summarize_source, summarize_text
+from .symbols import summarize_source, summarize_text
 
 __all__ = [
     "CallGraph",
     "FlowAnalyzer",
-    "SummaryCache",
-    "SUMMARY_VERSION",
     "DEFAULT_ENTRY_MODULES",
     "summarize_source",
     "summarize_text",
@@ -56,12 +52,6 @@ DEFAULT_ENTRY_MODULES: Tuple[str, ...] = (
 )
 
 
-def _summarize_worker(item: Tuple[str, str]) -> dict:
-    """Pool entry point: re-parse and summarize one file from raw text."""
-    rel, text = item
-    return summarize_text(rel, text)
-
-
 class FlowAnalyzer(Analyzer):
     """Interprocedural entropy/clock/wire-type flow analysis."""
 
@@ -74,86 +64,20 @@ class FlowAnalyzer(Analyzer):
         "W401": "statically-typed value outside the wire vocabulary enters a codec",
     }
 
-    def __init__(
-        self,
-        entry_modules: Tuple[str, ...] = DEFAULT_ENTRY_MODULES,
-        entropy_owners: FrozenSet[str] = taint.DEFAULT_ENTROPY_OWNERS,
-        clock_exempt: FrozenSet[str] = taint.DEFAULT_CLOCK_EXEMPT,
-        jobs: int = 1,
-        cache_path: Optional[Path] = None,
-    ):
-        self._entry_modules = tuple(entry_modules)
-        self._entropy_owners = frozenset(entropy_owners)
-        self._clock_exempt = frozenset(clock_exempt)
-        self._jobs = max(1, int(jobs))
-        self._cache_path = cache_path
+    def __init__(self):
         #: Populated by :meth:`analyze`: the manifest of the last run.
         self.manifest: Optional[dict] = None
-        self.cache_stats: Optional[dict] = None
-
-    # -- summarize -------------------------------------------------------------
-
-    def _summarize_all(self, sources: List[SourceFile]) -> dict:
-        """rel -> summary for every source, via cache and/or the pool."""
-        cache = SummaryCache(self._cache_path)
-        summaries = {}
-        pending: List[SourceFile] = []
-        for source in sources:
-            cached = cache.get(source.rel, source.text)
-            if cached is not None:
-                summaries[source.rel] = cached
-            else:
-                pending.append(source)
-        if pending:
-            if self._jobs > 1 and len(pending) > 1 and self._pool_usable():
-                fresh = self._summarize_pool(pending)
-            else:
-                fresh = {s.rel: summarize_source(s) for s in pending}
-            for source in pending:
-                summaries[source.rel] = fresh[source.rel]
-                cache.put(source.rel, source.text, fresh[source.rel])
-        cache.prune(summaries)
-        cache.save()
-        self.cache_stats = {"hits": cache.hits, "misses": cache.misses}
-        return summaries
-
-    def _pool_usable(self) -> bool:
-        from ...core.parallel import parallel_supported
-
-        return parallel_supported()
-
-    def _summarize_pool(self, pending: List[SourceFile]) -> dict:
-        """Shard per-file summarization across a process pool.
-
-        Workers re-parse from raw text (AST objects don't pickle), and
-        results are keyed by rel, so the merge is order-independent:
-        the downstream link stage sorts by rel regardless of completion
-        order and the output is byte-identical to the serial path.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ...core.parallel import resolve_workers
-
-        workers = min(resolve_workers(self._jobs), len(pending))
-        items = [(s.rel, s.text) for s in pending]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_summarize_worker, items, chunksize=4))
-        except (OSError, ImportError):  # pool refused to start: degrade
-            return {s.rel: summarize_source(s) for s in pending}
-        return {rel: summary for (rel, _), summary in zip(items, results)}
-
-    # -- analyze ---------------------------------------------------------------
 
     def analyze(self, sources: List[SourceFile]) -> List[LintFinding]:
         """Run the full summarize/link/fixpoint pipeline over *sources*."""
-        summaries = self._summarize_all(sources)
-        graph = CallGraph(summaries)
+        graph = CallGraph({s.rel: summarize_source(s) for s in sources})
         entropy = taint.propagate(
-            graph, taint.entropy_seeds(graph, self._entropy_owners)
+            graph, taint.entropy_seeds(graph, taint.DEFAULT_ENTROPY_OWNERS)
         )
-        clock = taint.propagate(graph, taint.clock_seeds(graph, self._clock_exempt))
-        entries = taint.discover_entry_points(graph, self._entry_modules)
+        clock = taint.propagate(
+            graph, taint.clock_seeds(graph, taint.DEFAULT_CLOCK_EXEMPT)
+        )
+        entries = taint.discover_entry_points(graph, DEFAULT_ENTRY_MODULES)
         reachable = taint.forward_reachable(graph, entries)
 
         findings: List[LintFinding] = []

@@ -7,15 +7,9 @@ per function carrying everything the link/fixpoint stage needs —
 parameter signatures, rng-parameter facts, direct entropy/clock taint
 sites, unordered-container escapes, and symbolic call sites.
 
-The summary is the flow engine's unit of caching and of parallelism:
-
-* it is a pure function of the file's text, so the incremental cache
-  (:mod:`repro.lint.flow.cache`) can key it by content CRC-32;
-* it is JSON-clean, so worker processes can ship it across the pool
-  boundary and the merged serial/parallel results are byte-identical;
-* findings are derived *only* from summaries (never from live AST
-  objects), so a cache hit, a worker result and an in-process summary
-  are indistinguishable by construction.
+The summary is a pure function of the file's text and JSON-clean, and
+findings are derived *only* from summaries (never from live AST
+objects), so every run over the same text is byte-identical.
 
 Call sites are recorded *symbolically* — the name as written plus the
 receiver's statically inferred class, if any — and resolved against the
@@ -29,9 +23,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..base import SourceFile, allow_directives_for_lines, class_kind, dotted_name
 from ..determinism import classify_call, import_aliases
-
-#: Bumped on any change to the summary layout; part of the cache key.
-SUMMARY_VERSION = 5
 
 #: Parameter names treated as seeded-generator carriers.
 _RNG_NAMES = frozenset({"rng"})
@@ -500,7 +491,6 @@ def summarize_source(source: SourceFile) -> dict:
                     summarize_function(item, f"{node.name}.{item.name}", node.name)
 
     return {
-        "version": SUMMARY_VERSION,
         "rel": source.rel,
         "imports": _module_imports(source.tree),
         "classes": classes,
@@ -509,5 +499,5 @@ def summarize_source(source: SourceFile) -> dict:
 
 
 def summarize_text(rel: str, text: str) -> dict:
-    """Summarize from raw text (worker processes, cache misses on disk)."""
+    """Summarize from raw text."""
     return summarize_source(SourceFile.from_text(rel, text))

@@ -20,7 +20,7 @@ Three analyses run to a fixpoint on the linked
 
 Witness chains are deterministic: propagation is a BFS that visits
 functions in sorted id order, so every finding renders the same call
-chain on every run, serial or sharded.
+chain on every run.
 """
 
 from __future__ import annotations

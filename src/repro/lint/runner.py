@@ -4,9 +4,8 @@
 and the test suite.  The default root is the installed ``repro`` package
 itself, so the gate always inspects the code that is actually running.
 The flow engine (:mod:`repro.lint.flow`) joins the three syntactic
-families by default; ``jobs``/``cache_path`` thread straight through to
-its sharded summarize stage, and the resulting purity manifest rides on
-the report for the CLI's ``--write-manifest``/``--check-manifest``.
+families, and its purity manifest rides on the report for the CLI's
+``--write-manifest``/``--check-manifest``.
 """
 
 from __future__ import annotations
@@ -24,26 +23,19 @@ from .findings import (
 )
 
 
-def default_analyzers(
-    registry=None,
-    jobs: int = 1,
-    cache_path: Optional[Path] = None,
-    flow: bool = True,
-) -> List[Analyzer]:
+def default_analyzers(registry=None) -> List[Analyzer]:
     """The four rule families, in reporting order."""
     from .conformance import ConformanceAnalyzer
     from .determinism import DeterminismAnalyzer
     from .flow import FlowAnalyzer
     from .wiresafety import WireSafetyAnalyzer
 
-    analyzers: List[Analyzer] = [
+    return [
         DeterminismAnalyzer(),
         ConformanceAnalyzer(registry=registry),
         WireSafetyAnalyzer(),
+        FlowAnalyzer(),
     ]
-    if flow:
-        analyzers.append(FlowAnalyzer(jobs=jobs, cache_path=cache_path))
-    return analyzers
 
 
 @dataclass
@@ -52,7 +44,7 @@ class LintReport:
 
     root: Path
     findings: List[LintFinding] = field(default_factory=list)
-    #: Purity manifest from the flow analyzer (None when flow is off).
+    #: Purity manifest from the flow analyzer (None when none ran).
     manifest: Optional[dict] = None
     #: The analyzers that ran (rule tables feed the SARIF driver).
     analyzers: List[Analyzer] = field(default_factory=list)
@@ -90,9 +82,6 @@ def run_lint(
     root: Optional[Path] = None,
     analyzers: Optional[List[Analyzer]] = None,
     registry=None,
-    jobs: int = 1,
-    cache_path: Optional[Path] = None,
-    flow: bool = True,
 ) -> LintReport:
     """Lint every ``*.py`` under *root* (default: the ``repro`` package)."""
     if root is None:
@@ -100,9 +89,7 @@ def run_lint(
     root = Path(root)
     sources = collect_sources(root)
     if analyzers is None:
-        analyzers = default_analyzers(
-            registry=registry, jobs=jobs, cache_path=cache_path, flow=flow
-        )
+        analyzers = default_analyzers(registry=registry)
     findings: List[LintFinding] = []
     manifest: Optional[dict] = None
     for analyzer in analyzers:

@@ -4,8 +4,8 @@ SARIF (Static Analysis Results Interchange Format) is the lingua franca
 of code-scanning UIs; emitting it lets CI upload ``zcover lint`` output
 as a scanning artifact that renders inline on diffs.  The document is
 canonicalised (sorted keys, fixed separators, trailing newline) through
-the same serializer as every other committed artefact, so a serial run
-and a ``--jobs N`` run produce byte-identical SARIF.
+the same serializer as every other committed artefact, so every run
+over the same tree produces byte-identical SARIF.
 
 Only the stable core of the format is emitted: one run, one driver, one
 rule table aggregated from the analyzers, one result per finding with a

@@ -13,7 +13,6 @@ always hear the frame, far ones suffer increasing loss until the link dies.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
@@ -69,26 +68,6 @@ class Reception:
 
 #: Endpoint receive callback signature.
 ReceiveCallback = Callable[[Reception], None]
-
-#: Engine selector.  "batched" — the only engine — delivers every
-#: transmission through one arg-carrying clock event holding all
-#: per-endpoint records.  The legacy one-closure-per-delivery loop was
-#: removed once the equivalence matrix (tests/test_engine_equivalence.py)
-#: proved byte-identical campaign documents across every cell of
-#: (device x mode x scheduler x fault-plan x workers); the matrix now
-#: runs as the engine's determinism re-run.
-ENGINES = ("batched",)
-
-
-def active_engine() -> str:
-    """The engine selected by ``ZCOVER_ENGINE`` (default "batched")."""
-    engine = os.environ.get("ZCOVER_ENGINE", "batched")
-    if engine not in ENGINES:
-        raise RadioError(
-            f"unknown ZCOVER_ENGINE {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
-
 
 #: Shortest buffer that carries a MAC header and checksum.
 _MIN_FRAME_SIZE = const.MAC_HEADER_SIZE + const.CS8_TRAILER_SIZE
@@ -166,13 +145,6 @@ class RadioMedium:
         # Invalidated on attach / detach / move and on every enabled flip
         # (the only write path is :meth:`set_enabled`).
         self._plan_cache: Dict[str, Tuple[Tuple[Tuple[_Endpoint, float, float], ...], int]] = {}
-        # Airtime keyed by (frame length, rate): the duration formula only
-        # reads those two values, and campaign traffic reuses a handful of
-        # frame sizes thousands of times.
-        self._airtime_cache: Dict[Tuple[int, float], float] = {}
-        # Validates ZCOVER_ENGINE once per medium: an unknown (or removed)
-        # engine selection fails loudly at construction, never mid-campaign.
-        active_engine()
 
     # -- attachment -------------------------------------------------------------
 
@@ -258,12 +230,7 @@ class RadioMedium:
         if source is None:
             raise RadioError(f"unknown transmitter {sender!r}")
         self._transmissions += 1
-        airtime_key = (len(frame_bytes), rate_kbaud)
-        airtime = self._airtime_cache.get(airtime_key)
-        if airtime is None:
-            airtime = self._airtime_cache[airtime_key] = airtime_seconds(
-                frame_bytes, rate_kbaud
-            )
+        airtime = airtime_seconds(frame_bytes, rate_kbaud)
         extra_delay = 0.0
         duplicate = False
         if self.fault_injector is not None:

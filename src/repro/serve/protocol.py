@@ -62,6 +62,14 @@ JOB_KINDS: Tuple[str, ...] = ("trials", "sessions", "chaos")
 #: must be self-contained, never a pointer into the server's filesystem).
 STOCK_FAULT_PLANS: Tuple[str, ...] = ("canonical", "lossy", "flaky")
 
+#: Upper bounds on a spec's work.  A paper-length campaign is 24 simulated
+#: hours and the largest in-repo session budget is 580 trials per flow;
+#: the bounds sit well above both.  They exist because ``POST /jobs``
+#: builds ``trials`` units inside the request handler and the service
+#: has no unit timeout, so an unbounded spec pins a worker or the handler.
+MAX_HOURS = 168.0
+MAX_TRIALS = 10_000
+
 _MODES: Tuple[str, ...] = ("full", "beta", "gamma")
 _SCHEDULERS: Tuple[str, ...] = ("static", "coverage")
 
@@ -122,11 +130,18 @@ def validate_spec(spec: JobSpec) -> None:
     if not isinstance(spec.seed, int) or isinstance(spec.seed, bool):
         raise SpecError("seed", "seed must be an integer")
     if spec.trials is not None and (
-        not isinstance(spec.trials, int) or isinstance(spec.trials, bool) or spec.trials < 1
+        not isinstance(spec.trials, int)
+        or isinstance(spec.trials, bool)
+        or not 1 <= spec.trials <= MAX_TRIALS
     ):
-        raise SpecError("trials", "trials must be a positive integer or null")
-    if not isinstance(spec.hours, (int, float)) or isinstance(spec.hours, bool) or spec.hours <= 0:
-        raise SpecError("hours", "hours must be a positive number")
+        raise SpecError("trials", f"trials must be an integer in [1, {MAX_TRIALS}] or null")
+    # The chained comparison is false for NaN and infinity as well.
+    if (
+        not isinstance(spec.hours, (int, float))
+        or isinstance(spec.hours, bool)
+        or not 0 < spec.hours <= MAX_HOURS
+    ):
+        raise SpecError("hours", f"hours must be a finite number in (0, {MAX_HOURS:g}]")
     if spec.scheduler not in _SCHEDULERS:
         raise SpecError(
             "scheduler", f"unknown scheduler {spec.scheduler!r}; expected one of {_SCHEDULERS}"

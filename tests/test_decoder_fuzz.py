@@ -312,26 +312,31 @@ class TestDecoderFuzz:
 
     def test_http_front_rejects_undecodable_specs_as_layout(self, serve_golden):
         """Every mutated ``POST /jobs`` body the spec decoder rejects gets a
-        400 ``layout`` (or ``wire-version``) answer, never a 500."""
+        400 ``layout`` (or ``wire-version``) answer, and every one that
+        decodes but fails validation a 400 ``spec``, never a 500."""
         from repro.core.resultio import WireVersionError
+        from repro.serve.protocol import SpecError, validate_spec
         from repro.serve.service import ZCoverService
 
         service = ZCoverService()
         seeds = [spec["wire"] for spec in serve_golden["specs"]]
-        checked = 0
+        checked = {"layout": 0, "wire-version": 0, "spec": 0}
         for case in mutants(12, seeds):
             try:
-                jobspec_from_wire(case)
+                validate_spec(jobspec_from_wire(case))
             except WireVersionError:
                 expected = "wire-version"
+            except SpecError:
+                expected = "spec"
             except ReproError:
                 expected = "layout"
             else:
-                continue  # decodable bodies may enqueue real work
+                continue  # valid bodies would enqueue real work
             status, body, _ = service._post_job(json.dumps(case).encode("utf-8"))
             assert (status, json.loads(body)["error"]["kind"]) == (400, expected)
-            checked += 1
-        assert checked > 500
+            checked[expected] += 1
+        assert checked["layout"] + checked["wire-version"] > 500
+        assert checked["spec"] > 30
 
 
 # -- minimised crashers --------------------------------------------------------

@@ -1,25 +1,20 @@
-"""Differential equivalence matrix: the event-engine migration oracle.
+"""Determinism matrix for the batched event engine.
 
 The batched event engine (one arg-carrying clock event per transmission
 fire time, replaying per-endpoint records in listener order) replaced the
-legacy one-closure-per-delivery loop.  This matrix is the proof the swap
-changed *nothing observable*: for every cell of (device x mode x
+legacy one-closure-per-delivery loop after this matrix proved the swap
+changed *nothing observable*.  For every cell of (device x mode x
 scheduler x fault-plan x workers) the campaign, session and chaos
-documents plus the obs counter snapshot are rendered under each engine in
-``repro.radio.medium.ENGINES`` and compared **byte for byte**.
-
-While both engines existed the matrix ran legacy-vs-batched; now that
-legacy is deleted, ``ENGINES`` has one entry and each cell runs twice
-under the batched engine — the same comparison machinery becomes the
-engine's run-to-run determinism re-run.  The committed goldens
-(``session_golden.json``, ``faults_golden.json``, ``scheduler_golden.json``,
-``perf_golden.json``) were produced by the legacy engine and re-verified
-unchanged after the swap, so they remain the permanent cross-engine pin;
-this suite guards the within-engine half of that contract.
+documents plus the obs counter snapshot are now rendered twice and
+compared **byte for byte**: the engine's run-to-run determinism re-run.
+The committed goldens (``session_golden.json``, ``faults_golden.json``,
+``scheduler_golden.json``, ``perf_golden.json``) were produced by the
+legacy engine and re-verified unchanged after the swap, so they remain
+the cross-engine pin; this suite guards the within-engine half of that
+contract.
 """
 
 import json
-import os
 from types import SimpleNamespace
 
 import pytest
@@ -30,42 +25,12 @@ from repro.core.session import run_sessions
 from repro.core.trials import run_trials
 from repro.faults.plan import canonical_mixed_plan
 from repro.faults.report import build_chaos_document, dumps_chaos_document
-from repro.radio import medium as medium_mod
 from repro.radio.clock import SimClock
 from repro.radio.medium import RadioMedium
 from repro.zwave.constants import Region
 
 DURATION = 600.0  # 10 simulated minutes: all the early bugs, fast cells
 SEED = 0
-
-
-def _engine_runs():
-    """The engine list each cell runs under (doubled when only one is left).
-
-    Two entries or more: a differential comparison across engines.  One
-    entry: the same cell twice under it — a determinism re-run with the
-    identical comparison machinery.
-    """
-    engines = medium_mod.ENGINES
-    return engines if len(engines) > 1 else engines * 2
-
-
-def _under_engine(engine, build):
-    """Evaluate *build* with ``ZCOVER_ENGINE`` pinned to *engine*.
-
-    The environment variable (not a monkeypatched module global) is the
-    real switch: worker processes of the ``workers=2`` cells inherit it,
-    so the pooled path runs the same engine as the parent.
-    """
-    previous = os.environ.get("ZCOVER_ENGINE")
-    os.environ["ZCOVER_ENGINE"] = engine
-    try:
-        return build()
-    finally:
-        if previous is None:
-            del os.environ["ZCOVER_ENGINE"]
-        else:
-            os.environ["ZCOVER_ENGINE"] = previous
 
 
 def _obs_slice(result):
@@ -143,24 +108,18 @@ CELLS = (
 
 @pytest.mark.parametrize("name,build", CELLS, ids=[name for name, _ in CELLS])
 def test_matrix_cell_documents_byte_identical(name, build):
-    """Every engine run of a cell renders the exact same bytes."""
-    documents = [_under_engine(engine, build) for engine in _engine_runs()]
-    reference = documents[0]
-    for document in documents[1:]:
-        assert document == reference, f"engine drift in matrix cell {name}"
+    """Both runs of a cell render the exact same bytes."""
+    first, second = build(), build()
+    assert first == second, f"engine drift in matrix cell {name}"
 
 
 def test_workers_and_engines_commute():
-    """serial x engines and --workers 2 x engines: all four bytes equal.
+    """serial and --workers 2, each run twice: all four bytes equal.
 
-    The strongest cell: worker count and engine choice must be mutually
+    The strongest cell: worker count and repetition must both be
     invisible, so one document stands for the whole 2x2 square.
     """
-    documents = [
-        _under_engine(engine, lambda: _workers_cell("D2", workers))
-        for engine in _engine_runs()
-        for workers in (1, 2)
-    ]
+    documents = [_workers_cell("D2", workers) for workers in (1, 2) for _ in range(2)]
     reference = documents[0]
     for document in documents[1:]:
         assert document == reference
@@ -232,9 +191,4 @@ def _medium_fingerprint():
 
 
 def test_medium_scenario_fingerprint_identical():
-    fingerprints = [
-        _under_engine(engine, _medium_fingerprint) for engine in _engine_runs()
-    ]
-    reference = fingerprints[0]
-    for fingerprint in fingerprints[1:]:
-        assert fingerprint == reference
+    assert _medium_fingerprint() == _medium_fingerprint()

@@ -186,15 +186,6 @@ class TestStrict:
         assert code == 0
 
 
-class TestJobs:
-    def test_jobs2_byte_identical_to_serial(self, capsys):
-        _, serial = run_cli(capsys, "--root", str(FIXTURE), "--format", "json")
-        _, sharded = run_cli(
-            capsys, "--root", str(FIXTURE), "--format", "json", "--jobs", "2"
-        )
-        assert serial == sharded
-
-
 class TestManifestCli:
     GOLDEN_MANIFEST = DATA / "purity_manifest_golden.json"
 

@@ -5,21 +5,19 @@ Every rule is exercised on a minimal synthetic tree built from in-memory
 the summarize/link/fixpoint pipeline.
 """
 
-import json
-
 from repro.lint.base import SourceFile
-from repro.lint.flow import FlowAnalyzer, SummaryCache
+from repro.lint.flow import FlowAnalyzer
 from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.purity import diff_manifests
-from repro.lint.flow.symbols import SUMMARY_VERSION, summarize_text
+from repro.lint.flow.symbols import summarize_text
 
 
 def tree(files):
     return [SourceFile.from_text(rel, text) for rel, text in sorted(files.items())]
 
 
-def analyze(files, **kwargs):
-    analyzer = FlowAnalyzer(**kwargs)
+def analyze(files):
+    analyzer = FlowAnalyzer()
     findings = analyzer.analyze(tree(files))
     return findings, analyzer
 
@@ -366,53 +364,6 @@ class TestCallGraph:
         graph = CallGraph({s.rel: summarize_text(s.rel, s.text) for s in sources})
         callees = {c for c, _, _ in graph.edges["a.py::Child.run"]}
         assert "a.py::Base.step" in callees
-
-
-class TestSummaryCache:
-    def test_roundtrip_and_hits(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = SummaryCache(path)
-        summary = summarize_text("a.py", "def f():\n    return 1\n")
-        cache.put("a.py", "def f():\n    return 1\n", summary)
-        assert cache.save()
-        warm = SummaryCache(path)
-        assert warm.get("a.py", "def f():\n    return 1\n") == summary
-        assert warm.hits == 1
-
-    def test_content_change_misses(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = SummaryCache(path)
-        cache.put("a.py", "x = 1\n", summarize_text("a.py", "x = 1\n"))
-        cache.save()
-        warm = SummaryCache(path)
-        assert warm.get("a.py", "x = 2\n") is None
-        assert warm.misses == 1
-
-    def test_version_bump_invalidates(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = SummaryCache(path)
-        cache.put("a.py", "x = 1\n", summarize_text("a.py", "x = 1\n"))
-        cache.save()
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        raw["summary_version"] = SUMMARY_VERSION - 1
-        path.write_text(json.dumps(raw), encoding="utf-8")
-        cold = SummaryCache(path)
-        assert cold.entries == {}
-
-    def test_corrupt_cache_starts_cold(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json", encoding="utf-8")
-        cache = SummaryCache(path)
-        assert cache.entries == {}
-
-    def test_analyzer_uses_the_cache(self, tmp_path):
-        path = tmp_path / "cache.json"
-        files = {"a.py": "import time\ndef entry():\n    return time.time()\n"}
-        first, a1 = analyze(files, cache_path=path)
-        second, a2 = analyze(files, cache_path=path)
-        assert a1.cache_stats == {"hits": 0, "misses": 1}
-        assert a2.cache_stats == {"hits": 1, "misses": 0}
-        assert [f.sort_key for f in first] == [f.sort_key for f in second]
 
 
 class TestManifest:

@@ -111,6 +111,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["scan", "--device", "D8"])
 
+    @pytest.mark.parametrize("hours", ["nan", "inf", "-inf", "0", "-1"])
+    def test_hours_must_be_positive_and_finite(self, hours, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fuzz", "--hours", hours])
+        assert excinfo.value.code == 2
+        assert "--hours" in capsys.readouterr().err
+
     def test_scan_smoke(self, capsys):
         assert main(["scan", "--device", "D1"]) == 0
         out = capsys.readouterr().out

@@ -61,6 +61,8 @@ from repro.serve.protocol import (
     JOB_DONE,
     JOB_KINDS,
     JOB_STATES,
+    MAX_HOURS,
+    MAX_TRIALS,
     JobSpec,
     JobStatus,
     SpecError,
@@ -260,6 +262,33 @@ class TestSpecValidation:
             validate_spec(spec)
         assert excinfo.value.field == field
         assert excinfo.value.reason
+
+
+class TestSpecBounds:
+    def test_bounds_admit_their_own_values(self):
+        validate_spec(JobSpec(trials=MAX_TRIALS, hours=MAX_HOURS))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hours", float("nan")),
+            ("hours", float("inf")),
+            ("hours", 1e9),
+            ("trials", 10**9),
+        ],
+        ids=["hours-nan", "hours-inf", "hours-1e9", "trials-1e9"],
+    )
+    def test_post_rejects_unbounded_spec(self, field, value):
+        """NaN/infinite hours never finish and a huge trial count builds
+        that many units inside the request handler: both answer 400."""
+        from repro.serve.service import ZCoverService
+
+        wire = jobspec_to_wire(JobSpec(trials=2, hours=0.05))
+        wire[field] = value
+        # json.dumps writes the NaN/Infinity literals json.loads accepts.
+        status, body, _ = ZCoverService()._post_job(json.dumps(wire).encode("utf-8"))
+        error = json.loads(body)["error"]
+        assert (status, error["kind"], error["field"]) == (400, "spec", field)
 
 
 def checkpoint_records(rng):
