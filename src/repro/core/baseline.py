@@ -102,11 +102,7 @@ class VFuzzBaseline:
         self.config = config or VFuzzConfig()
         self._rng = random.Random(seed)
         self._monitor = LivenessMonitor(
-            sut.dongle,
-            sut.clock,
-            sut.profile.home_id,
-            sut.controller.node_id,
-            timeout=self.config.ping_timeout,
+            sut.dongle, sut.clock, sut.controller, timeout=self.config.ping_timeout
         )
         self._observer = SutObserver(sut, recovery_time=self.config.recovery_time)
         self._seeds: List[bytes] = []

@@ -17,6 +17,7 @@ deduplicates findings by verified signature.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -305,6 +306,13 @@ def run_campaign(
     active — yields a *partial* result tagged with a
     :class:`DegradationRecord` rather than an exception.
     """
+    # The passive scan and the fuzzing phase each run until the simulated
+    # clock passes their duration: NaN or infinity would never end them.
+    for name, seconds in (("duration", duration), ("passive_duration", passive_duration)):
+        if not 0 <= seconds < math.inf:
+            raise CampaignError(
+                f"{name} must be a non-negative finite number of seconds, got {seconds!r}"
+            )
     if scheduler not in SCHEDULERS:
         raise CampaignError(
             f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"

@@ -108,11 +108,7 @@ class FuzzingEngine:
         self._clock: SimClock = sut.clock
         self.config = config or FuzzerConfig()
         self._monitor = LivenessMonitor(
-            sut.dongle,
-            sut.clock,
-            sut.profile.home_id,
-            sut.controller.node_id,
-            timeout=self.config.ping_timeout,
+            sut.dongle, sut.clock, sut.controller, timeout=self.config.ping_timeout
         )
         self._observer = SutObserver(sut, recovery_time=self.config.recovery_time)
         self._sequence = 0

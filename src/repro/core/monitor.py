@@ -23,10 +23,11 @@ from typing import List, Optional, Tuple
 
 from ..radio.clock import SimClock
 from ..radio.transceiver import Transceiver
+from ..simulator.controller import VirtualController
 from ..simulator.host import HostState
 from ..simulator.memory import MemoryChange, NodeTable, Snapshot
 from ..simulator.testbed import SystemUnderTest
-from ..zwave.frame import make_nop
+from ..zwave.frame import is_raw_ack, make_nop
 from .fingerprint import SCANNER_NODE_ID
 
 
@@ -63,20 +64,19 @@ class LivenessMonitor:
         self,
         dongle: Transceiver,
         clock: SimClock,
-        home_id: int,
-        controller_node_id: int,
+        controller: VirtualController,
         timeout: float = 0.5,
     ):
         self._dongle = dongle
         self._clock = clock
-        self._home_id = home_id
-        self._node_id = controller_node_id
+        self._controller = controller
+        self._node_id = controller.node_id
         self.timeout = timeout
         self.pings_sent = 0
         self.pings_lost = 0
         # Every ping sends the identical NOP bytes; build the frame once
         # (its encoding memoises on the instance) instead of per ping.
-        self._nop = make_nop(self._home_id, SCANNER_NODE_ID, self._node_id)
+        self._nop = make_nop(controller.home_id, SCANNER_NODE_ID, controller.node_id)
 
     def ping(self) -> bool:
         """Send one NOP; ``True`` when the controller acknowledges in time."""
@@ -84,11 +84,9 @@ class LivenessMonitor:
         self._dongle.clear_captures()
         self._dongle.inject(self._nop)
         self._clock.advance(self.timeout)
-        for capture in self._dongle.captures():
-            frame = capture.frame
-            if frame is None:
-                continue
-            if frame.is_ack and frame.src == self._node_id and frame.dst == SCANNER_NODE_ID:
+        node_id = self._node_id
+        for raw in self._dongle.capture_bytes():
+            if is_raw_ack(raw, node_id, SCANNER_NODE_ID):
                 return True
         self.pings_lost += 1
         return False
@@ -97,13 +95,66 @@ class LivenessMonitor:
         """Keep pinging; return seconds until recovery, ``None`` if never.
 
         Used by PoC verification to measure the Table III durations.
+        The pings a hang provably swallows are settled first, in one go
+        (:meth:`_settle_lost_pings`); the loop sends the rest.
         """
         start = self._clock.now
+        wait = max(interval - self.timeout, 0.0)
+        arrival = self._fast_forward_delay()
+        if arrival is not None:
+            self._settle_lost_pings(start, max_wait, wait, arrival)
         while self._clock.now - start <= max_wait:
             if self.ping():
                 return self._clock.now - start
-            self._clock.advance(max(interval - self.timeout, 0.0))
+            self._clock.advance(wait)
         return None
+
+    def _fast_forward_delay(self) -> Optional[float]:
+        """How long a ping's NOP takes to reach the controller, when a hung
+        controller can only drop it; ``None`` otherwise.
+
+        The controller would count the NOP as dropped while hung (see
+        :meth:`VirtualController.drops_while_hung`), and the channel is
+        clean with every receiver but the controller ignoring the NOP
+        (see :meth:`RadioMedium.unheard_except`, which reports the delay).
+        """
+        controller = self._controller
+        if not controller.drops_while_hung(self._nop.encode()):
+            return None
+        return self._dongle.unheard_except(self._nop, controller.name)
+
+    def _settle_lost_pings(
+        self, start: float, max_wait: float, wait: float, arrival: float
+    ) -> None:
+        """Book the leading pings of a wait that provably go unanswered.
+
+        With no event pending nothing can happen between pings, so a
+        ping is lost exactly when the controller is still hung at its
+        NOP's arrival, *arrival* seconds after the send.  Those pings are
+        counted with the same float additions that :meth:`ping`'s and the
+        loop's ``clock.advance`` calls make, then booked in one go: the
+        counters end where the loop's would, the loss draws come in the
+        loop's order, and the clock lands on the loop's next send time.
+        """
+        clock = self._clock
+        if clock.pending_events:
+            return
+        controller = self._controller
+        timeout = self.timeout
+        now = clock.now
+        lost = 0
+        while now - start <= max_wait and controller.hung_at(now + arrival):
+            lost += 1
+            now = now + timeout
+            now = now + wait
+        if not lost:
+            return
+        self.pings_sent += lost
+        self.pings_lost += lost
+        self._dongle.clear_captures()
+        heard = self._dongle.inject_unheard(self._nop, controller.name, lost)
+        controller.book_dropped_while_hung(heard)
+        clock.advance_to(now)
 
 
 def classify_memory_changes(changes: List[MemoryChange]) -> Optional[ObservedKind]:

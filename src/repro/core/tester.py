@@ -15,9 +15,11 @@ vulnerabilities of Table III.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import CampaignError
 from ..simulator.testbed import build_sut
 from ..simulator.vulnerabilities import EffectType, Vulnerability, ZERO_DAYS
 from ..zwave.frame import ZWaveFrame
@@ -105,6 +107,12 @@ class PacketTester:
         max_hang_wait: float = 600.0,
         settle: float = 0.25,
     ):
+        # The hang-wait pings until this much simulated time has passed:
+        # NaN would end it at once and infinity never.
+        if not 0 < max_hang_wait < math.inf:
+            raise CampaignError(
+                f"max_hang_wait must be a positive finite number, got {max_hang_wait!r}"
+            )
         self._device = device
         self._seed = seed
         self._max_hang_wait = max_hang_wait
@@ -116,9 +124,7 @@ class PacketTester:
         self.replays += 1
         sut = build_sut(self._device, seed=self._seed, traffic=False)
         observer = SutObserver(sut)
-        monitor = LivenessMonitor(
-            sut.dongle, sut.clock, sut.profile.home_id, sut.controller.node_id
-        )
+        monitor = LivenessMonitor(sut.dongle, sut.clock, sut.controller)
         frame = ZWaveFrame(
             home_id=sut.profile.home_id,
             src=SCANNER_NODE_ID,

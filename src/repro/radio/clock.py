@@ -116,6 +116,16 @@ class SimClock:
         """Cancel a scheduled event (no-op if already fired)."""
         self._cancelled.add(event_id)
 
+    def elide_events(self, count: int) -> None:
+        """Consume the ids of *count* events the caller settles unscheduled.
+
+        For a caller that books events' effects itself because they are
+        known in advance: every later event keeps the id, and so the
+        tie-break order, it would have had if those events had run.
+        """
+        for _ in range(count):
+            next(self._counter)
+
     @property
     def pending_events(self) -> int:
         """Number of events still scheduled (including cancelled ones)."""

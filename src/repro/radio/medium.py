@@ -245,10 +245,7 @@ class RadioMedium:
                 duplicate = action.duplicate
         if self._collisions and self._collides(airtime):
             return airtime
-        plan = self._plan_cache.get(sender)
-        if plan is None:
-            plan = self._plan_cache[sender] = self._build_plan(sender, source)
-        reachable, out_of_range = plan
+        reachable, out_of_range = self._plan(sender, source)
         self._losses += out_of_range
         # The loss draw happens for every endpoint above sensitivity even on
         # a perfect link, in listener order — the plan must never change
@@ -279,6 +276,70 @@ class RadioMedium:
                     self._current_transmission["events"].append(event_id)
         return airtime
 
+    # -- known-unheard transmissions -------------------------------------------
+    #
+    # A transmission whose every delivery is known to change nothing but
+    # counters need not go through the event queue.  The liveness oracle's
+    # hang-wait sends such frames by the hundred: a NOP to a hung
+    # controller, which the slaves' address filters drop.
+
+    def unheard_except(
+        self, sender: str, frame_bytes: bytes, rate_kbaud: float, listener: str
+    ) -> Optional[float]:
+        """The delay after which *listener* would receive *frame_bytes*
+        sent by *sender* now, when no other callback would hear it;
+        ``None`` otherwise.
+
+        Not ``None`` on the clean channel (not bit-accurate, no
+        collisions, no fault injector) when every other endpoint the
+        transmission can reach (a plan holds only enabled ones) is
+        addressed and rejects the frame's address key, so that its
+        delivery only counts.  What *listener* does with the frame is the
+        caller's to know.
+        """
+        if self._bit_accurate or self._collisions or self.fault_injector is not None:
+            return None
+        source = self._endpoints.get(sender)
+        if source is None:
+            return None
+        key = _address_key(frame_bytes)
+        if not all(
+            endpoint.name == listener
+            or (endpoint.accepts is not None and key not in endpoint.accepts)
+            for endpoint, _, _ in self._plan(sender, source)[0]
+        ):
+            return None
+        # transmit schedules a fault-free delivery at airtime + 0.0.
+        return airtime_seconds(frame_bytes, rate_kbaud)
+
+    def transmit_unheard(self, sender: str, listener: str, count: int) -> int:
+        """Book *count* transmissions :meth:`unheard_except` cleared, without the queue.
+
+        Makes the counter updates, the loss draws (in transmission and
+        listener order) and the clock event ids that *count* calls of
+        :meth:`transmit` and the deliveries they schedule would make.
+        Returns how many of *listener*'s deliveries were kept: those
+        receptions are the caller's to book.
+        """
+        source = self._endpoints[sender]
+        reachable, out_of_range = self._plan(sender, source)
+        draws = [(loss_p, endpoint.name == listener) for endpoint, _, loss_p in reachable]
+        rng_random = self._rng.random
+        kept = heard = batches = 0
+        for _ in range(count):
+            batch = 0
+            for loss_p, is_listener in draws:
+                if rng_random() >= loss_p:
+                    batch += 1
+                    heard += is_listener
+            kept += batch
+            batches += batch > 0
+        self._transmissions += count
+        self._losses += count * (out_of_range + len(reachable)) - kept
+        self._deliveries += kept
+        self._clock.elide_events(batches)
+        return heard
+
     def _draw_phy(
         self,
         reachable: Tuple[Tuple[_Endpoint, float, float], ...],
@@ -308,6 +369,14 @@ class RadioMedium:
                     bit_errors = len(flips)
             records.append((endpoint, rssi, delivered_bits, bit_errors))
         return records
+
+    def _plan(
+        self, sender: str, source: _Endpoint
+    ) -> Tuple[Tuple[Tuple[_Endpoint, float, float], ...], int]:
+        plan = self._plan_cache.get(sender)
+        if plan is None:
+            plan = self._plan_cache[sender] = self._build_plan(sender, source)
+        return plan
 
     def _build_plan(
         self, sender: str, source: _Endpoint

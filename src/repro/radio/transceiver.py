@@ -128,6 +128,10 @@ class Transceiver:
             for r in self._captures
         ]
 
+    def capture_bytes(self) -> List[bytes]:
+        """The raw bytes of the capture buffer (oldest first), undissected."""
+        return [r.raw for r in self._captures]
+
     def drain_captures(self) -> List[CapturedFrame]:
         """Return and clear the capture buffer."""
         captured = self.captures()
@@ -150,6 +154,29 @@ class Transceiver:
         self._require_configured()
         self._injected += 1
         return self._medium.transmit(self._name, raw, self._rate_kbaud)
+
+    def unheard_except(self, frame: ZWaveFrame, listener: str) -> Optional[float]:
+        """How long *frame*, injected now, takes to reach *listener*, when
+        it reaches no other receiver; ``None`` otherwise.
+
+        See :meth:`RadioMedium.unheard_except`; ``None`` until configured.
+        """
+        if not self.configured:
+            return None
+        return self._medium.unheard_except(
+            self._name, frame.encode(), self._rate_kbaud, listener
+        )
+
+    def inject_unheard(self, frame: ZWaveFrame, listener: str, count: int) -> int:
+        """Book *count* injections :meth:`unheard_except` cleared, without the queue.
+
+        They count as injections like :meth:`inject`'s; returns how many
+        of *listener*'s deliveries were kept (see
+        :meth:`RadioMedium.transmit_unheard`).
+        """
+        self._require_configured()
+        self._injected += count
+        return self._medium.transmit_unheard(self._name, listener, count)
 
     def inject_and_wait(self, frame: ZWaveFrame, settle: float = 0.01) -> None:
         """Inject and advance the clock past delivery + processing."""

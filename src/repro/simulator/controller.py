@@ -213,6 +213,45 @@ class VirtualController:
     def hung(self) -> bool:
         return self._clock.now < self._hang_until
 
+    def hung_at(self, when: float) -> bool:
+        """Whether the hub is still hung at simulated time *when*.
+
+        The :attr:`hung` test a frame arriving at *when* meets; no
+        scheduled event is needed for it to turn false.
+        """
+        return when < self._hang_until
+
+    def drops_while_hung(self, raw: bytes) -> bool:
+        """Whether receiving *raw* while hung only counts it as dropped.
+
+        True when no fault injector is installed, the hub is powered, no
+        MAC quirk matches *raw*, and *raw* is a valid non-ack frame for
+        this node: arriving while :meth:`hung_at` holds, it reaches the
+        hung test and changes nothing but what :meth:`book_dropped_while_hung`
+        counts.
+        """
+        if self.fault_injector is not None or not self._powered:
+            return False
+        if any(quirk.predicate(raw) for quirk in self._mac_quirks):
+            return False
+        try:
+            frame = ZWaveFrame.decode(raw, verify=True)
+        except FrameError:
+            return False
+        return (
+            frame.home_id == self.home_id
+            and frame.dst in (self.node_id, const.BROADCAST_NODE_ID)
+            and not frame.is_ack
+        )
+
+    def book_dropped_while_hung(self, count: int) -> None:
+        """Count *count* receptions :meth:`drops_while_hung` cleared, made while hung."""
+        if not count:
+            return
+        self.stats.received += count
+        obs.inc("controller.frames_rx", count)
+        self.stats.dropped_while_hung += count
+
     @property
     def hang_remaining(self) -> float:
         return max(0.0, self._hang_until - self._clock.now)

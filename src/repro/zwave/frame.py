@@ -232,8 +232,8 @@ class FrameView:
     performs **no** parsing up front — each field is decoded from the
     underlying buffer only when a handler or oracle touches it.  The
     capture path allocates one of these per sniffed frame, so the common
-    consumers (the liveness monitor's ack scan, the dst filters) read two
-    or three bytes instead of paying a full dataclass decode.
+    consumers (the scanners' ack and dst filters) read two or three bytes
+    instead of paying a full dataclass decode.
 
     Lifetime rule: the view borrows ``raw`` — it never copies the buffer.
     ``raw`` is ``bytes`` everywhere in the tree (immutable), so views may
@@ -351,17 +351,33 @@ class FrameView:
         return f"FrameView({self.raw.hex()})"
 
 
-def lenient_view(raw: bytes) -> Optional[FrameView]:
-    """Wrap *raw* in a :class:`FrameView`, or ``None`` if undissectable.
+def dissectable(raw: bytes) -> bool:
+    """Whether ``ZWaveFrame.decode(raw, verify=False)`` would succeed.
 
-    Returns ``None`` exactly when ``ZWaveFrame.decode(raw, verify=False)``
-    would raise: the buffer is shorter than the MAC header plus checksum,
-    or longer than the MAC maximum.  (The lenient parse enforces nothing
-    else — every in-range buffer dissects.)
+    It fails exactly when the buffer is shorter than the MAC header plus
+    checksum, or longer than the MAC maximum.  (The lenient parse
+    enforces nothing else — every in-range buffer dissects.)
     """
-    if not const.MAC_HEADER_SIZE + const.CS8_TRAILER_SIZE <= len(raw) <= const.MAX_MAC_FRAME_SIZE:
-        return None
-    return FrameView(raw)
+    return const.MAC_HEADER_SIZE + const.CS8_TRAILER_SIZE <= len(raw) <= const.MAX_MAC_FRAME_SIZE
+
+
+def lenient_view(raw: bytes) -> Optional[FrameView]:
+    """Wrap *raw* in a :class:`FrameView`, or ``None`` if not :func:`dissectable`."""
+    return FrameView(raw) if dissectable(raw) else None
+
+
+def is_raw_ack(raw: bytes, src: int, dst: int) -> bool:
+    """Whether *raw* is a MAC ACK from node *src* to node *dst*.
+
+    What testing ``lenient_view(raw)`` for ``is_ack``, ``src`` and
+    ``dst`` decides, read straight off the buffer without building a view.
+    """
+    return (
+        dissectable(raw)
+        and raw[const.P1_OFFSET] & 0x0F == const.HeaderType.ACK
+        and raw[const.SRC_OFFSET] == src
+        and raw[const.DST_OFFSET] == dst
+    )
 
 
 def make_singlecast(

@@ -37,6 +37,28 @@ class TestBuildQueue:
             build_queue(Mode.GAMMA, self.props(), load_full_registry())
 
 
+class TestCampaignDuration:
+    """A duration the fuzzing loop could never pass is refused up front."""
+
+    @pytest.mark.parametrize("field", ["duration", "passive_duration"])
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
+    def test_rejected_before_a_sut_is_built(self, monkeypatch, field, seconds):
+        import repro.core.campaign as campaign
+
+        def no_sut(*args, **kwargs):
+            raise AssertionError("build_sut ran for an invalid duration")
+
+        # Were the check missing, infinity would scan or fuzz forever;
+        # failing the build instead keeps this test from hanging.
+        monkeypatch.setattr(campaign, "build_sut", no_sut)
+        with pytest.raises(CampaignError, match=f"^{field} must be"):
+            run_campaign("D1", Mode.FULL, seed=0, **{field: seconds})
+
+    def test_zero_duration_skips_the_fuzzing_phase(self):
+        result = run_campaign("D1", Mode.GAMMA, duration=0.0, seed=0, verify=False)
+        assert result.fuzz.packets_sent == 0
+
+
 class TestShortCampaigns:
     """Cheap end-to-end runs (minutes of simulated time)."""
 

@@ -12,6 +12,7 @@ from repro.core.fuzzer import (
 )
 from repro.core.mutation import PositionSensitiveMutator, RandomMutator
 from repro.core.tester import PacketTester
+from repro.errors import CampaignError
 from repro.core.monitor import ObservedKind
 from repro.zwave.registry import load_full_registry
 
@@ -98,6 +99,11 @@ class TestRandomStream:
 
 
 class TestPacketTester:
+    @pytest.mark.parametrize("wait", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_rejects_a_hang_wait_that_cannot_end_sensibly(self, wait):
+        with pytest.raises(CampaignError, match="max_hang_wait"):
+            PacketTester("D1", seed=0, max_hang_wait=wait)
+
     def test_verify_hang_payload_measures_duration(self):
         tester = PacketTester("D1", seed=0)
         finding = tester.verify_payload(bytes([0x5A, 0x01]))

@@ -15,9 +15,7 @@ from repro.zwave.frame import ZWaveFrame
 
 
 def monitor_for(sut, timeout=0.5):
-    return LivenessMonitor(
-        sut.dongle, sut.clock, sut.profile.home_id, sut.controller.node_id, timeout
-    )
+    return LivenessMonitor(sut.dongle, sut.clock, sut.controller, timeout)
 
 
 def attack(sut, payload):
