@@ -34,7 +34,9 @@ from .core.campaign import HOUR, Mode, run_ablation, run_campaign
 from .core.discovery import discover_unknown_properties
 from .core.fingerprint import fingerprint
 from .core.trials import run_trials
+from .errors import ReproError
 from .obs.export import (
+    MetricsDocument,
     load_document,
     render_prometheus,
     render_text,
@@ -45,6 +47,7 @@ from .obs.metrics import merge_all
 from .obs.tracing import Tracer
 from .radio.trace import dissect_trace, load_trace, save_trace, TraceRecord
 from .simulator.testbed import CONTROLLER_IDS, build_sut
+from .wire import decode, encode
 from .zwave.registry import load_full_registry
 
 _MODES = {"full": Mode.FULL, "beta": Mode.BETA, "gamma": Mode.GAMMA}
@@ -430,14 +433,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
             manifest_path.write_text(rendered_manifest, encoding="utf-8")
             print(f"purity manifest written to {manifest_path}")
         else:
-            from .lint.flow.purity import diff_manifests
+            from .lint.flow.purity import diff_manifests, load_manifest
 
-            try:
-                committed = json.loads(manifest_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                print(f"purity manifest unreadable: {manifest_path}")
-                return 2
-            drift = diff_manifests(committed, report.manifest)
+            drift = diff_manifests(load_manifest(manifest_path), report.manifest)
             if drift:
                 print(f"purity manifest drift against {manifest_path}:")
                 for line in drift:
@@ -572,18 +570,9 @@ def cmd_sessions(args: argparse.Namespace) -> int:
             handle.write(dumps_wire(session_to_wire(result)) + "\n")
         print(f"wire result written to {args.json}")
     if args.metrics_out:
-        write_document(
-            snapshot_to_document(
-                result.metrics,
-                meta={
-                    "kind": "sessions",
-                    "device": result.device,
-                    "seed": result.seed,
-                    "flows": ",".join(result.flows),
-                },
-            ),
-            args.metrics_out,
-        )
+        from .serve.results import session_metrics_document
+
+        write_document(session_metrics_document(result), args.metrics_out)
         print(f"metrics written to {args.metrics_out}")
     return 1 if missing else 0
 
@@ -606,20 +595,25 @@ def cmd_obs(args: argparse.Namespace) -> int:
             seed=args.seed,
             tracer=tracer,
         )
-        doc = snapshot_to_document(
-            result.metrics,
-            meta={
-                "kind": "campaign",
-                "device": args.device,
-                "mode": _MODES[args.mode].name,
-                "duration_s": args.hours * HOUR,
-                "seed": args.seed,
-            },
+        # Decoded exactly as ``--in`` decodes the file this run would write.
+        doc = decode(
+            MetricsDocument,
+            snapshot_to_document(
+                result.metrics,
+                meta={
+                    "kind": "campaign",
+                    "device": args.device,
+                    "mode": _MODES[args.mode].name,
+                    "duration_s": args.hours * HOUR,
+                    "seed": args.seed,
+                },
+            ),
+            "metrics document",
         )
     if args.format == "json":
         import json
 
-        rendered = json.dumps(doc, sort_keys=True, indent=2)
+        rendered = json.dumps(encode(doc), sort_keys=True, indent=2)
     elif args.format == "prom":
         rendered = render_prometheus(doc)
     else:
@@ -655,43 +649,35 @@ def cmd_perf(args: argparse.Namespace) -> int:
         render_text as render_perf_text,
         report_to_document,
         run_bench,
+        validate_document,
         write_document as write_perf_document,
     )
 
+    if args.update_baseline and not args.baseline:
+        raise PerfError("--update-baseline requires --baseline")
+    # A bad baseline fails before the workloads run, not after.
+    baseline = None
+    if args.baseline and not args.update_baseline:
+        baseline = load_perf_document(args.baseline)
     names = None
     if args.workloads:
         names = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    try:
-        report = run_bench(names=names, fast=args.fast, repeats=args.repeats)
-    except PerfError as exc:
-        print(f"perf: {exc}", file=sys.stderr)
-        return 2
+    report = run_bench(names=names, fast=args.fast, repeats=args.repeats)
     doc = report_to_document(report)
+    current = validate_document(doc)
     if args.format == "json":
         sys.stdout.write(dumps_document(doc))
     else:
-        print(render_perf_text(doc))
+        print(render_perf_text(current))
     if args.out:
         write_perf_document(doc, args.out)
         print(f"bench document written to {args.out}")
     if args.update_baseline:
-        if not args.baseline:
-            print("perf: --update-baseline requires --baseline", file=sys.stderr)
-            return 2
         write_perf_document(doc, args.baseline)
         print(f"baseline updated at {args.baseline}")
         return 0
-    if args.baseline:
-        try:
-            baseline = load_perf_document(args.baseline)
-        except FileNotFoundError:
-            print(
-                f"perf: no baseline at {args.baseline} "
-                "(run with --update-baseline to create one)",
-                file=sys.stderr,
-            )
-            return 2
-        regressions = compare(doc, baseline, tolerance=args.tolerance, only=names)
+    if baseline is not None:
+        regressions = compare(current, baseline, tolerance=args.tolerance, only=names)
         if regressions:
             print(f"\n{len(regressions)} regression(s) vs {args.baseline}:")
             for reg in regressions:
@@ -730,7 +716,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     in-process, serially, emitting the oracle document — the bytes a
     service result must equal.  The CI smoke job diffs the two.
     """
-    from .serve.protocol import JobSpec, SpecError, validate_spec
+    from .serve.protocol import JobSpec, validate_spec
 
     flows: tuple = ()
     if args.flows:
@@ -746,11 +732,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         fault_plan=args.fault_plan,
         flows=flows,
     )
-    try:
-        validate_spec(spec)
-    except SpecError as exc:
-        print(f"submit: invalid spec: {exc}", file=sys.stderr)
-        return 2
+    validate_spec(spec)
     if args.direct:
         from .serve.results import direct_document, dumps_result_document
 
@@ -763,24 +745,20 @@ def cmd_submit(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return 0
 
-    from .serve.client import ServeClient, ServeClientError
+    from .serve.client import ServeClient
     from .serve.protocol import JOB_DONE
 
     client = ServeClient(host=args.host, port=args.port)
-    try:
-        status = client.submit(spec)
-        print(f"job {status.job_id}: {status.state} (sequence {status.sequence})")
-        if not (args.wait or args.out):
-            return 0
-        final = client.wait(status.job_id, timeout=args.timeout)
-        if final.state != JOB_DONE:
-            print(f"submit: job {final.job_id} {final.state}: {final.error}",
-                  file=sys.stderr)
-            return 1
-        payload = client.result_bytes(final.job_id)
-    except ServeClientError as exc:
-        print(f"submit: {exc}", file=sys.stderr)
-        return 2
+    status = client.submit(spec)
+    print(f"job {status.job_id}: {status.state} (sequence {status.sequence})")
+    if not (args.wait or args.out):
+        return 0
+    final = client.wait(status.job_id, timeout=args.timeout)
+    if final.state != JOB_DONE:
+        print(f"submit: job {final.job_id} {final.state}: {final.error}",
+              file=sys.stderr)
+        return 1
+    payload = client.result_bytes(final.job_id)
     if args.out:
         with open(args.out, "wb") as handle:
             handle.write(payload)
@@ -1079,7 +1057,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        # Bad input (a malformed document, spec or plan, an unreadable
+        # path, an unreachable service) is one line, never a traceback.
+        print(f"zcover {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

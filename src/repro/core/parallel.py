@@ -96,9 +96,6 @@ class CampaignUnit:
     duration: float = 3600.0
     seed: int = 0
     kind: str = "zcover"
-    queue_strategy: str = "priority"
-    passive_duration: float = 120.0
-    verify: bool = True
     #: PSM window scheduler ("static" or "coverage"); part of the unit
     #: identity because it changes every downstream byte.
     scheduler: str = "static"
@@ -173,9 +170,6 @@ def execute_unit(unit: CampaignUnit) -> Any:
             mode=unit.mode,
             duration=unit.duration,
             seed=unit.seed,
-            passive_duration=unit.passive_duration,
-            verify=unit.verify,
-            queue_strategy=unit.queue_strategy,
             fault_plan=fault_plan,
             scheduler=unit.scheduler,
         )

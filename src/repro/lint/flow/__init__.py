@@ -20,7 +20,9 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..base import Analyzer, SourceFile
+from ..determinism import DEFAULT_ENTROPY_OWNERS
 from ..findings import LintFinding
+from ..wiresafety import wire_vocabulary
 from . import purity, taint
 from .callgraph import CallGraph
 from .symbols import summarize_source, summarize_text
@@ -72,7 +74,7 @@ class FlowAnalyzer(Analyzer):
         """Run the full summarize/link/fixpoint pipeline over *sources*."""
         graph = CallGraph({s.rel: summarize_source(s) for s in sources})
         entropy = taint.propagate(
-            graph, taint.entropy_seeds(graph, taint.DEFAULT_ENTROPY_OWNERS)
+            graph, taint.entropy_seeds(graph, DEFAULT_ENTROPY_OWNERS)
         )
         clock = taint.propagate(
             graph, taint.clock_seeds(graph, taint.DEFAULT_CLOCK_EXEMPT)
@@ -84,7 +86,7 @@ class FlowAnalyzer(Analyzer):
         findings.extend(taint.entry_point_findings(graph, entries, entropy, clock))
         findings.extend(taint.rng_default_findings(graph, reachable))
         findings.extend(taint.escape_findings(graph))
-        findings.extend(taint.wire_type_findings(graph))
+        findings.extend(taint.wire_type_findings(graph, frozenset(wire_vocabulary(sources))))
 
         verdicts = purity.entry_verdicts(graph, entries, entropy, clock)
         self.manifest = purity.manifest_document(graph, verdicts)

@@ -13,8 +13,10 @@ property suites may or may not catch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List
 
+from ...wire import encode, is_zero, layout, load_file
 from .callgraph import CallGraph, FunctionId
 from .taint import TaintState
 
@@ -26,36 +28,46 @@ ENTROPY_TAINTED = "entropy-tainted"
 CLOCK_TAINTED = "clock-tainted"
 
 
+@layout(elide={"chains": is_zero})
+@dataclass(frozen=True)
+class EntryVerdict:
+    """One entry point's verdict, its taints and their witness chains."""
+
+    verdict: str
+    taints: List[str]
+    chains: Dict[str, str] = field(default_factory=dict)
+
+
+@layout(const=(("schema", MANIFEST_SCHEMA), ("version", MANIFEST_VERSION)))
+@dataclass(frozen=True)
+class PurityManifest:
+    """Layout of the committed manifest document."""
+
+    summary: Dict[str, int]
+    modules: Dict[str, Dict[str, int]]
+    entry_points: Dict[str, EntryVerdict]
+    tainted_entry_points: List[str]
+
+
 def entry_verdicts(
     graph: CallGraph,
     entries: List[FunctionId],
     entropy: TaintState,
     clock: TaintState,
-) -> Dict[FunctionId, dict]:
-    """One verdict record per entry point, keyed by FunctionId."""
-    verdicts: Dict[FunctionId, dict] = {}
+) -> Dict[FunctionId, EntryVerdict]:
+    """One verdict per entry point, keyed by FunctionId."""
+    verdicts: Dict[FunctionId, EntryVerdict] = {}
+    kinds = (("entropy", ENTROPY_TAINTED, entropy), ("clock", CLOCK_TAINTED, clock))
     for fid in sorted(entries):
-        taints = []
-        chains = {}
-        if fid in entropy:
-            taints.append(ENTROPY_TAINTED)
-            chains["entropy"] = entropy.chain(graph, fid)
-        if fid in clock:
-            taints.append(CLOCK_TAINTED)
-            chains["clock"] = clock.chain(graph, fid)
-        record = {
-            "verdict": taints[0] if taints else PURE,
-            "taints": taints,
-        }
-        if chains:
-            record["chains"] = {k: chains[k] for k in sorted(chains)}
-        verdicts[fid] = record
+        taints = [taint for _, taint, state in kinds if fid in state]
+        chains = {kind: state.chain(graph, fid) for kind, _, state in kinds if fid in state}
+        verdicts[fid] = EntryVerdict(taints[0] if taints else PURE, taints, chains)
     return verdicts
 
 
 def manifest_document(
     graph: CallGraph,
-    verdicts: Dict[FunctionId, dict],
+    verdicts: Dict[FunctionId, EntryVerdict],
 ) -> dict:
     """The canonical manifest document (stable key order throughout)."""
     per_module: Dict[str, Dict[str, int]] = {}
@@ -63,35 +75,38 @@ def manifest_document(
         rel = graph.function_rel(fid)
         counts = per_module.setdefault(rel, {"entry_points": 0, "pure": 0, "tainted": 0})
         counts["entry_points"] += 1
-        if verdicts[fid]["verdict"] == PURE:
-            counts["pure"] += 1
-        else:
-            counts["tainted"] += 1
-    tainted = sorted(f for f in verdicts if verdicts[f]["verdict"] != PURE)
-    return {
-        "schema": MANIFEST_SCHEMA,
-        "version": MANIFEST_VERSION,
-        "summary": {
-            "entry_points": len(verdicts),
-            "pure": sum(1 for f in verdicts if verdicts[f]["verdict"] == PURE),
-            "tainted": len(tainted),
-            "functions": len(graph.functions),
-            "call_edges": graph.edge_count,
-        },
-        "modules": {rel: per_module[rel] for rel in sorted(per_module)},
-        "entry_points": {fid: verdicts[fid] for fid in sorted(verdicts)},
-        "tainted_entry_points": tainted,
-    }
+        counts["pure" if verdicts[fid].verdict == PURE else "tainted"] += 1
+    tainted = sorted(f for f in verdicts if verdicts[f].verdict != PURE)
+    return encode(
+        PurityManifest(
+            summary={
+                "entry_points": len(verdicts),
+                "pure": len(verdicts) - len(tainted),
+                "tainted": len(tainted),
+                "functions": len(graph.functions),
+                "call_edges": graph.edge_count,
+            },
+            modules={rel: per_module[rel] for rel in sorted(per_module)},
+            entry_points={fid: verdicts[fid] for fid in sorted(verdicts)},
+            tainted_entry_points=tainted,
+        )
+    )
+
+
+def load_manifest(path) -> dict:
+    """A committed manifest file, checked against :class:`PurityManifest`
+    and in the form :func:`manifest_document` returns."""
+    return encode(load_file(PurityManifest, path))
 
 
 def diff_manifests(committed: dict, current: dict) -> List[str]:
     """Human-readable drift lines between two manifests (empty = clean)."""
     lines: List[str] = []
-    old_entries = committed.get("entry_points", {})
-    new_entries = current.get("entry_points", {})
+    old_entries = committed["entry_points"]
+    new_entries = current["entry_points"]
     for fid in sorted(set(old_entries) | set(new_entries)):
-        old: Optional[dict] = old_entries.get(fid)
-        new: Optional[dict] = new_entries.get(fid)
+        old = old_entries.get(fid)
+        new = new_entries.get(fid)
         if old is None:
             lines.append(f"+ {fid}: new entry point ({new['verdict']})")
         elif new is None:

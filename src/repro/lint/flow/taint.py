@@ -28,10 +28,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..findings import LintFinding, Severity
+from ..wiresafety import WIRE_MODULE
 from .callgraph import CallGraph, FunctionId
-
-#: Modules allowed to touch process-global entropy (mirrors D101).
-DEFAULT_ENTROPY_OWNERS: FrozenSet[str] = frozenset({"radio/clock.py"})
 
 #: Modules whose wall-clock reads are sanctioned *measurements*: the
 #: clock owner itself plus the span profiler and the bench harness.
@@ -45,12 +43,6 @@ DEFAULT_CLOCK_EXEMPT: FrozenSet[str] = frozenset(
 
 #: The module whose ``wall_*`` functions are the sanctioned readers.
 CLOCK_OWNER_MODULE = "radio/clock.py"
-
-#: The wire codec module (W401 cross-check target).
-WIRE_MODULE = "core/resultio.py"
-
-#: Non-dataclass types carried through a declared adapter (mirrors W3xx).
-KNOWN_CODECS = frozenset({"BugLog"})
 
 #: A taint witness: either a direct seed site in the function itself
 #: ("site", line, col, message) or one resolved call hop toward the seed
@@ -206,25 +198,6 @@ def discover_entry_points(
     return entries
 
 
-def wire_vocabulary_from_summaries(graph: CallGraph) -> FrozenSet[str]:
-    """The W3xx wire vocabulary, recomputed from summaries (see W401)."""
-    summary = graph.summaries.get(WIRE_MODULE)
-    if summary is None:
-        names = set()
-        for rel in graph.summaries:
-            for name, cls in graph.summaries[rel]["classes"].items():
-                if cls["kind"] == "dataclass":
-                    names.add(name)
-        return frozenset(names | KNOWN_CODECS)
-    names = set(summary["classes"])
-    for local, entry in summary["imports"].items():
-        if entry["kind"] != "symbol":
-            continue
-        if entry.get("level", 0) > 0 or entry["module"].split(".")[0] == "repro":
-            names.add(local)
-    return frozenset(names | KNOWN_CODECS)
-
-
 # -- findings ------------------------------------------------------------------
 
 
@@ -343,9 +316,9 @@ def escape_findings(graph: CallGraph) -> List[LintFinding]:
     return findings
 
 
-def wire_type_findings(graph: CallGraph) -> List[LintFinding]:
-    """W401: statically-typed values entering codecs outside the vocabulary."""
-    vocabulary = wire_vocabulary_from_summaries(graph)
+def wire_type_findings(graph: CallGraph, vocabulary: FrozenSet[str]) -> List[LintFinding]:
+    """W401: statically-typed values entering codecs outside *vocabulary*,
+    the W3xx wire vocabulary (:func:`repro.lint.wiresafety.wire_vocabulary`)."""
     has_wire_module = WIRE_MODULE in graph.summaries
     findings: List[LintFinding] = []
     seen = set()

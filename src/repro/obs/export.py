@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import ObsError
-from ..wire import decode, encode, layout
+from ..wire import decode, encode, layout, load_file
 from .metrics import (
     HISTOGRAM_BOUNDS,
     MetricsSnapshot,
@@ -75,16 +75,19 @@ def snapshot_to_document(
     )
 
 
+def _snapshot(doc: MetricsDocument) -> MetricsSnapshot:
+    return MetricsSnapshot(
+        counters=doc.counters,
+        gauges=doc.gauges,
+        histograms=doc.histograms,
+        coverage=doc.coverage,
+        spans={k: SpanStats(e.count, e.sim_time_us) for k, e in doc.spans.items()},
+    )
+
+
 def document_to_snapshot(doc: dict) -> MetricsSnapshot:
     """Rebuild the snapshot from a document, validating envelope and layout."""
-    parsed = decode(MetricsDocument, doc, "metrics document")
-    return MetricsSnapshot(
-        counters=parsed.counters,
-        gauges=parsed.gauges,
-        histograms=parsed.histograms,
-        coverage=parsed.coverage,
-        spans={k: SpanStats(e.count, e.sim_time_us) for k, e in parsed.spans.items()},
-    )
+    return _snapshot(decode(MetricsDocument, doc, "metrics document"))
 
 
 def canonical_dumps(doc: dict) -> str:
@@ -108,12 +111,9 @@ def write_document(doc: dict, path: str) -> None:
         handle.write(dumps_document(doc))
 
 
-def load_document(path: str) -> dict:
-    """Read a document and validate its envelope."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    document_to_snapshot(doc)  # envelope + layout validation
-    return doc
+def load_document(path: str) -> MetricsDocument:
+    """Read and decode a metrics document file."""
+    return load_file(MetricsDocument, path)
 
 
 # -- text rendering ------------------------------------------------------------
@@ -153,11 +153,11 @@ def _transitions_by_flow(states: Dict[str, int]) -> Dict[str, int]:
     return flows
 
 
-def render_text(doc: dict) -> str:
-    """Human-readable summary of a metrics document."""
-    snapshot = document_to_snapshot(doc)
-    lines = [f"{SCHEMA} v{doc.get('schema_version')}"]
-    meta = doc.get("meta", {})
+def render_text(doc: MetricsDocument) -> str:
+    """Human-readable summary of a decoded metrics document."""
+    snapshot = _snapshot(doc)
+    lines = [f"{SCHEMA} v{SCHEMA_VERSION}"]
+    meta = doc.meta
     if meta:
         pairs = "  ".join(f"{k}={meta[k]}" for k in sorted(meta))
         lines.append(f"meta: {pairs}")
@@ -219,15 +219,15 @@ def render_text(doc: dict) -> str:
 # -- Prometheus textfile rendering ---------------------------------------------
 
 
-def render_prometheus(doc: dict) -> str:
-    """Prometheus text exposition of a metrics document.
+def render_prometheus(doc: MetricsDocument) -> str:
+    """Prometheus text exposition of a decoded metrics document.
 
     Suitable for the node-exporter textfile collector; meta entries are
     emitted as comments since they are labels of the whole document.
     """
-    snapshot = document_to_snapshot(doc)
-    lines = [f"# {SCHEMA} schema v{doc.get('schema_version')}"]
-    meta = doc.get("meta", {})
+    snapshot = _snapshot(doc)
+    lines = [f"# {SCHEMA} schema v{SCHEMA_VERSION}"]
+    meta = doc.meta
     for key in sorted(meta):
         lines.append(f"# meta {key}={meta[key]}")
     for name in sorted(snapshot.counters):

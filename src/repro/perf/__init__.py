@@ -19,9 +19,6 @@ from .document import (
     DOCUMENT_NAME,
     SCHEMA,
     SCHEMA_VERSION,
-    assert_json_clean,
-    document_meta,
-    document_results,
     dumps_document,
     load_document,
     render_text,
@@ -42,10 +39,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "WORKLOADS",
     "WorkloadRun",
-    "assert_json_clean",
     "compare",
-    "document_meta",
-    "document_results",
     "dumps_document",
     "load_document",
     "render_text",

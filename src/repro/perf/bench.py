@@ -16,14 +16,18 @@ the code's relative cost moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ..errors import ReproError
 from ..obs.metrics import MetricsCollector, MetricsSnapshot, collecting
 from ..radio.clock import wall_perf_counter_ns
 from .workloads import CALIBRATION, WORKLOADS, WorkloadRun
 
+if TYPE_CHECKING:  # document.py imports this module
+    from .document import BenchDocument
 
-class PerfError(ValueError):
+
+class PerfError(ReproError, ValueError):
     """A bench request or document is malformed."""
 
 
@@ -149,16 +153,18 @@ class Regression:
 
 
 def compare(
-    current: dict, baseline: dict, tolerance: float = 0.25,
+    current: BenchDocument, baseline: BenchDocument, tolerance: float = 0.25,
     only: Optional[Sequence[str]] = None,
 ) -> List[Regression]:
     """Diff a current perf document against a committed baseline.
 
-    Returns the regressions: workloads whose calibration-normalised cost
-    grew by more than *tolerance* (fractional, e.g. 0.25 = +25%), plus
-    any checksum or op-count drift — those mean the deterministic
-    workload itself changed, so the timing comparison is void and the
-    baseline needs a deliberate regeneration.
+    Both are decoded documents (:func:`repro.perf.document.validate_document`
+    or :func:`~repro.perf.document.load_document`).  Returns the
+    regressions: workloads whose calibration-normalised cost grew by more
+    than *tolerance* (fractional, e.g. 0.25 = +25%), plus any checksum or
+    op-count drift — those mean the deterministic workload itself changed,
+    so the timing comparison is void and the baseline needs a deliberate
+    regeneration.
 
     *only* restricts the gate to those baseline workloads: a run that
     benchmarked a subset (``zcover perf --workloads campaign_fps``) can be
@@ -167,47 +173,39 @@ def compare(
     still treats a baseline workload absent from the current run as a
     regression.
     """
-    from .document import document_results, document_meta
-
-    cur_meta, base_meta = document_meta(current), document_meta(baseline)
-    if cur_meta.get("fast") != base_meta.get("fast"):
+    cur_fast, base_fast = current.meta.get("fast"), baseline.meta.get("fast")
+    if cur_fast != base_fast:
         return [
             Regression(
                 name="*",
                 kind="ops",
-                detail=(
-                    f"mode mismatch: current fast={cur_meta.get('fast')} vs "
-                    f"baseline fast={base_meta.get('fast')}"
-                ),
+                detail=f"mode mismatch: current fast={cur_fast} vs baseline fast={base_fast}",
             )
         ]
-    cur_results = document_results(current)
-    base_results = document_results(baseline)
     regressions: List[Regression] = []
-    for name in base_results:
+    for name, base in baseline.results.items():
         if name == CALIBRATION:
             continue
         if only is not None and name not in only:
             continue
-        entry = cur_results.get(name)
-        base = base_results[name]
+        entry = current.results.get(name)
         if entry is None:
             regressions.append(
                 Regression(name, "ops", "workload missing from current run")
             )
             continue
-        if entry["checksum"] != base["checksum"] or entry["ops"] != base["ops"]:
+        if entry.checksum != base.checksum or entry.ops != base.ops:
             regressions.append(
                 Regression(
                     name,
                     "checksum",
-                    f"workload output drifted: ops {base['ops']}→{entry['ops']}, "
-                    f"crc {base['checksum']:#010x}→{entry['checksum']:#010x}",
+                    f"workload output drifted: ops {base.ops}→{entry.ops}, "
+                    f"crc {base.checksum:#010x}→{entry.checksum:#010x}",
                 )
             )
             continue
-        base_ratio = base["ratio_to_calibration"]
-        cur_ratio = entry["ratio_to_calibration"]
+        base_ratio = base.ratio_to_calibration
+        cur_ratio = entry.ratio_to_calibration
         if base_ratio <= 0.0:
             continue
         growth = cur_ratio / base_ratio - 1.0

@@ -1,10 +1,11 @@
 """The canonical ``BENCH_core.json`` perf document (schema v1).
 
 Mirrors the observability export conventions: a schema-versioned
-envelope, canonical serialisation (sorted keys, two-space indent,
-trailing newline, via the shared :func:`repro.obs.export.canonical_dumps`)
-and JSON-clean content all the way down.  Two fields families live side
-by side and must not be confused:
+envelope and canonical serialisation (sorted keys, two-space indent,
+trailing newline, via the shared :func:`repro.obs.export.canonical_dumps`).
+The layout is declared once, as :class:`BenchDocument`, and
+:mod:`repro.wire` derives both the encoder and the checking decoder from
+it.  Two fields families live side by side and must not be confused:
 
 * **deterministic** — ``ops`` and ``checksum`` per workload are pure
   functions of the seeded workloads and are compared exactly;
@@ -19,10 +20,11 @@ document (the counters the hot paths recorded while being timed), so
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..obs.export import canonical_dumps, snapshot_to_document
+from ..wire import decode, encode, layout, load_file
 from .bench import BenchReport, PerfError
 
 SCHEMA = "zcover-perf-bench"
@@ -32,71 +34,71 @@ SCHEMA_VERSION = 1
 DOCUMENT_NAME = "BENCH_core.json"
 
 
+@dataclass(frozen=True)
+class BenchEntry:
+    """One workload's row of the document."""
+
+    ops: int
+    reps: int
+    checksum: int
+    best_ns: int
+    mean_ns: int
+    ns_per_op: float
+    ops_per_sec: float
+    ratio_to_calibration: float
+
+
+@layout(error=PerfError, const=(("schema", SCHEMA), ("schema_version", SCHEMA_VERSION)))
+@dataclass(frozen=True)
+class BenchDocument:
+    """Layout of the schema-v1 document: free-form ``meta``, one entry per
+    workload, and the embedded metrics document."""
+
+    meta: dict
+    results: Dict[str, BenchEntry]
+    metrics: dict
+
+
 def report_to_document(report: BenchReport, meta: Optional[dict] = None) -> dict:
     """Wrap a :class:`BenchReport` in the schema-v1 envelope."""
     ratios = report.ratios()
-    results: Dict[str, dict] = {}
-    for timing in report.timings:
-        results[timing.name] = {
-            "ops": timing.ops,
-            "reps": timing.reps,
-            "checksum": timing.checksum,
-            "best_ns": timing.best_ns,
-            "mean_ns": timing.mean_ns,
-            "ns_per_op": round(timing.ns_per_op, 3),
-            "ops_per_sec": round(timing.ops_per_sec, 3),
-            "ratio_to_calibration": round(ratios[timing.name], 4),
-        }
-    envelope_meta = {"fast": report.fast, "repeats": report.repeats}
-    envelope_meta.update(meta or {})
-    return {
-        "schema": SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "meta": envelope_meta,
-        "results": {name: results[name] for name in sorted(results)},
-        "metrics": snapshot_to_document(
-            report.snapshot, meta={"kind": "perf-bench"}
-        ),
-    }
-
-
-def validate_document(doc: dict) -> None:
-    """Check the envelope and per-workload layout; raise on mismatch."""
-    if doc.get("schema") != SCHEMA:
-        raise PerfError(f"not a {SCHEMA} document (schema={doc.get('schema')!r})")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise PerfError(
-            f"schema version {doc.get('schema_version')!r} != expected {SCHEMA_VERSION}"
+    results = {
+        timing.name: BenchEntry(
+            ops=timing.ops,
+            reps=timing.reps,
+            checksum=timing.checksum,
+            best_ns=timing.best_ns,
+            mean_ns=timing.mean_ns,
+            ns_per_op=round(timing.ns_per_op, 3),
+            ops_per_sec=round(timing.ops_per_sec, 3),
+            ratio_to_calibration=round(ratios[timing.name], 4),
         )
-    results = doc.get("results")
-    if not isinstance(results, dict) or not results:
-        raise PerfError("document carries no results")
-    required = {
-        "ops",
-        "reps",
-        "checksum",
-        "best_ns",
-        "mean_ns",
-        "ns_per_op",
-        "ops_per_sec",
-        "ratio_to_calibration",
+        for timing in sorted(report.timings, key=lambda timing: timing.name)
     }
-    for name, entry in results.items():
-        if not isinstance(entry, dict) or not required <= set(entry):
-            missing = sorted(required - set(entry or ()))
-            raise PerfError(f"workload {name!r} entry is missing {missing}")
-    assert_json_clean(doc)
+    return encode(
+        BenchDocument(
+            meta={"fast": report.fast, "repeats": report.repeats, **(meta or {})},
+            results=results,
+            metrics=snapshot_to_document(report.snapshot, meta={"kind": "perf-bench"}),
+        )
+    )
 
 
-def document_results(doc: dict) -> Dict[str, dict]:
-    """The per-workload result table, after envelope validation."""
-    validate_document(doc)
-    return doc["results"]
+def _with_results(doc: BenchDocument) -> BenchDocument:
+    """A baseline without workloads would gate nothing: reject it."""
+    if not doc.results:
+        raise PerfError("document carries no results")
+    return doc
 
 
-def document_meta(doc: dict) -> dict:
-    """Return the document's ``meta`` mapping (empty dict when absent)."""
-    return doc.get("meta", {})
+def validate_document(doc: dict) -> BenchDocument:
+    """Decode a perf document; any layout mismatch is a :class:`PerfError`."""
+    return _with_results(decode(BenchDocument, doc, "perf document"))
+
+
+def load_document(path: str) -> BenchDocument:
+    """Read and decode a perf document file."""
+    return _with_results(load_file(BenchDocument, path))
 
 
 def dumps_document(doc: dict) -> str:
@@ -110,56 +112,21 @@ def write_document(doc: dict, path: str) -> None:
         handle.write(dumps_document(doc))
 
 
-def load_document(path: str) -> dict:
-    """Read and validate a perf document."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    validate_document(doc)
-    return doc
-
-
-def assert_json_clean(node: object, path: str = "$") -> None:
-    """Prove a document tree is plain JSON data, the W3xx way.
-
-    The wire-safety lint walks *type annotations*; this is its runtime
-    twin for emitted documents: only dicts with string keys, lists, str,
-    int, float, bool and None may appear.
-    """
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if not isinstance(key, str):
-                raise PerfError(f"{path}: non-string key {key!r}")
-            assert_json_clean(value, f"{path}.{key}")
-        return
-    if isinstance(node, (list, tuple)):
-        if isinstance(node, tuple):
-            raise PerfError(f"{path}: tuple survives json.dumps but not a round-trip")
-        for index, value in enumerate(node):
-            assert_json_clean(value, f"{path}[{index}]")
-        return
-    if node is None or isinstance(node, (str, bool, int, float)):
-        return
-    raise PerfError(f"{path}: {type(node).__name__} is not JSON-clean")
-
-
 # -- rendering ------------------------------------------------------------------
 
 
-def render_text(doc: dict) -> str:
-    """Human-readable bench table."""
-    validate_document(doc)
-    meta = document_meta(doc)
-    mode = "fast" if meta.get("fast") else "full"
+def render_text(doc: BenchDocument) -> str:
+    """Human-readable bench table of a decoded document."""
+    mode = "fast" if doc.meta.get("fast") else "full"
     lines = [
-        f"{SCHEMA} v{doc.get('schema_version')} "
-        f"({mode} mode, {meta.get('repeats')} repetition(s))",
+        f"{SCHEMA} v{SCHEMA_VERSION} ({mode} mode, {doc.meta.get('repeats')} repetition(s))",
         "",
         f"{'workload':<22} {'ops':>7} {'ns/op':>12} {'ops/sec':>12} {'xCal':>9}",
     ]
-    for name in sorted(doc["results"]):
-        entry = doc["results"][name]
+    for name in sorted(doc.results):
+        entry = doc.results[name]
         lines.append(
-            f"{name:<22} {entry['ops']:>7} {entry['ns_per_op']:>12.1f} "
-            f"{entry['ops_per_sec']:>12.1f} {entry['ratio_to_calibration']:>9.2f}"
+            f"{name:<22} {entry.ops:>7} {entry.ns_per_op:>12.1f} "
+            f"{entry.ops_per_sec:>12.1f} {entry.ratio_to_calibration:>9.2f}"
         )
     return "\n".join(lines)

@@ -14,12 +14,14 @@ Records are appended with flush + fsync *before* the service reports the
 matching progress, so the log is always at least as advanced as any
 observable status.  :func:`load_checkpoint` stops at the first torn,
 corrupt or malformed line (a crash mid-append leaves at most one),
-making the loaded prefix trustworthy without any repair step.  Replay
-folds the records into per-job state: a job with a ``done`` record is
-terminal; any other job re-enters the queue with its completed units
-preloaded, so a resumed service re-runs only the missing shards — and
-because completed units were stored in wire form, the merged output is
-byte-identical to a run that was never interrupted.
+making the loaded prefix trustworthy without any repair step.  Each
+record is decoded once, against its kind's layout, and the loader keeps
+the typed lines.  Replay folds them into per-job state: a job with a
+``done`` record is terminal; any other job re-enters the queue with its
+completed units preloaded, so a resumed service re-runs only the
+missing shards — and because completed units were stored in wire form,
+the merged output is byte-identical to a run that was never
+interrupted.
 
 Determinism: records are written in completion order, which for one job
 is canonical unit order (the runner harvests in index order), and the
@@ -33,7 +35,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
 from ..wire import decode, dumps_wire, encode, layout
@@ -74,6 +76,8 @@ class DoneLine:
 
 _LINES = {RECORD_JOB: JobLine, RECORD_UNIT: UnitLine, RECORD_DONE: DoneLine}
 
+Line = Union[JobLine, UnitLine, DoneLine]
+
 
 def record_crc(record: dict) -> int:
     """CRC-32 of a record's canonical serialisation."""
@@ -85,19 +89,19 @@ def encode_line(record: dict) -> str:
     return dumps_wire({"crc": record_crc(record), "record": record})
 
 
-def _trusted(record: dict) -> bool:
-    """Whether a CRC-valid record decodes against its kind's layout."""
+def _trusted(record: dict) -> Optional[Line]:
+    """A CRC-valid record decoded against its kind's layout, or ``None``."""
     kind = record.get("kind")
     line = _LINES.get(kind) if isinstance(kind, str) else None
     if line is None:
-        return False
+        return None
     try:
         decoded = decode(line, record, f"checkpoint {line.__name__}")
         if line is JobLine:
             validate_spec(decoded.spec)
     except ReproError:
-        return False
-    return True
+        return None
+    return decoded
 
 
 class CheckpointWriter:
@@ -131,8 +135,8 @@ class CheckpointWriter:
         self.close()
 
 
-def load_checkpoint(path: str) -> List[dict]:
-    """The trustworthy record prefix of a checkpoint file.
+def load_checkpoint(path: str) -> List[Line]:
+    """The trustworthy record prefix of a checkpoint file, decoded.
 
     Stops at the first line that is not valid JSON, lacks the wrapper
     shape, fails its CRC, fails its kind's layout or carries a spec that
@@ -142,14 +146,14 @@ def load_checkpoint(path: str) -> List[dict]:
     """
     if not os.path.exists(path):
         return []
-    records: List[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    lines: List[Line] = []
+    with open(path, "rb") as handle:  # decoded per line: bad UTF-8 ends the prefix there
         for line in handle:
             line = line.strip()
             if not line:
                 break
             try:
-                wrapper = json.loads(line)
+                wrapper = json.loads(line.decode("utf-8"))
             except (ValueError, RecursionError):
                 break
             if not isinstance(wrapper, dict) or "crc" not in wrapper:
@@ -157,10 +161,11 @@ def load_checkpoint(path: str) -> List[dict]:
             record = wrapper.get("record")
             if not isinstance(record, dict) or wrapper["crc"] != record_crc(record):
                 break
-            if not _trusted(record):
+            decoded = _trusted(record)
+            if decoded is None:
                 break
-            records.append(record)
-    return records
+            lines.append(decoded)
+    return lines
 
 
 @dataclass
@@ -169,7 +174,7 @@ class JobCheckpoint:
 
     job_id: str
     sequence: int
-    spec_wire: dict
+    spec: JobSpec
     #: unit index -> (attempts, wire-form result); completed units only.
     units: Dict[int, Tuple[int, dict]] = field(default_factory=dict)
     #: Terminal state from a ``done`` record, or ``None`` if unfinished.
@@ -177,46 +182,33 @@ class JobCheckpoint:
     error: str = ""
 
 
-def replay_checkpoint(records: List[dict]) -> List[JobCheckpoint]:
-    """Fold a record list into per-job state, in first-seen (queue) order.
+def replay_checkpoint(lines: List[Line]) -> List[JobCheckpoint]:
+    """Fold decoded lines into per-job state, in first-seen (queue) order.
 
-    Duplicate ``job`` records (one per service restart) collapse onto the
-    first; duplicate ``unit`` records for one index are last-wins (they
-    are identical by determinism anyway).  Records for unknown job ids —
+    Duplicate ``job`` lines (one per service restart) collapse onto the
+    first; duplicate ``unit`` lines for one index are last-wins (they
+    are identical by determinism anyway).  Lines for unknown job ids —
     impossible under ordered appends, conceivable after truncation — are
     ignored rather than fatal.
     """
     jobs: Dict[str, JobCheckpoint] = {}
-    order: List[str] = []
-    for record in records:
-        kind = record.get("kind")
-        job_id = record.get("job_id")
-        if kind == RECORD_JOB and job_id not in jobs:
-            jobs[job_id] = JobCheckpoint(
-                job_id=job_id,
-                sequence=record["sequence"],
-                spec_wire=record["spec"],
-            )
-            order.append(job_id)
-        elif kind == RECORD_UNIT and job_id in jobs:
-            jobs[job_id].units[record["index"]] = (
-                record["attempts"],
-                record["result"],
-            )
-        elif kind == RECORD_DONE and job_id in jobs:
-            jobs[job_id].final_state = record["state"]
-            jobs[job_id].error = record.get("error", "")
-    return [jobs[job_id] for job_id in order]
+    for line in lines:
+        job = jobs.get(line.job_id)
+        if isinstance(line, JobLine):
+            if job is None:
+                jobs[line.job_id] = JobCheckpoint(line.job_id, line.sequence, line.spec)
+        elif job is None:
+            continue
+        elif isinstance(line, UnitLine):
+            job.units[line.index] = (line.attempts, line.result)
+        else:
+            job.final_state, job.error = line.state, line.error
+    return list(jobs.values())
 
 
-def job_record(job_id: str, sequence: int, spec_wire: dict) -> dict:
+def job_record(job_id: str, sequence: int, spec: JobSpec) -> dict:
     """Build a ``job`` record (acceptance)."""
-    return {
-        "kind": RECORD_JOB,
-        "job_id": job_id,
-        "sequence": sequence,
-        "spec": spec_wire,
-    }
+    return encode(JobLine(job_id, sequence, spec))
 
 
 def unit_record(job_id: str, index: int, attempts: int, result: dict) -> dict:

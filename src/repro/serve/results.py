@@ -10,12 +10,11 @@ would produce.  Both sides of that equation live here:
   its worker pool, and folds the outcomes through
   :func:`document_from_outcomes`;
 * the oracle path (:func:`direct_document`, used by ``zcover submit
-  --direct`` and the black-box test harness) runs the spec through the
-  ordinary :func:`~repro.core.trials.run_trials` /
-  :func:`~repro.core.session.run_sessions` entry points.
+  --direct`` and the black-box test harness) runs the same units through
+  the in-process executor and folds them through the same function.
 
-Both feed the **same** per-kind document builder, so the envelope cannot
-drift; byte-equality then reduces to the serial/parallel determinism the
+One fold, one per-kind document builder, so the envelope cannot drift;
+byte-equality then reduces to the serial/parallel determinism the
 executor already guarantees (``tests/test_parallel_determinism.py``).
 The document embeds wire-v6 payloads (:mod:`repro.core.resultio`), so a
 client from a different build fails loudly on the version check instead
@@ -28,7 +27,7 @@ from typing import Any, List, Sequence
 
 from ..core.campaign import HOUR, Mode
 # rehydrate_unit_result is re-exported: service and checkpoint callers import it here.
-from ..core.parallel import CampaignUnit, rehydrate_unit_result  # noqa: F401
+from ..core.parallel import CampaignUnit, execute_units, rehydrate_unit_result  # noqa: F401
 from ..core.resultio import jobspec_to_wire, merge_trials, session_to_wire
 from ..core.session import merge_session_outcomes, session_plan_with_trials, session_units
 from ..core.trials import trial_units
@@ -135,22 +134,24 @@ def _chaos_document(spec: JobSpec, summary) -> dict:
     )
 
 
+def session_metrics_document(result) -> dict:
+    """The metrics document of a merged SessionResult (``zcover sessions
+    --metrics-out`` writes the same one)."""
+    return snapshot_to_document(
+        result.metrics,
+        meta={
+            "kind": "sessions",
+            "device": result.device,
+            "seed": result.seed,
+            "flows": ",".join(result.flows),
+        },
+    )
+
+
 def _session_document(spec: JobSpec, result) -> dict:
     """Document for ``kind="sessions"`` (from a merged SessionResult)."""
     return _envelope(
-        spec,
-        {
-            "session": session_to_wire(result),
-            "metrics": snapshot_to_document(
-                result.metrics,
-                meta={
-                    "kind": "sessions",
-                    "device": result.device,
-                    "seed": result.seed,
-                    "flows": ",".join(result.flows),
-                },
-            ),
-        },
+        spec, {"session": session_to_wire(result), "metrics": session_metrics_document(result)}
     )
 
 
@@ -173,37 +174,12 @@ def document_from_outcomes(spec: JobSpec, outcomes: Sequence[Any]) -> dict:
 
 
 def direct_document(spec: JobSpec) -> dict:
-    """The oracle: run *spec* in-process (serially) and build its document.
+    """The oracle: run *spec*'s units in-process (serially) and fold them.
 
     ``zcover submit --direct`` and the black-box harness call this; its
     bytes are what the service must reproduce.
     """
-    if spec.kind == "sessions":
-        from ..core.session import run_sessions
-
-        result = run_sessions(
-            device=spec.device,
-            flows=spec.flows,
-            seed=spec.seed,
-            plan=session_plan_with_trials(spec.trials),
-            workers=1,
-        )
-        return _session_document(spec, result)
-    from ..core.trials import run_trials
-
-    summary = run_trials(
-        device=spec.device,
-        mode=spec_mode(spec),
-        n_trials=spec.resolved_trials(),
-        duration=spec_duration(spec),
-        base_seed=spec.seed,
-        workers=1,
-        fault_plan=spec_fault_plan(spec),
-        scheduler=spec.scheduler,
-    )
-    if spec.kind == "chaos":
-        return _chaos_document(spec, summary)
-    return _trials_document(spec, summary)
+    return document_from_outcomes(spec, execute_units(spec_units(spec), workers=1))
 
 
 def dumps_result_document(doc: dict) -> str:

@@ -51,7 +51,6 @@ from ..core.resultio import (
     WireVersionError,
     dumps_wire,
     jobspec_from_wire,
-    jobspec_to_wire,
     jobstatus_to_wire,
 )
 from ..obs.export import snapshot_to_document
@@ -196,10 +195,9 @@ class ZCoverService:
         if self.checkpoint_path is None:
             return
         for entry in replay_checkpoint(load_checkpoint(self.checkpoint_path)):
-            spec = jobspec_from_wire(entry.spec_wire)
-            record = JobRecord(spec, entry.job_id, entry.sequence)
+            record = JobRecord(entry.spec, entry.job_id, entry.sequence)
             record.preloaded = dict(entry.units)
-            record.units_total = len(spec_units(spec))
+            record.units_total = len(spec_units(entry.spec))
             if entry.final_state in (JOB_DONE, JOB_FAILED):
                 self._restore_terminal(record, entry.final_state, entry.error)
             else:
@@ -490,9 +488,7 @@ class ZCoverService:
         if created:
             record.units_total = len(spec_units(spec))
             if self._writer is not None:
-                self._writer.append(
-                    job_record(record.job_id, record.sequence, jobspec_to_wire(spec))
-                )
+                self._writer.append(job_record(record.job_id, record.sequence, spec))
             self.collector.inc("serve.jobs.accepted")
             self.collector.gauge_max("serve.queue.depth", self.queue.depth())
             if self._wake is not None:

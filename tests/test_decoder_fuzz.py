@@ -36,6 +36,7 @@ from repro.core.resultio import (
 from repro.errors import ReproError
 
 DATA = Path(__file__).resolve().parent / "data"
+BENCH_BASELINE = DATA.parent.parent / "benchmarks" / "baselines" / "BENCH_core.json"
 
 CASES_PER_TARGET = 1000
 
@@ -209,7 +210,7 @@ def buglog_lines(campaign_wires, tmp_path_factory):
 
 
 def _line_decoder(tmp_path, load):
-    """Decode one JSON line by writing it to a file and loading it."""
+    """Decode one JSON text by writing it to a file and loading it."""
     path = tmp_path / "case.jsonl"
 
     def decode(case):
@@ -229,6 +230,20 @@ def _with_torn_text(rng, cases):
             case = text[: rng.randrange(max(1, len(text)))]
         out.append(case)
     return out
+
+
+def _declared(error, decode):
+    """Only *error* is a clean rejection; any other ReproError is a stray."""
+
+    def strict(case):
+        try:
+            return decode(case)
+        except error:
+            raise
+        except ReproError as exc:
+            raise AssertionError(f"{type(exc).__name__} is not {error.__name__}") from None
+
+    return strict
 
 
 # -- the fuzz targets ----------------------------------------------------------
@@ -309,6 +324,28 @@ class TestDecoderFuzz:
     def test_buglog_line(self, buglog_lines, tmp_path):
         cases = _with_torn_text(random.Random(11), mutants(11, buglog_lines))
         assert _assert_clean(_line_decoder(tmp_path, BugLog.load), cases) > 0
+
+    def test_metrics_document_file(self, tmp_path):
+        from repro.obs.export import ObsExportError, load_document
+
+        seeds = [json.loads((DATA / "obs_golden.json").read_text())]
+        cases = _with_torn_text(random.Random(13), mutants(13, seeds))
+        decode = _declared(ObsExportError, _line_decoder(tmp_path, load_document))
+        assert _assert_clean(decode, cases) > 0
+
+    def test_bench_document_file(self, tmp_path):
+        """Decoded baselines also go through the gate, which reads every entry."""
+        from repro.perf.bench import PerfError, compare
+        from repro.perf.document import load_document
+
+        def gate(path):
+            baseline = load_document(path)
+            return compare(baseline, baseline)
+
+        seeds = [json.loads(BENCH_BASELINE.read_text())]
+        cases = _with_torn_text(random.Random(14), mutants(14, seeds))
+        decode = _declared(PerfError, _line_decoder(tmp_path, gate))
+        assert _assert_clean(decode, cases) > 0
 
     def test_http_front_rejects_undecodable_specs_as_layout(self, serve_golden):
         """Every mutated ``POST /jobs`` body the spec decoder rejects gets a

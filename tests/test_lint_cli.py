@@ -220,9 +220,7 @@ class TestManifestCli:
         assert "mod.py::dispatch" in out
 
     def test_check_unreadable_exits_2(self, capsys, tmp_path):
-        code, out = run_cli(
-            capsys, "--root", str(FIXTURE),
-            "--check-manifest", str(tmp_path / "missing.json"),
-        )
-        assert code == 2
-        assert "unreadable" in out
+        missing = tmp_path / "missing.json"
+        assert main(["lint", "--root", str(FIXTURE), "--check-manifest", str(missing)]) == 2
+        message = f"zcover lint: [Errno 2] No such file or directory: '{missing}'"
+        assert message in capsys.readouterr().err

@@ -290,6 +290,32 @@ class TestWireTypes:
         )
         assert [f for f in findings if f.rule == "W401"] == []
 
+    def test_function_level_import_is_outside_the_vocabulary(self):
+        # W3xx takes the vocabulary from resultio's module-level imports
+        # only; W401 must agree, so a type imported inside a function and
+        # handed to a codec is flagged.
+        dataclass_module = "from dataclasses import dataclass\n@dataclass\nclass {0}:\n    x: int\n"
+        findings, _ = analyze(
+            {
+                "core/packet.py": dataclass_module.format("Packet"),
+                "core/summary.py": dataclass_module.format("Summary"),
+                "core/resultio.py": (
+                    "from .packet import Packet\n"
+                    "def packet_to_wire(p):\n"
+                    "    return p\n"
+                    "def summary_to_wire(s):\n"
+                    "    return s\n"
+                    "def merge():\n"
+                    "    from .summary import Summary\n"
+                    "    packet_to_wire(Packet(1))\n"
+                    "    return summary_to_wire(Summary(1))\n"
+                ),
+            }
+        )
+        w401 = [f for f in findings if f.rule == "W401"]
+        assert [(f.path, f.line) for f in w401] == [("core/resultio.py", 9)]
+        assert "Summary flows into wire codec summary_to_wire" in w401[0].message
+
 
 class TestEntryPoints:
     def test_entry_modules_scope_the_verdicts(self):

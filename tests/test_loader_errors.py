@@ -122,11 +122,10 @@ GOOD_SPEC = JobSpec(kind="trials", device="D1", seed=0, trials=1, hours=0.01)
 
 
 def _job_record(**overrides):
-    from repro.core.resultio import jobspec_to_wire
     from repro.serve.checkpoint import job_record
 
     spec = overrides.pop("spec", GOOD_SPEC)
-    record = job_record(job_id_for(spec), 0, jobspec_to_wire(spec))
+    record = job_record(job_id_for(spec), 0, spec)
     record.update(overrides)
     return {k: v for k, v in record.items() if v is not _ABSENT}
 
@@ -148,11 +147,13 @@ BAD_RECORDS = {
 class TestCheckpointLayout:
     @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
     def test_bad_record_ends_the_trusted_prefix(self, case, tmp_path):
-        from repro.serve.checkpoint import done_record, encode_line, load_checkpoint
+        from repro.serve.checkpoint import DoneLine, encode_line, load_checkpoint
+        from repro.wire import encode
 
-        good = done_record("job-0000abcd", "done")
+        good = DoneLine("job-0000abcd", "done", "")
         path = tmp_path / "serve.ckpt"
-        lines = [encode_line(good), encode_line(BAD_RECORDS[case]()), encode_line(good)]
+        good_line = encode_line(encode(good))
+        lines = [good_line, encode_line(BAD_RECORDS[case]()), good_line]
         path.write_text("".join(line + "\n" for line in lines))
         assert load_checkpoint(str(path)) == [good]
 

@@ -12,6 +12,7 @@ from repro.cli import main
 from repro.obs.export import (
     SCHEMA,
     SCHEMA_VERSION,
+    MetricsDocument,
     ObsExportError,
     document_to_snapshot,
     dumps_document,
@@ -21,6 +22,7 @@ from repro.obs.export import (
     snapshot_to_document,
 )
 from repro.obs.metrics import MetricsCollector
+from repro.wire import decode, encode
 
 OBS_ARGS = ["obs", "--device", "D1", "--hours", "0.1", "--seed", "0"]
 
@@ -35,6 +37,10 @@ def _sample_document():
     collector.cover(0x86)
     collector.record_span("campaign.fuzz", 360_000_000)
     return snapshot_to_document(collector.snapshot(), meta={"kind": "test"})
+
+
+def _decoded(doc):
+    return decode(MetricsDocument, doc, "metrics document")
 
 
 class TestDocument:
@@ -70,18 +76,18 @@ class TestDocument:
         path = tmp_path / "m.json"
         doc = _sample_document()
         write_document(doc, str(path))
-        assert load_document(str(path)) == doc
+        assert encode(load_document(str(path))) == doc
 
 
 class TestRenderers:
     def test_text_table(self):
-        text = render_text(_sample_document())
+        text = render_text(_decoded(_sample_document()))
         assert "fuzzer.frames_tx" in text
         assert "25" in text  # the coverage class
         assert "campaign.fuzz" in text
 
     def test_prometheus_format(self):
-        prom = render_prometheus(_sample_document())
+        prom = render_prometheus(_decoded(_sample_document()))
         assert 'zcover_counter_total{name="fuzzer.frames_tx"} 7' in prom
         assert 'zcover_coverage_total{cmdcl="25",cmd="01"} 1' in prom
         assert 'zcover_coverage_total{cmdcl="86",cmd="none"} 1' in prom
@@ -102,7 +108,7 @@ class TestObsCommand:
         assert main(OBS_ARGS + ["--format", "json", "--out", str(path)]) == 0
         capsys.readouterr()
         doc = load_document(str(path))
-        assert doc["meta"]["device"] == "D1"
+        assert doc.meta["device"] == "D1"
         assert main(["obs", "--in", str(path), "--format", "prom"]) == 0
         out = capsys.readouterr().out
         assert "zcover_counter_total" in out
@@ -129,8 +135,8 @@ class TestMetricsOutDeterminism:
         capsys.readouterr()
         assert serial.read_bytes() == parallel.read_bytes()
         doc = load_document(str(serial))
-        assert doc["meta"]["kind"] == "trials"
-        assert doc["counters"]["parallel.units"] == 2
+        assert doc.meta["kind"] == "trials"
+        assert doc.counters["parallel.units"] == 2
 
     def test_ablation_metrics_out(self, capsys, tmp_path):
         path = tmp_path / "ablation.json"
@@ -141,5 +147,5 @@ class TestMetricsOutDeterminism:
         assert main(args) == 0
         capsys.readouterr()
         doc = load_document(str(path))
-        assert doc["meta"]["kind"] == "ablation"
-        assert doc["counters"]["fuzzer.frames_tx"] > 0
+        assert doc.meta["kind"] == "ablation"
+        assert doc.counters["fuzzer.frames_tx"] > 0

@@ -16,7 +16,6 @@ from repro.perf.bench import (
 from repro.perf.document import (
     DOCUMENT_NAME,
     SCHEMA,
-    assert_json_clean,
     dumps_document,
     load_document,
     render_text,
@@ -25,6 +24,7 @@ from repro.perf.document import (
     write_document,
 )
 from repro.perf.workloads import CALIBRATION, WORKLOADS
+from repro.wire import encode
 
 #: Cheap workloads for harness tests (no campaign simulation in prepare).
 QUICK = ["frame_codec", "mutation_batch"]
@@ -38,6 +38,11 @@ def quick_report():
 @pytest.fixture(scope="module")
 def quick_document(quick_report):
     return report_to_document(quick_report)
+
+
+def gate(current, baseline, **kwargs):
+    """The regression gate over two (possibly edited) document dicts."""
+    return compare(validate_document(current), validate_document(baseline), **kwargs)
 
 
 class TestResolveWorkloads:
@@ -92,53 +97,36 @@ class TestDocument:
         path = tmp_path / DOCUMENT_NAME
         write_document(quick_document, str(path))
         loaded = load_document(str(path))
-        assert loaded == json.loads(dumps_document(quick_document))
-        assert dumps_document(loaded) == dumps_document(quick_document)
+        assert loaded == validate_document(json.loads(dumps_document(quick_document)))
+        assert dumps_document(encode(loaded)) == dumps_document(quick_document)
 
     def test_render_text_lists_every_workload(self, quick_document):
-        rendered = render_text(quick_document)
+        rendered = render_text(validate_document(quick_document))
         for name in (CALIBRATION, *QUICK):
             assert name in rendered
 
     def test_validate_rejects_foreign_schema(self, quick_document):
         doc = copy.deepcopy(quick_document)
         doc["schema"] = "zcover-obs-metrics"
-        with pytest.raises(PerfError, match="not a zcover-perf-bench"):
+        with pytest.raises(PerfError, match="schema must be 'zcover-perf-bench'"):
             validate_document(doc)
 
     def test_validate_rejects_missing_fields(self, quick_document):
         doc = copy.deepcopy(quick_document)
         del doc["results"]["frame_codec"]["checksum"]
-        with pytest.raises(PerfError, match="missing"):
+        with pytest.raises(PerfError, match="missing field 'results\\['frame_codec'\\].checksum'"):
             validate_document(doc)
-
-
-class TestJsonClean:
-    def test_accepts_plain_json_tree(self):
-        assert_json_clean({"a": [1, 2.5, "x", True, None], "b": {"c": 0}})
-
-    def test_rejects_tuples(self):
-        with pytest.raises(PerfError, match="tuple"):
-            assert_json_clean({"a": (1, 2)})
-
-    def test_rejects_non_string_keys(self):
-        with pytest.raises(PerfError, match="non-string key"):
-            assert_json_clean({1: "x"})
-
-    def test_rejects_arbitrary_objects(self):
-        with pytest.raises(PerfError, match="not JSON-clean"):
-            assert_json_clean({"a": object()})
 
 
 class TestCompareGate:
     def test_identical_documents_have_no_regressions(self, quick_document):
-        assert compare(quick_document, quick_document) == []
+        assert gate(quick_document, quick_document) == []
 
     def test_slowdown_beyond_tolerance_flagged(self, quick_document):
         slower = copy.deepcopy(quick_document)
         entry = slower["results"]["frame_codec"]
         entry["ratio_to_calibration"] = entry["ratio_to_calibration"] * 2.0
-        regressions = compare(slower, quick_document, tolerance=0.25)
+        regressions = gate(slower, quick_document, tolerance=0.25)
         assert [r.name for r in regressions] == ["frame_codec"]
         assert regressions[0].kind == "slowdown"
 
@@ -146,24 +134,24 @@ class TestCompareGate:
         slower = copy.deepcopy(quick_document)
         entry = slower["results"]["frame_codec"]
         entry["ratio_to_calibration"] = entry["ratio_to_calibration"] * 1.2
-        assert compare(slower, quick_document, tolerance=0.25) == []
+        assert gate(slower, quick_document, tolerance=0.25) == []
 
     def test_checksum_drift_flagged(self, quick_document):
         drifted = copy.deepcopy(quick_document)
         drifted["results"]["mutation_batch"]["checksum"] += 1
-        regressions = compare(drifted, quick_document)
+        regressions = gate(drifted, quick_document)
         assert [(r.name, r.kind) for r in regressions] == [("mutation_batch", "checksum")]
 
     def test_missing_workload_flagged(self, quick_document):
         partial = copy.deepcopy(quick_document)
         del partial["results"]["mutation_batch"]
-        regressions = compare(partial, quick_document)
+        regressions = gate(partial, quick_document)
         assert [(r.name, r.kind) for r in regressions] == [("mutation_batch", "ops")]
 
     def test_mode_mismatch_short_circuits(self, quick_document):
         full = copy.deepcopy(quick_document)
         full["meta"]["fast"] = False
-        regressions = compare(full, quick_document)
+        regressions = gate(full, quick_document)
         assert len(regressions) == 1
         assert regressions[0].name == "*"
         assert "mode mismatch" in regressions[0].detail
@@ -172,7 +160,7 @@ class TestCompareGate:
         slower = copy.deepcopy(quick_document)
         entry = slower["results"][CALIBRATION]
         entry["ratio_to_calibration"] = 99.0
-        assert compare(slower, quick_document) == []
+        assert gate(slower, quick_document) == []
 
 
 class TestBenchTiming:

@@ -40,6 +40,7 @@ from repro.core.resultio import (
     WireVersionError,
     campaign_from_wire,
     dumps_wire,
+    encode,
     jobspec_from_wire,
     jobspec_to_wire,
     jobstatus_from_wire,
@@ -49,6 +50,9 @@ from repro.core.resultio import (
 )
 from repro.core.session import FLOWS
 from repro.serve.checkpoint import (
+    DoneLine,
+    JobLine,
+    UnitLine,
     done_record,
     encode_line,
     job_record,
@@ -297,7 +301,7 @@ def checkpoint_records(rng):
     for job_index in range(rng.randrange(1, 3)):
         job_id = f"job-{rng.randrange(2**32):08x}"
         spec = random_spec(rng)
-        records.append(job_record(job_id, job_index, jobspec_to_wire(spec)))
+        records.append(job_record(job_id, job_index, spec))
         for unit_index in range(rng.randrange(0, 4)):
             records.append(
                 unit_record(
@@ -312,6 +316,11 @@ def checkpoint_records(rng):
     return records
 
 
+def loaded_records(path):
+    """The loaded prefix of a checkpoint file, re-encoded as records."""
+    return [encode(line) for line in load_checkpoint(str(path))]
+
+
 class TestCheckpoint:
     def test_every_prefix_loads_back_verbatim(self, tmp_path):
         rng = random.Random(10)
@@ -323,9 +332,9 @@ class TestCheckpoint:
                 path.write_text(
                     "".join(encode_line(r) + "\n" for r in records[:cut])
                 )
-                assert load_checkpoint(str(path)) == records[:cut]
+                assert loaded_records(path) == records[:cut]
             path.write_text(text)
-            assert load_checkpoint(str(path)) == records
+            assert loaded_records(path) == records
 
     def test_torn_tail_truncates_at_the_damage(self, tmp_path):
         rng = random.Random(11)
@@ -336,7 +345,7 @@ class TestCheckpoint:
         lines = [encode_line(r) for r in records]
         # a crash mid-append: the last line is half written
         path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
-        assert load_checkpoint(str(path)) == records[:-1]
+        assert loaded_records(path) == records[:-1]
 
     def test_corrupt_middle_line_stops_the_prefix(self, tmp_path):
         rng = random.Random(12)
@@ -349,25 +358,33 @@ class TestCheckpoint:
         wrapper["crc"] ^= 1  # bit-flip the CRC key: the record no longer matches
         lines[1] = json.dumps(wrapper, sort_keys=True, separators=(",", ":"))
         path.write_text("".join(line + "\n" for line in lines))
-        assert load_checkpoint(str(path)) == records[:1]
+        assert loaded_records(path) == records[:1]
+
+    def test_non_utf8_line_stops_the_prefix(self, tmp_path):
+        records = checkpoint_records(random.Random(13))
+        path = tmp_path / "bitrot.ckpt"
+        lines = [encode_line(r).encode("utf-8") for r in records]
+        lines.insert(1, b'{"crc": 1, \xff}')
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        assert loaded_records(path) == records[:1]
 
     def test_missing_file_is_an_empty_checkpoint(self, tmp_path):
         assert load_checkpoint(str(tmp_path / "absent.ckpt")) == []
 
     def test_replay_folds_units_last_wins(self):
-        spec_wire = jobspec_to_wire(JobSpec())
-        records = [
-            job_record("job-1", 0, spec_wire),
-            unit_record("job-1", 0, 1, {"v": 1}),
-            unit_record("job-1", 0, 2, {"v": 2}),  # duplicate index: last wins
-            unit_record("job-1", 1, 1, {"v": 3}),
-            unit_record("job-9", 0, 1, {"v": 4}),  # unknown job id: ignored
-            job_record("job-1", 0, spec_wire),  # duplicate job: first wins
-            done_record("job-1", JOB_DONE),
+        lines = [
+            JobLine("job-1", 0, JobSpec()),
+            UnitLine("job-1", 0, 1, {"v": 1}),
+            UnitLine("job-1", 0, 2, {"v": 2}),  # duplicate index: last wins
+            UnitLine("job-1", 1, 1, {"v": 3}),
+            UnitLine("job-9", 0, 1, {"v": 4}),  # unknown job id: ignored
+            JobLine("job-1", 5, JobSpec(seed=1)),  # duplicate job: first wins
+            DoneLine("job-1", JOB_DONE, ""),
         ]
-        replayed = replay_checkpoint(records)
+        replayed = replay_checkpoint(lines)
         assert [entry.job_id for entry in replayed] == ["job-1"]
         entry = replayed[0]
+        assert (entry.sequence, entry.spec) == (0, JobSpec())
         assert entry.units == {0: (2, {"v": 2}), 1: (1, {"v": 3})}
         assert entry.final_state == JOB_DONE
 
@@ -413,9 +430,7 @@ def build_golden_document():
 
     corpus = spec_corpus(seed=0, count=20)
     oracle = dumps_result_document(direct_document(GOLDEN_SPECS[0]))
-    sample = job_record(
-        job_id_for(GOLDEN_SPECS[0]), 0, jobspec_to_wire(GOLDEN_SPECS[0])
-    )
+    sample = job_record(job_id_for(GOLDEN_SPECS[0]), 0, GOLDEN_SPECS[0])
     return {
         "schema": SCHEMA,
         "specs": [
