@@ -412,6 +412,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
             for rule, description in sorted(analyzer.rules.items()):
                 print(f"{rule}  [{analyzer.name}]  {description}")
         return 0
+    committed = None
+    if args.check_manifest:
+        # A missing or malformed manifest fails before the lint pass runs.
+        from .lint.flow.purity import load_manifest
+
+        committed = load_manifest(Path(args.check_manifest))
     report = run_lint(root=root)
     if args.format == "json":
         rendered = json.dumps(report.to_document(), indent=2)
@@ -426,22 +432,21 @@ def cmd_lint(args: argparse.Namespace) -> int:
     else:
         print(rendered)
 
-    if args.write_manifest or args.check_manifest:
-        manifest_path = Path(args.write_manifest or args.check_manifest)
-        rendered_manifest = canonical_dumps(report.manifest)
-        if args.write_manifest:
-            manifest_path.write_text(rendered_manifest, encoding="utf-8")
-            print(f"purity manifest written to {manifest_path}")
-        else:
-            from .lint.flow.purity import diff_manifests, load_manifest
+    if args.write_manifest:
+        Path(args.write_manifest).write_text(
+            canonical_dumps(report.manifest), encoding="utf-8"
+        )
+        print(f"purity manifest written to {args.write_manifest}")
+    elif committed is not None:
+        from .lint.flow.purity import diff_manifests
 
-            drift = diff_manifests(load_manifest(manifest_path), report.manifest)
-            if drift:
-                print(f"purity manifest drift against {manifest_path}:")
-                for line in drift:
-                    print(f"  {line}")
-                return 2
-            print(f"purity manifest matches {manifest_path}")
+        drift = diff_manifests(committed, report.manifest)
+        if drift:
+            print(f"purity manifest drift against {args.check_manifest}:")
+            for line in drift:
+                print(f"  {line}")
+            return 2
+        print(f"purity manifest matches {args.check_manifest}")
 
     if args.strict:
         return report.strict_exit_code()
@@ -966,12 +971,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit non-zero on warnings too, not just errors",
     )
-    lint.add_argument(
+    manifest = lint.add_mutually_exclusive_group()
+    manifest.add_argument(
         "--write-manifest",
         metavar="PATH",
         help="write the purity manifest (canonical JSON) to PATH",
     )
-    lint.add_argument(
+    manifest.add_argument(
         "--check-manifest",
         metavar="PATH",
         help="fail (exit 2) if the purity manifest drifted from PATH",

@@ -17,11 +17,16 @@ payloads appear early in a fuzzing window:
    interesting values, then length boundaries (truncations/inserts);
 3. an undefined-command sweep over a fixed identifier range;
 4. an endless random tail for long campaigns.
+
+Stages 0-3 draw no randomness: they are compiled once per process per
+registry (:func:`compiled_prefix`) and replayed by every mutator.  Only
+the stage-4 tail runs live, from the mutator's own rng.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Iterator, Optional, Tuple
@@ -109,7 +114,8 @@ INTERESTING_VALUES: Tuple[int, ...] = (0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF)
 #: values Table V reports.
 INVALID_CMD_SWEEP: Tuple[int, ...] = tuple(range(0x18, 0x33))
 
-#: How many enum values to expand exhaustively before sampling.
+#: Stage 2 cycles each enum parameter through at most this many of its
+#: legal values (the first ones); the rest of a longer enum is not tried.
 ENUM_EXPANSION_LIMIT = 8
 
 
@@ -126,22 +132,228 @@ class TestCase:
         return self.payload.encode()
 
 
-def _field_class(position: int) -> str:
-    """The Figure 6 field class a hierarchy position belongs to."""
-    if position == 0:
-        return "cmdcl"
-    if position == 1:
-        return "cmd"
-    return "param"
+def _deterministic_prefix(registry: SpecRegistry, cmdcl: int) -> Iterator[TestCase]:
+    """Stages 0-3: everything before the endless seeded tail."""
+    cls = registry.get(cmdcl)
+    yield TestCase(
+        ApplicationPayload(cmdcl, 0x00, b"\x00"),
+        MutationOperator.SEED,
+        1,
+        "Algorithm 1 initial semi-valid packet",
+    )
+    if cls is None or not cls.commands:
+        yield from _unknown_class_sweep(cmdcl)
+        return
+    yield from _valid_builds(registry, cls)
+    yield from _interleaved_variants(registry, cls)
+    yield from _invalid_cmd_sweep(cls)
 
 
-def _counted(cases: Iterator[TestCase]) -> Iterator[TestCase]:
-    """Pass cases through, counting them by field class and operator."""
-    for case in cases:
-        obs.inc("mutation.generated")
-        obs.inc(f"mutation.field.{_field_class(case.position)}")
-        obs.inc(f"mutation.operator.{case.operator.value}")
-        yield case
+# -- stage 1: semantic valid builds --------------------------------------------
+
+
+def _valid_builds(registry: SpecRegistry, cls: CommandClass) -> Iterator[TestCase]:
+    for cmd in sorted(cls.commands, key=lambda c: c.id):
+        payload = build_valid_payload(registry, cls.id, cmd.id)
+        yield TestCase(
+            payload,
+            MutationOperator.RAND_VALID,
+            1,
+            f"valid build of {cmd.name}",
+        )
+
+
+# -- stage 2: per-command variants, stage-major order --------------------------
+
+
+def _interleaved_variants(registry: SpecRegistry, cls: CommandClass) -> Iterator[TestCase]:
+    """All commands' variants, one mutation *stage* at a time.
+
+    Stage-major ordering makes the highest-signal mutations of every
+    command land early in a C_T window: all enum cycling first, then
+    all range boundaries, then all illegal/interesting values, then all
+    length boundaries — instead of exhausting one command before
+    touching the next.
+    """
+    commands = sorted(cls.commands, key=lambda c: c.id)
+    bases = {
+        cmd.id: build_valid_payload(registry, cls.id, cmd.id)
+        for cmd in commands
+    }
+    for stage in (_stage_enums, _stage_boundaries, _stage_illegal, _stage_lengths):
+        for cmd in commands:
+            yield from stage(bases[cmd.id], cmd)
+
+
+def _stage_enums(base: ApplicationPayload, cmd: Command) -> Iterator[TestCase]:
+    """Semantic legal-value cycling: the highest-signal mutation —
+    legal values steer stateful handlers down distinct code paths."""
+    for param in cmd.params:
+        if param.kind is ParamKind.ENUM:
+            values = param.enum_values[:ENUM_EXPANSION_LIMIT]
+        elif param.kind is ParamKind.NODE_ID:
+            values = (1, 2, 232)
+        else:
+            continue
+        for value in values:
+            yield _replace(base, param.position, value, MutationOperator.RAND_VALID, cmd)
+
+
+def _stage_boundaries(base: ApplicationPayload, cmd: Command) -> Iterator[TestCase]:
+    """Boundary values and arithmetic neighbours for ranged params."""
+    for param in cmd.params:
+        if param.kind is not ParamKind.RANGE:
+            continue
+        for value in sorted({param.low, param.high, min(param.low + 1, 0xFF), max(param.high - 1, 0)}):
+            yield _replace(base, param.position, value, MutationOperator.ARITH, cmd)
+
+
+def _stage_illegal(base: ApplicationPayload, cmd: Command) -> Iterator[TestCase]:
+    """Illegal domain values and classic interesting bytes."""
+    for param in cmd.params:
+        illegal = param.illegal_values()
+        if illegal:
+            picks = {illegal[0], illegal[-1], illegal[len(illegal) // 2]}
+            for value in sorted(picks):
+                yield _replace(base, param.position, value, MutationOperator.RAND_INVALID, cmd)
+    for param in cmd.params:
+        for value in INTERESTING_VALUES:
+            if param.is_legal(value):
+                continue
+            yield _replace(base, param.position, value, MutationOperator.INTERESTING, cmd)
+
+
+def _stage_lengths(base: ApplicationPayload, cmd: Command) -> Iterator[TestCase]:
+    """Length boundaries: truncations (minimum-length boundary) and
+    trailing inserts (maximum-length boundary) — missing-validation
+    bugs concentrate here."""
+    for keep in range(len(cmd.params) - 1, -1, -1):
+        yield TestCase(
+            base.truncate_params(keep),
+            MutationOperator.TRUNCATE,
+            2 + keep,
+            f"{cmd.name} truncated to {keep} parameter(s)",
+        )
+    extended = base
+    for extra in (0x00, 0xFF):
+        extended = extended.append_param(extra)
+        yield TestCase(
+            extended,
+            MutationOperator.INSERT,
+            2 + len(extended.params) - 1,
+            f"{cmd.name} with trailing 0x{extra:02X}",
+        )
+
+
+def _replace(
+    base: ApplicationPayload,
+    position: int,
+    value: int,
+    operator: MutationOperator,
+    cmd: Command,
+) -> TestCase:
+    hierarchy_position = 2 + position
+    return TestCase(
+        base.replace_at(hierarchy_position, value),
+        operator,
+        hierarchy_position,
+        f"{cmd.name} param[{position}] <- 0x{value:02X}",
+    )
+
+
+# -- stage 3: undefined-command sweep -------------------------------------------------
+
+
+def _invalid_cmd_sweep(cls: CommandClass) -> Iterator[TestCase]:
+    defined = set(cls.command_ids())
+    for cmd_id in INVALID_CMD_SWEEP:
+        if cmd_id in defined:
+            continue
+        yield TestCase(
+            ApplicationPayload(cls.id, cmd_id, b"\x00\x00"),
+            MutationOperator.RAND_INVALID,
+            1,
+            f"undefined command 0x{cmd_id:02X}",
+        )
+
+
+# -- unknown classes (validated but schema-less) -----------------------------------------------
+
+
+def _unknown_class_sweep(cmdcl: int) -> Iterator[TestCase]:
+    """Fuzz a class with no registry schema: sweep commands blindly."""
+    for cmd_id in range(0x01, 0x20):
+        yield TestCase(
+            ApplicationPayload(cmdcl, cmd_id, b""),
+            MutationOperator.RAND_INVALID,
+            1,
+            "schema-less command sweep (bare)",
+        )
+        yield TestCase(
+            ApplicationPayload(cmdcl, cmd_id, b"\x00\x00"),
+            MutationOperator.RAND_INVALID,
+            1,
+            "schema-less command sweep (2-byte body)",
+        )
+
+
+# -- the compiled stage 0-3 table ----------------------------------------------
+
+#: Counter names, built once: a case books ``mutation.generated`` plus the
+#: field class of its hierarchy position and its operator.
+_GENERATED = "mutation.generated"
+#: Indexed by ``min(position, 2)``: the Figure 6 field class (0 CMDCL,
+#: 1 CMD, 2+ PARAM).
+_FIELD_COUNTERS: Tuple[str, ...] = (
+    "mutation.field.cmdcl",
+    "mutation.field.cmd",
+    "mutation.field.param",
+)
+_OPERATOR_COUNTERS: Dict[MutationOperator, str] = {
+    op: f"mutation.operator.{op.value}" for op in MutationOperator
+}
+#: Every rng-tail case is a RANDOM draw at one fixed position (CMD for
+#: the PSM tails, CMDCL for :class:`RandomMutator`).
+_RANDOM_COUNTER = _OPERATOR_COUNTERS[MutationOperator.RANDOM]
+
+#: One compiled stage 0-3 case: the case and the two counter names it
+#: books besides ``mutation.generated``.
+PrefixEntry = Tuple[TestCase, str, str]
+
+#: The process-wide compiled prefixes: registry -> cmdcl -> entries.
+#: Keyed on the registry object itself (weakly, so a discarded registry
+#: takes its table with it) and filled lazily, one class at a time.
+_COMPILED: "weakref.WeakKeyDictionary[SpecRegistry, Dict[int, Tuple[PrefixEntry, ...]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def compiled_prefix(registry: SpecRegistry, cmdcl: int) -> Tuple[PrefixEntry, ...]:
+    """The stage 0-3 cases of *cmdcl* under *registry*, built once per process.
+
+    Stages 0-3 are a pure function of ``(registry, cmdcl)`` and draw
+    nothing from an rng, so every mutator on the same registry — every
+    campaign in a process, every job in a served worker — replays the
+    same immutable cases.  Each ``ApplicationPayload`` memoises its wire
+    bytes, so a replayed case is not encoded again either.
+    """
+    table = _COMPILED.get(registry)
+    if table is None:
+        table = _COMPILED[registry] = {}
+    prefix = table.get(cmdcl)
+    if prefix is None:
+        prefix = table[cmdcl] = tuple(
+            (case, _FIELD_COUNTERS[min(case.position, 2)], _OPERATOR_COUNTERS[case.operator])
+            for case in _deterministic_prefix(registry, cmdcl)
+        )
+    return prefix
+
+
+def _book(field: str, operator: str) -> None:
+    """Count one consumed case under its precomputed counter names."""
+    obs.inc(_GENERATED)
+    obs.inc(field)
+    obs.inc(operator)
 
 
 class PositionSensitiveMutator:
@@ -150,18 +362,26 @@ class PositionSensitiveMutator:
     def __init__(self, registry: SpecRegistry, rng: Optional[random.Random] = None):
         self._registry = registry
         self._rng = rng or random.Random(0)
-        # Stages 0-3 are a pure function of (registry, cmdcl): the batch is
-        # generated once per class and replayed on every requeue pass, so
-        # long campaigns stop re-deriving thousands of identical payloads.
-        # Only the rng tails run live — they are the sole rng consumers, so
-        # draw order (and thus every seeded artefact) is unchanged.
-        self._prefix_cache: Dict[int, Tuple[TestCase, ...]] = {}
 
     # -- public API ------------------------------------------------------------
 
     def generate(self, cmdcl: int) -> Iterator[TestCase]:
-        """Yield test cases for *cmdcl*, highest-signal stages first."""
-        return _counted(self._cases(cmdcl))
+        """Yield test cases for *cmdcl*, highest-signal stages first.
+
+        Stages 0-3 replay :func:`compiled_prefix`; only the endless stage-4
+        tail runs live, and it is the sole rng consumer, so draw order
+        does not depend on whether the prefix was already compiled.  Each
+        case is counted as it is consumed, so a window cut short books
+        only what it sent.
+        """
+        for case, field, operator in compiled_prefix(self._registry, cmdcl):
+            _book(field, operator)
+            yield case
+        cls = self._registry.get(cmdcl)
+        if cls is None or not cls.commands:
+            yield from self._unknown_class_tail(cmdcl)
+        else:
+            yield from self._random_tail(cls)
 
     def prefix_length(self, cmdcl: int) -> int:
         """How many deterministic (stage 0-3) cases *cmdcl* yields.
@@ -170,162 +390,7 @@ class PositionSensitiveMutator:
         scheduler's energy model reads it to keep assigning windows until
         every class's bug-bearing deterministic stages have drained.
         """
-        prefix = self._prefix_cache.get(cmdcl)
-        if prefix is None:
-            prefix = tuple(self._deterministic_prefix(cmdcl))
-            self._prefix_cache[cmdcl] = prefix
-        return len(prefix)
-
-    def _cases(self, cmdcl: int) -> Iterator[TestCase]:
-        prefix = self._prefix_cache.get(cmdcl)
-        if prefix is None:
-            prefix = tuple(self._deterministic_prefix(cmdcl))
-            self._prefix_cache[cmdcl] = prefix
-        yield from prefix
-        cls = self._registry.get(cmdcl)
-        if cls is None or not cls.commands:
-            yield from self._unknown_class_tail(cmdcl)
-        else:
-            yield from self._random_tail(cls)
-
-    def _deterministic_prefix(self, cmdcl: int) -> Iterator[TestCase]:
-        """Stages 0-3: everything before the endless seeded tail."""
-        cls = self._registry.get(cmdcl)
-        yield TestCase(
-            ApplicationPayload(cmdcl, 0x00, b"\x00"),
-            MutationOperator.SEED,
-            1,
-            "Algorithm 1 initial semi-valid packet",
-        )
-        if cls is None or not cls.commands:
-            yield from self._unknown_class_sweep(cmdcl)
-            return
-        yield from self._valid_builds(cls)
-        yield from self._interleaved_variants(cls)
-        yield from self._invalid_cmd_sweep(cls)
-
-    # -- stage 1: semantic valid builds --------------------------------------------
-
-    def _valid_builds(self, cls: CommandClass) -> Iterator[TestCase]:
-        for cmd in sorted(cls.commands, key=lambda c: c.id):
-            payload = build_valid_payload(self._registry, cls.id, cmd.id)
-            yield TestCase(
-                payload,
-                MutationOperator.RAND_VALID,
-                1,
-                f"valid build of {cmd.name}",
-            )
-
-    # -- stage 2: per-command variants, stage-major order --------------------------
-
-    def _interleaved_variants(self, cls: CommandClass) -> Iterator[TestCase]:
-        """All commands' variants, one mutation *stage* at a time.
-
-        Stage-major ordering makes the highest-signal mutations of every
-        command land early in a C_T window: all enum cycling first, then
-        all range boundaries, then all illegal/interesting values, then all
-        length boundaries — instead of exhausting one command before
-        touching the next.
-        """
-        commands = sorted(cls.commands, key=lambda c: c.id)
-        bases = {
-            cmd.id: build_valid_payload(self._registry, cls.id, cmd.id)
-            for cmd in commands
-        }
-        for stage in (
-            self._stage_enums,
-            self._stage_boundaries,
-            self._stage_illegal,
-            self._stage_lengths,
-        ):
-            for cmd in commands:
-                yield from stage(bases[cmd.id], cmd)
-
-    def _stage_enums(self, base: ApplicationPayload, cmd: Command) -> Iterator[TestCase]:
-        """Semantic legal-value cycling: the highest-signal mutation —
-        legal values steer stateful handlers down distinct code paths."""
-        for param in cmd.params:
-            if param.kind is ParamKind.ENUM:
-                values = param.enum_values[:ENUM_EXPANSION_LIMIT]
-            elif param.kind is ParamKind.NODE_ID:
-                values = (1, 2, 232)
-            else:
-                continue
-            for value in values:
-                yield self._replace(base, param.position, value, MutationOperator.RAND_VALID, cmd)
-
-    def _stage_boundaries(self, base: ApplicationPayload, cmd: Command) -> Iterator[TestCase]:
-        """Boundary values and arithmetic neighbours for ranged params."""
-        for param in cmd.params:
-            if param.kind is not ParamKind.RANGE:
-                continue
-            for value in sorted({param.low, param.high, min(param.low + 1, 0xFF), max(param.high - 1, 0)}):
-                yield self._replace(base, param.position, value, MutationOperator.ARITH, cmd)
-
-    def _stage_illegal(self, base: ApplicationPayload, cmd: Command) -> Iterator[TestCase]:
-        """Illegal domain values and classic interesting bytes."""
-        for param in cmd.params:
-            illegal = param.illegal_values()
-            if illegal:
-                picks = {illegal[0], illegal[-1], illegal[len(illegal) // 2]}
-                for value in sorted(picks):
-                    yield self._replace(base, param.position, value, MutationOperator.RAND_INVALID, cmd)
-        for param in cmd.params:
-            for value in INTERESTING_VALUES:
-                if param.is_legal(value):
-                    continue
-                yield self._replace(base, param.position, value, MutationOperator.INTERESTING, cmd)
-
-    def _stage_lengths(self, base: ApplicationPayload, cmd: Command) -> Iterator[TestCase]:
-        """Length boundaries: truncations (minimum-length boundary) and
-        trailing inserts (maximum-length boundary) — missing-validation
-        bugs concentrate here."""
-        for keep in range(len(cmd.params) - 1, -1, -1):
-            yield TestCase(
-                base.truncate_params(keep),
-                MutationOperator.TRUNCATE,
-                2 + keep,
-                f"{cmd.name} truncated to {keep} parameter(s)",
-            )
-        extended = base
-        for extra in (0x00, 0xFF):
-            extended = extended.append_param(extra)
-            yield TestCase(
-                extended,
-                MutationOperator.INSERT,
-                2 + len(extended.params) - 1,
-                f"{cmd.name} with trailing 0x{extra:02X}",
-            )
-
-    def _replace(
-        self,
-        base: ApplicationPayload,
-        position: int,
-        value: int,
-        operator: MutationOperator,
-        cmd: Command,
-    ) -> TestCase:
-        hierarchy_position = 2 + position
-        return TestCase(
-            base.replace_at(hierarchy_position, value),
-            operator,
-            hierarchy_position,
-            f"{cmd.name} param[{position}] <- 0x{value:02X}",
-        )
-
-    # -- stage 3: undefined-command sweep -------------------------------------------------
-
-    def _invalid_cmd_sweep(self, cls: CommandClass) -> Iterator[TestCase]:
-        defined = set(cls.command_ids())
-        for cmd_id in INVALID_CMD_SWEEP:
-            if cmd_id in defined:
-                continue
-            yield TestCase(
-                ApplicationPayload(cls.id, cmd_id, b"\x00\x00"),
-                MutationOperator.RAND_INVALID,
-                1,
-                f"undefined command 0x{cmd_id:02X}",
-            )
+        return len(compiled_prefix(self._registry, cmdcl))
 
     # -- stage 4: endless random tail ---------------------------------------------------------
 
@@ -341,6 +406,7 @@ class PositionSensitiveMutator:
                 cmd_id = self._rng.choice(INVALID_CMD_SWEEP)
             count = self._rng.randrange(0, 5)
             params = bytes(self._rng.randrange(256) for _ in range(count))
+            _book(_FIELD_COUNTERS[1], _RANDOM_COUNTER)
             yield TestCase(
                 ApplicationPayload(cls.id, cmd_id, params),
                 MutationOperator.RANDOM,
@@ -348,29 +414,12 @@ class PositionSensitiveMutator:
                 "random tail",
             )
 
-    # -- unknown classes (validated but schema-less) -----------------------------------------------
-
-    def _unknown_class_sweep(self, cmdcl: int) -> Iterator[TestCase]:
-        """Fuzz a class with no registry schema: sweep commands blindly."""
-        for cmd_id in range(0x01, 0x20):
-            yield TestCase(
-                ApplicationPayload(cmdcl, cmd_id, b""),
-                MutationOperator.RAND_INVALID,
-                1,
-                "schema-less command sweep (bare)",
-            )
-            yield TestCase(
-                ApplicationPayload(cmdcl, cmd_id, b"\x00\x00"),
-                MutationOperator.RAND_INVALID,
-                1,
-                "schema-less command sweep (2-byte body)",
-            )
-
     def _unknown_class_tail(self, cmdcl: int) -> Iterator[TestCase]:
         while True:
             cmd_id = self._rng.randrange(256)
             count = self._rng.randrange(0, 5)
             params = bytes(self._rng.randrange(256) for _ in range(count))
+            _book(_FIELD_COUNTERS[1], _RANDOM_COUNTER)
             yield TestCase(
                 ApplicationPayload(cmdcl, cmd_id, params),
                 MutationOperator.RANDOM,
@@ -391,14 +440,12 @@ class RandomMutator:
 
     def generate(self) -> Iterator[TestCase]:
         """Yield uniformly random (cmdcl, cmd, params) test cases forever."""
-        return _counted(self._cases())
-
-    def _cases(self) -> Iterator[TestCase]:
         while True:
             cmdcl = self._rng.randrange(256)
             cmd = self._rng.randrange(256)
             count = self._rng.randrange(0, 5)
             params = bytes(self._rng.randrange(256) for _ in range(count))
+            _book(_FIELD_COUNTERS[0], _RANDOM_COUNTER)
             yield TestCase(
                 ApplicationPayload(cmdcl, cmd, params),
                 MutationOperator.RANDOM,

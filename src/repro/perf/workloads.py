@@ -111,7 +111,13 @@ def prepare_frame_codec(fast: bool) -> Callable[[], WorkloadRun]:
 
 
 def prepare_mutation_batch(fast: bool) -> Callable[[], WorkloadRun]:
-    """PSM batch generation: two passes per CMDCL, as requeued trials do."""
+    """PSM batch generation: two passes per CMDCL, as requeued trials do.
+
+    Stages 0-3 compile once per process per registry, and each repeat's
+    new mutator shares that table: the first repeat pays for compiling
+    the six classes, every later one times replay of the compiled cases
+    (with their memoised bytes) plus the live rng tails.
+    """
     from ..core.mutation import PositionSensitiveMutator
     from ..zwave.registry import load_full_registry
 

@@ -1,12 +1,16 @@
 """CLI-level tests for `zcover lint`: exit codes, JSON schema, golden file."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.cli import main
 from repro.lint import SCHEMA_VERSION, run_lint
 
-DATA = Path(__file__).resolve().parent / "data"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DATA = REPO_ROOT / "tests" / "data"
 FIXTURE = DATA / "lint_fixture"
 GOLDEN = DATA / "lint_golden.json"
 
@@ -224,3 +228,19 @@ class TestManifestCli:
         assert main(["lint", "--root", str(FIXTURE), "--check-manifest", str(missing)]) == 2
         message = f"zcover lint: [Errno 2] No such file or directory: '{missing}'"
         assert message in capsys.readouterr().err
+
+    def test_malformed_manifest_fails_before_the_lint_pass(self, tmp_path):
+        """The manifest is decoded first: a bad one exits 2 with no report."""
+        bad = tmp_path / "manifest.json"
+        bad.write_text("[]", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "lint",
+                "--root", str(FIXTURE), "--check-manifest", str(bad),
+            ],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("zcover lint: ")

@@ -1,5 +1,6 @@
 """Tests for the position-sensitive mutator (Table I / Section III-D)."""
 
+import collections
 import itertools
 import random
 
@@ -13,7 +14,9 @@ from repro.core.mutation import (
     PositionSensitiveMutator,
     RandomMutator,
 )
+from repro.obs.metrics import MetricsCollector, collecting
 from repro.zwave.application import Validity, validate_payload
+from repro.zwave.registry import SpecRegistry
 
 
 def take(iterator, n):
@@ -202,3 +205,76 @@ class TestRandomMutator:
         a = [c.payload.encode() for c in take(RandomMutator(random.Random(7)).generate(), 100)]
         b = [c.payload.encode() for c in take(RandomMutator(random.Random(7)).generate(), 100)]
         assert a == b
+
+
+def booked_counts(cases):
+    """The ``mutation.*`` counters a consumed run of *cases* must book:
+    one ``generated`` each, plus its Figure 6 field class and operator."""
+    counts = collections.Counter()
+    for case in cases:
+        counts["mutation.generated"] += 1
+        counts[f"mutation.field.{('cmdcl', 'cmd', 'param')[min(case.position, 2)]}"] += 1
+        counts[f"mutation.operator.{case.operator.value}"] += 1
+    return dict(counts)
+
+
+def consume_counted(stream, k):
+    collector = MetricsCollector()
+    with collecting(collector):
+        cases = take(stream, k)
+    booked = {
+        name: value
+        for name, value in collector.snapshot().counters.items()
+        if name.startswith("mutation.")
+    }
+    return cases, booked
+
+
+class TestCompiledPrefix:
+    """Stages 0-3 compile once per process per registry and are shared."""
+
+    def test_mutators_share_prefix_cases(self, full_registry):
+        one = PositionSensitiveMutator(full_registry, random.Random(1))
+        two = PositionSensitiveMutator(full_registry, random.Random(2))
+        n = one.prefix_length(0x86)
+        a = take(one.generate(0x86), n)
+        b = take(two.generate(0x86), n)
+        assert all(x is y for x, y in zip(a, b))
+        # The tails draw from each mutator's own rng.
+        assert take(one.generate(0x86), n + 50)[n:] != take(two.generate(0x86), n + 50)[n:]
+
+    def test_second_registry_gets_its_own_table(self, full_registry):
+        twin = SpecRegistry(list(full_registry))
+        shared = PositionSensitiveMutator(full_registry, random.Random(0))
+        own = PositionSensitiveMutator(twin, random.Random(0))
+        n = shared.prefix_length(0x20)
+        assert own.prefix_length(0x20) == n
+        a = take(shared.generate(0x20), n)
+        b = take(own.generate(0x20), n)
+        assert [c.encode() for c in a] == [c.encode() for c in b]
+        assert not any(x is y for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("cmdcl", [0x01, 0x73, 0xF7])
+    def test_prefix_length_agrees_before_and_after_generate(self, full_registry, cmdcl):
+        registry = SpecRegistry(list(full_registry))  # a cold table
+        mutator = PositionSensitiveMutator(registry, random.Random(0))
+        before = mutator.prefix_length(cmdcl)
+        cases = take(mutator.generate(cmdcl), before + 20)
+        assert all(c.operator is not MutationOperator.RANDOM for c in cases[:before])
+        assert all(c.operator is MutationOperator.RANDOM for c in cases[before:])
+        assert mutator.prefix_length(cmdcl) == before
+        assert PositionSensitiveMutator(registry).prefix_length(cmdcl) == before
+
+    @pytest.mark.parametrize("cmdcl", [0x20, 0x01, 0xF7])
+    @pytest.mark.parametrize("k", [0, 1, 7, 40, 400])
+    def test_cut_stream_books_only_what_it_sent(self, full_registry, cmdcl, k):
+        mutator = PositionSensitiveMutator(full_registry, random.Random(3))
+        cases, booked = consume_counted(mutator.generate(cmdcl), k)
+        assert len(cases) == k
+        assert booked == booked_counts(cases)
+        assert booked.get("mutation.generated", 0) == k
+
+    def test_random_mutator_books_each_case(self):
+        cases, booked = consume_counted(RandomMutator(random.Random(4)).generate(), 25)
+        assert booked == booked_counts(cases)
+        assert booked["mutation.field.cmdcl"] == booked["mutation.operator.random"] == 25

@@ -60,7 +60,7 @@ def registry():
 
 @pytest.fixture(scope="module")
 def mutator(registry):
-    """One shared mutator: its prefix cache is pure in (registry, cmdcl)."""
+    """One shared mutator: its compiled prefix is pure in (registry, cmdcl)."""
     return PositionSensitiveMutator(registry, random.Random(0))
 
 
