@@ -14,10 +14,12 @@ derived key a deterministic function of its parent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..errors import CryptoError
+from .aes import AES128
+from .ccm import Ccm
 from .cmac import Cmac, aes_cmac
 
 #: Constants from the S2 key-derivation schedule.
@@ -40,11 +42,28 @@ def ckdf_temp_extract(shared_secret: bytes, pub_a: bytes, pub_b: bytes) -> bytes
 
 @dataclass(frozen=True)
 class ExpandedKeys:
-    """The wire keys derived from one 16-byte network key."""
+    """The wire keys derived from one 16-byte network key.
+
+    ``ccm`` and ``personalization`` are ready ciphers under ``ccm_key`` and
+    ``nonce_personalization``.  Every S2 context and SPAN of one network key
+    shares them through the memo below, so one key schedule serves them all.
+    """
 
     ccm_key: bytes
     nonce_personalization: bytes
     mpan_key: bytes
+    ccm: Ccm = field(compare=False, repr=False)
+    personalization: Cmac = field(compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class S0Keys:
+    """The S0 working keys derived from one network key, with their ciphers."""
+
+    enc_key: bytes
+    auth_key: bytes
+    enc: AES128 = field(compare=False, repr=False)
+    auth: AES128 = field(compare=False, repr=False)
 
 
 def ckdf_expand(network_key: bytes) -> ExpandedKeys:
@@ -54,8 +73,8 @@ def ckdf_expand(network_key: bytes) -> ExpandedKeys:
     return _expand(bytes(network_key))
 
 
-def derive_s0_keys(network_key: bytes) -> tuple:
-    """Derive the S0 (encryption, authentication) key pair.
+def s0_keys(network_key: bytes) -> S0Keys:
+    """Derive the S0 encryption and authentication keys and their ciphers.
 
     S0 derives its two working keys by encrypting fixed 16-byte patterns
     under the network key; modelled here with CMAC for uniformity.
@@ -67,8 +86,9 @@ def derive_s0_keys(network_key: bytes) -> tuple:
 
 # Derivations are pure functions of the network key, and a campaign batch
 # builds hundreds of fresh SUTs over the same handful of keys, so both are
-# memoised.  The caches are least-recently-used and bounded, so a long-lived
-# process that has seen many keys still hits on the ones it uses now.
+# memoised, ciphers included.  The caches are least-recently-used and
+# bounded, so a long-lived process that has seen many keys still hits on the
+# ones it uses now.
 
 
 @lru_cache(maxsize=64)
@@ -77,10 +97,13 @@ def _expand(key: bytes) -> ExpandedKeys:
     t1 = cmac.tag(_CCM_KEY_CONST + b"\x00" * 14 + b"\x01")
     t2 = cmac.tag(t1 + _NONCE_PS_CONST + b"\x00" * 14 + b"\x02")
     t3 = cmac.tag(t2 + _MPAN_CONST + b"\x00" * 14 + b"\x03")
-    return ExpandedKeys(ccm_key=t1, nonce_personalization=t2, mpan_key=t3)
+    return ExpandedKeys(
+        ccm_key=t1, nonce_personalization=t2, mpan_key=t3, ccm=Ccm(t1), personalization=Cmac(t2)
+    )
 
 
 @lru_cache(maxsize=64)
-def _s0_keys(key: bytes) -> tuple:
+def _s0_keys(key: bytes) -> S0Keys:
     cmac = Cmac(key)
-    return cmac.tag(b"\xaa" * 16), cmac.tag(b"\x55" * 16)
+    enc, auth = cmac.tag(b"\xaa" * 16), cmac.tag(b"\x55" * 16)
+    return S0Keys(enc_key=enc, auth_key=auth, enc=AES128(enc), auth=AES128(auth))

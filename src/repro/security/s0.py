@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import AuthenticationError, NonceError
-from .aes import AES128, xor_bytes
-from .kdf import derive_s0_keys
+from .kdf import s0_keys
 
 #: S0 command class and commands carried inside command class 0x98.
 S0_CMDCL = 0x98
@@ -77,9 +76,8 @@ class S0Context:
     """Per-device S0 state: keys plus the outstanding-nonce table."""
 
     def __init__(self, network_key: bytes, rng: Optional[random.Random] = None):
-        self._enc_key, self._auth_key = derive_s0_keys(network_key)
-        self._cipher = AES128(self._enc_key)
-        self._auth = AES128(self._auth_key)
+        keys = s0_keys(network_key)
+        self._cipher, self._auth = keys.enc, keys.auth
         self._rng = rng or random.Random(0)
         self._issued: Dict[int, bytes] = {}
 
@@ -108,15 +106,9 @@ class S0Context:
     # -- encapsulation ----------------------------------------------------------
 
     def _mac(self, header: bytes, sender_nonce: bytes, receiver_nonce: bytes, ciphertext: bytes) -> bytes:
-        iv = sender_nonce + receiver_nonce
-        first = self._auth.encrypt_block(iv)
-        data = header + ciphertext
-        padded = data + bytes(-len(data) % 16)
-        mac = first
-        for offset in range(0, len(padded), 16):
-            block = padded[offset : offset + 16]
-            mac = self._auth.encrypt_block(xor_bytes(mac, block))
-        return mac[:MAC_SIZE]
+        # CBC-MAC whose first block is the IV, i.e. E(IV) chained over the
+        # zero-padded header and ciphertext.
+        return self._auth.cbc_mac(sender_nonce + receiver_nonce + header + ciphertext)[:MAC_SIZE]
 
     def encapsulate(
         self, plaintext: bytes, receiver_nonce: bytes, src: int, dst: int

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import AuthenticationError, NonceError
-from .aes import AES128
-from .ccm import NONCE_LENGTH, ccm_open, ccm_seal
-from .cmac import Cmac, aes_cmac
+from .ccm import NONCE_LENGTH
+from .cmac import Cmac
 from .curve25519 import public_key, shared_secret
 from .kdf import ExpandedKeys, ckdf_expand, ckdf_temp_extract
 
@@ -93,10 +92,10 @@ class SpanState:
     handshake cannot decrypt.
     """
 
-    def __init__(self, personalization: bytes, sender_entropy: bytes, receiver_entropy: bytes):
+    def __init__(self, personalization: Cmac, sender_entropy: bytes, receiver_entropy: bytes):
         if len(sender_entropy) != ENTROPY_SIZE or len(receiver_entropy) != ENTROPY_SIZE:
             raise NonceError("SPAN entropy inputs must be 16 bytes")
-        self._mei_cmac = Cmac(aes_cmac(personalization, sender_entropy + receiver_entropy))
+        self._mei_cmac = Cmac(personalization.tag(sender_entropy + receiver_entropy))
         self._counter = 0
 
     @property
@@ -128,7 +127,6 @@ class S2Context:
 
     def __init__(self, network_key: bytes, node_id: int, rng: Optional[random.Random] = None):
         self._keys: ExpandedKeys = ckdf_expand(network_key)
-        self._ccm = AES128(self._keys.ccm_key)
         self._node_id = node_id
         self._rng = rng or random.Random(0)
         self._spans: Dict[Tuple[int, int], SpanState] = {}
@@ -150,9 +148,7 @@ class S2Context:
         peer; ``inbound=False`` the state used to *send*.
         """
         key = (peer, 0 if inbound else 1)
-        self._spans[key] = SpanState(
-            self._keys.nonce_personalization, sender_entropy, receiver_entropy
-        )
+        self._spans[key] = SpanState(self._keys.personalization, sender_entropy, receiver_entropy)
 
     def has_span(self, peer: int, inbound: bool) -> bool:
         return (peer, 0 if inbound else 1) in self._spans
@@ -179,7 +175,7 @@ class S2Context:
         self._seq = (self._seq + 1) % 256
         nonce = span.next_nonce()
         aad = self._aad(src, dst, home_id, seq_no, len(plaintext))
-        blob = ccm_seal(self._ccm, nonce, aad, plaintext)
+        blob = self._keys.ccm.seal(nonce, aad, plaintext)
         return S2Encapsulated(seq_no=seq_no, extensions=0, blob=blob)
 
     def decapsulate(self, encap: S2Encapsulated, peer: int, src: int, dst: int, home_id: int) -> bytes:
@@ -194,10 +190,11 @@ class S2Context:
             raise NonceError(f"no inbound SPAN established with node {peer}")
         payload_len = len(encap.blob) - 8
         aad = self._aad(src, dst, home_id, encap.seq_no, max(payload_len, 0))
+        ccm = self._keys.ccm
         for offset in range(self.SPAN_WINDOW):
             nonce = span.peek_nonce(offset)
             try:
-                plaintext = ccm_open(self._ccm, nonce, aad, encap.blob)
+                plaintext = ccm.open(nonce, aad, encap.blob)
             except AuthenticationError:
                 continue
             span.advance(offset + 1)

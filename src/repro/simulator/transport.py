@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict
 
-from ..errors import AuthenticationError, NonceError
+from ..errors import AuthenticationError, FrameError, NonceError
 from ..security import s0 as s0mod
 from ..security import s2 as s2mod
 from ..security.s0 import S0Context, S0Encapsulated
@@ -179,7 +179,7 @@ class S2Messaging:
         self.stats.received_encapsulated += 1
         try:
             inner = ApplicationPayload.decode(inner_bytes)
-        except Exception:
+        except FrameError:
             return True
         self._deliver(src, inner)
         return True
@@ -241,7 +241,7 @@ class S0Messaging:
             self.stats.received_encapsulated += 1
             try:
                 inner = ApplicationPayload.decode(inner_bytes)
-            except Exception:
+            except FrameError:
                 return True
             self._deliver(src, inner)
             return True

@@ -1,13 +1,23 @@
 """Tests for CMAC (RFC 4493), CCM (RFC 3610-style), X25519 and the CKDF."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AuthenticationError, CryptoError
-from repro.security.ccm import NONCE_LENGTH, TAG_LENGTH, ccm_decrypt, ccm_encrypt
+from repro.security.ccm import (
+    NONCE_LENGTH,
+    RECORD_SIZE,
+    TAG_LENGTH,
+    Ccm,
+    ccm_decrypt,
+    ccm_encrypt,
+)
 from repro.security.cmac import aes_cmac, verify_cmac
 from repro.security.curve25519 import public_key, shared_secret, x25519
-from repro.security.kdf import ckdf_expand, ckdf_temp_extract, derive_s0_keys
+from repro.security.kdf import ckdf_expand, ckdf_temp_extract, s0_keys
 
 RFC4493_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -127,6 +137,131 @@ class TestCcm:
         blob = ccm_encrypt(self.KEY, self.NONCE, aad, plaintext)
         assert ccm_decrypt(self.KEY, self.NONCE, aad, blob) == plaintext
 
+    # RFC 3610 packet vectors #1-#3: the S2 parameters (M=8, L=2, 13-byte
+    # nonce), key C0..CF, eight bytes of additional data 00..07, payload
+    # from 08 up.
+    RFC3610_KEY = bytes(range(0xC0, 0xD0))
+    RFC3610_AAD = bytes(range(8))
+
+    @pytest.mark.parametrize(
+        "nonce, last, output",
+        [
+            (
+                "00000003020100a0a1a2a3a4a5",
+                0x1E,
+                "588c979a61c663d2f066d0c2c0f989806d5f6b61dac38417e8d12cfdf926e0",
+            ),
+            (
+                "00000004030201a0a1a2a3a4a5",
+                0x1F,
+                "72c91a36e135f8cf291ca894085c87e3cc15c439c9e43a3ba091d56e10400916",
+            ),
+            (
+                "00000005040302a0a1a2a3a4a5",
+                0x20,
+                "51b1e5f44a197d1da46b0f8e2d282ae871e838bb64da8596574adaa76fbd9fb0c5",
+            ),
+        ],
+    )
+    def test_rfc3610_packet_vectors(self, nonce, last, output):
+        nonce, output = bytes.fromhex(nonce), bytes.fromhex(output)
+        plaintext = bytes(range(0x08, last + 1))
+        assert ccm_encrypt(self.RFC3610_KEY, nonce, self.RFC3610_AAD, plaintext) == output
+        assert ccm_decrypt(self.RFC3610_KEY, nonce, self.RFC3610_AAD, output) == plaintext
+
+
+def _open_outcome(ccm, nonce, aad, blob):
+    """What ``ccm.open`` returns, or the error class it raises."""
+    try:
+        return ccm.open(nonce, aad, blob)
+    except AuthenticationError:
+        return AuthenticationError
+
+
+def _flips(data, mask):
+    """*data* with each single byte XORed by *mask* in turn."""
+    for index in range(len(data)):
+        yield data[:index] + bytes([data[index] ^ mask]) + data[index + 1 :]
+
+
+class TestCcmSealRecord:
+    """An open served from the seal record equals the full CTR + MAC check."""
+
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        nonce=st.binary(min_size=NONCE_LENGTH, max_size=NONCE_LENGTH),
+        aad=st.binary(max_size=20),
+        plaintext=st.binary(max_size=40),
+        mask=st.integers(min_value=1, max_value=255),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_record_agrees_with_full_check(self, key, nonce, aad, plaintext, mask):
+        sealer, fresh = Ccm(key), Ccm(key)
+        blob = sealer.seal(nonce, aad, plaintext)
+        # The exact triple is served from the record: the sealed object itself.
+        assert sealer.open(nonce, aad, blob) is plaintext
+        assert fresh.open(nonce, aad, blob) == plaintext
+        variants = (
+            [(n, aad, blob) for n in _flips(nonce, mask)]
+            + [(nonce, a, blob) for a in _flips(aad, mask)]
+            + [(nonce, aad, b) for b in _flips(blob, mask)]
+        )
+        for args in variants:
+            assert _open_outcome(sealer, *args) == _open_outcome(Ccm(key), *args)
+
+    def test_seal_under_one_key_never_opens_under_another(self):
+        nonce, aad = b"N" * NONCE_LENGTH, b"aad"
+        one, other = Ccm(b"A" * 16), Ccm(b"B" * 16)
+        other.seal(nonce, aad, b"payload")
+        blob = one.seal(nonce, aad, b"payload")
+        with pytest.raises(AuthenticationError):
+            other.open(nonce, aad, blob)
+
+    def test_record_stays_bounded(self):
+        ccm = Ccm(b"K" * 16)
+        sealed = []
+        for index in range(3 * RECORD_SIZE):
+            nonce = index.to_bytes(NONCE_LENGTH, "big")
+            sealed.append((nonce, ccm.seal(nonce, b"", bytes([index]))))
+            assert len(ccm._record) <= RECORD_SIZE
+        # Entries that rolled off still open, through the full check.
+        for index, (nonce, blob) in enumerate(sealed):
+            assert ccm.open(nonce, b"", blob) == bytes([index])
+
+    def test_threads_sharing_one_ccm_open_only_what_was_sealed(self):
+        # Concurrent seals may drop record entries; an open must still
+        # return exactly the sealed plaintext, or fail on a foreign nonce.
+        ccm = Ccm(b"T" * 16)
+        errors = []
+
+        def worker(index):
+            try:
+                for step in range(25):
+                    nonce = bytes([index, step]) + bytes(NONCE_LENGTH - 2)
+                    plaintext = bytes([index, step, 0x5A])
+                    blob = ccm.seal(nonce, b"aad", plaintext)
+                    if ccm.open(nonce, b"aad", blob) != plaintext:
+                        errors.append(("wrong plaintext", index, step))
+                    foreign = bytes([index + 100, step]) + bytes(NONCE_LENGTH - 2)
+                    if _open_outcome(ccm, foreign, b"aad", blob) is not AuthenticationError:
+                        errors.append(("foreign nonce opened", index, step))
+            except Exception as exc:  # surfaced through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,)) for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(ccm._record) <= RECORD_SIZE
+
 
 class TestX25519:
     def test_rfc7748_vector_one(self):
@@ -200,13 +335,13 @@ class TestKdf:
             ckdf_temp_extract(b"short", b"A" * 32, b"B" * 32)
 
     def test_s0_keys_distinct(self):
-        enc, auth = derive_s0_keys(b"\x13" * 16)
-        assert enc != auth
-        assert len(enc) == len(auth) == 16
+        keys = s0_keys(b"\x13" * 16)
+        assert keys.enc_key != keys.auth_key
+        assert len(keys.enc_key) == len(keys.auth_key) == 16
 
     def test_s0_keys_reject_bad_size(self):
         with pytest.raises(CryptoError):
-            derive_s0_keys(b"tiny")
+            s0_keys(b"tiny")
 
     def test_caches_evict_least_recently_used(self):
         # Past 64 distinct keys the oldest entry is evicted and recomputed,
@@ -214,13 +349,13 @@ class TestKdf:
         from repro.security import kdf
 
         keys = [i.to_bytes(2, "big") * 8 for i in range(70)]
-        first_expand, first_s0 = ckdf_expand(keys[0]), derive_s0_keys(keys[0])
+        first_expand, first_s0 = ckdf_expand(keys[0]), s0_keys(keys[0])
         for key in keys[1:]:
             ckdf_expand(key)
-            derive_s0_keys(key)
+            s0_keys(key)
         for cached, derive, first in (
             (kdf._expand, ckdf_expand, first_expand),
-            (kdf._s0_keys, derive_s0_keys, first_s0),
+            (kdf._s0_keys, s0_keys, first_s0),
         ):
             misses = cached.cache_info().misses
             assert derive(keys[0]) == first

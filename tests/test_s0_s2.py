@@ -14,6 +14,8 @@ from repro.security.s2 import (
     generate_network_key,
 )
 from repro.security.kdf import ckdf_expand
+from repro.simulator.transport import S0Messaging, S2Messaging, TransportStats
+from repro.zwave.application import ApplicationPayload
 
 KEY = b"NetworkKey123456"
 
@@ -119,19 +121,19 @@ def span_pair(seed=5):
 class TestSpan:
     def test_same_inputs_same_nonces(self):
         keys = ckdf_expand(KEY)
-        one = SpanState(keys.nonce_personalization, b"a" * 16, b"b" * 16)
-        two = SpanState(keys.nonce_personalization, b"a" * 16, b"b" * 16)
+        one = SpanState(keys.personalization, b"a" * 16, b"b" * 16)
+        two = SpanState(keys.personalization, b"a" * 16, b"b" * 16)
         assert [one.next_nonce() for _ in range(5)] == [two.next_nonce() for _ in range(5)]
 
     def test_nonces_never_repeat_in_sequence(self):
         keys = ckdf_expand(KEY)
-        span = SpanState(keys.nonce_personalization, b"a" * 16, b"b" * 16)
+        span = SpanState(keys.personalization, b"a" * 16, b"b" * 16)
         nonces = [span.next_nonce() for _ in range(64)]
         assert len(set(nonces)) == 64
 
     def test_peek_does_not_advance(self):
         keys = ckdf_expand(KEY)
-        span = SpanState(keys.nonce_personalization, b"a" * 16, b"b" * 16)
+        span = SpanState(keys.personalization, b"a" * 16, b"b" * 16)
         peeked = span.peek_nonce()
         assert span.counter == 0
         assert span.next_nonce() == peeked
@@ -139,7 +141,7 @@ class TestSpan:
     def test_bad_entropy_size_rejected(self):
         keys = ckdf_expand(KEY)
         with pytest.raises(NonceError):
-            SpanState(keys.nonce_personalization, b"short", b"b" * 16)
+            SpanState(keys.personalization, b"short", b"b" * 16)
 
 
 class TestS2Encapsulation:
@@ -274,3 +276,34 @@ class TestSpanDesyncRecovery:
         first = a.generate_entropy(1)
         second = a.generate_entropy(1)
         assert first != second
+
+
+class TestUndecodableInnerPayload:
+    """An encapsulation that verifies but holds no decodable payload is
+    consumed silently: counted as received, never delivered."""
+
+    HOME = 0xE7DE3F3D
+
+    def _endpoint(self, messaging, context, **kwargs):
+        delivered = []
+        endpoint = messaging(
+            context, node_id=1, send=lambda dst, payload: None,
+            deliver=lambda src, inner: delivered.append(inner), **kwargs
+        )
+        return endpoint, delivered
+
+    def test_s2_empty_inner_consumed(self):
+        sender, receiver = span_pair()
+        endpoint, delivered = self._endpoint(S2Messaging, receiver, home_id=self.HOME)
+        encap = sender.encapsulate(b"", peer=1, src=2, dst=1, home_id=self.HOME)
+        assert endpoint.handle(2, ApplicationPayload(0x9F, 0x03, encap.encode()))
+        assert delivered == []
+        assert endpoint.stats == TransportStats(received_encapsulated=1)
+
+    def test_s0_empty_inner_consumed(self):
+        sender, receiver = s0_pair()
+        endpoint, delivered = self._endpoint(S0Messaging, receiver)
+        encap = sender.encapsulate(b"", receiver.issue_nonce(), src=2, dst=1)
+        assert endpoint.handle(2, ApplicationPayload(0x98, 0x81, encap.encode()))
+        assert delivered == []
+        assert endpoint.stats == TransportStats(received_encapsulated=1)

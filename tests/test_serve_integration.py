@@ -292,8 +292,11 @@ class TestKillAndResume:
 
     def test_abrupt_kill_then_checkpoint_resume(self, tmp_path):
         checkpoint = os.fspath(tmp_path / "serve.ckpt")
+        # One worker in the first life, so units land one at a time and the
+        # poll below has two whole units to see a partial job in; the
+        # resumed lives run two workers.
         first = ServiceThread(
-            workers=2, port=0, checkpoint_path=checkpoint
+            workers=1, port=0, checkpoint_path=checkpoint
         ).start()
         client = ServeClient(port=first.port)
         status = client.submit(SPEC_RESUME)
