@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import CampaignError
 from ..faults.schedule import derive_seed
@@ -534,13 +534,17 @@ def _weighted_kind(
 
 
 def _random_op(rng: random.Random, kind: str, span: int) -> SessionOp:
-    return SessionOp(
+    # One __dict__ fill instead of the frozen __init__'s five
+    # object.__setattr__ calls; SessionOp has no __post_init__ to skip.
+    op = object.__new__(SessionOp)
+    op.__dict__.update(
         kind=kind,
         index=rng.randrange(span),
         index2=rng.randrange(span + 1),
         byte_pos=rng.randrange(16),
         xor=rng.randrange(1, 256),
     )
+    return op
 
 
 class SessionSchedule:
@@ -621,9 +625,12 @@ class SessionSchedule:
 # -- the evaluator -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SessionEvaluation:
-    """One trace's walk through the flow graph, annotated for the oracle."""
+class SessionEvaluation(NamedTuple):
+    """One trace's walk through the flow graph, annotated for the oracle.
+
+    A named tuple, like :class:`SessionFrame`: one is built per trial and
+    it never rides the wire.
+    """
 
     flow: str
     frames: Tuple[SessionFrame, ...]
@@ -655,10 +662,11 @@ def evaluate_trace(flow: str, events: Sequence[Event]) -> SessionEvaluation:
     table = graph.table
     state = graph.initial
     frames: List[SessionFrame] = []
+    new_frame = tuple.__new__  # skips the named tuple's Python-level __new__
     transitions: List[Tuple[str, str]] = []
     keys: List[str] = []
     for sender, cmdcl, cmd, params in events:
-        frames.append(SessionFrame(state, sender, cmdcl, cmd, params))
+        frames.append(new_frame(SessionFrame, (state, sender, cmdcl, cmd, params)))
         entry = table.get((state, sender, cmdcl, cmd))
         if entry is None:
             entry = (
@@ -675,11 +683,7 @@ def evaluate_trace(flow: str, events: Sequence[Event]) -> SessionEvaluation:
     obs.cover_keys(keys)
     trace = tuple(frames)
     return SessionEvaluation(
-        flow=flow,
-        frames=trace,
-        transitions=tuple(transitions),
-        findings=tuple(match_session_vulns(flow, trace)),
-        final_state=state,
+        flow, trace, tuple(transitions), tuple(match_session_vulns(flow, trace)), state
     )
 
 
@@ -803,6 +807,11 @@ def run_session_flow(
     trajectory: List[Tuple[str, int, str]] = []
     op_counts: Dict[str, int] = {}
     energy_trace: List[Tuple[str, int, str]] = []
+    # Per-trial tallies, booked once when the flow run ends: counters and
+    # histograms are sums, so the snapshot is the same as booking per trial.
+    ops_per_trial: Dict[int, int] = {}
+    events_per_trial: Dict[int, int] = {}
+    coverage_size = collector.coverage_size
     total = schedule.total_trials
     probe = len(schedule.corpus)
     trial = 0
@@ -821,11 +830,10 @@ def run_session_flow(
                 if reason == REASON_EXPLOIT:
                     ops += schedule.havoc_ops(t)
                 events = apply_ops(flow, ops)
-                size_before = collector.coverage_size()
+                size_before = coverage_size()
                 evaluation = evaluate_trace(flow, events)
-                if collector.coverage_size() > size_before:
+                if coverage_size() > size_before:
                     novel += 1
-                    collector.inc("session.coverage_novel_trials")
                 for vuln, index in evaluation.findings:
                     collector.inc(f"session.bugs.fired.{vuln.vuln_id}")
                     if vuln.vuln_id not in seen_vulns:
@@ -840,15 +848,15 @@ def run_session_flow(
                                 state=evaluation.frames[index].state,
                             )
                         )
-                label = schedule.trial_label(t) or (
-                    "+".join(op.kind for op in ops) if ops else "happy"
-                )
+                kinds = [op.kind for op in ops]
+                label = schedule.trial_label(t) or ("+".join(kinds) if kinds else "happy")
                 trajectory.append((flow, t, label))
-                for op in ops:
-                    op_counts[op.kind] = op_counts.get(op.kind, 0) + 1
-                collector.inc("session.trials")
-                collector.observe("session.ops_per_trial", len(ops))
-                collector.observe("session.events_per_trial", len(events))
+                for kind in kinds:
+                    op_counts[kind] = op_counts.get(kind, 0) + 1
+                ops_per_trial[len(ops)] = ops_per_trial.get(len(ops), 0) + 1
+                events_per_trial[len(events)] = events_per_trial.get(len(events), 0) + 1
+            if novel:
+                collector.inc("session.coverage_novel_trials", novel)
             collector.inc(f"session.energy.{flow}", end - trial)
             collector.inc(f"session.windows.{reason}")
             energy_trace.append((flow, end - trial, reason))
@@ -857,6 +865,11 @@ def run_session_flow(
         collector.inc(
             f"session.transitions.{flow}", collector.covered_transitions(flow)
         )
+    collector.inc("session.trials", total)
+    for length, times in ops_per_trial.items():
+        collector.observe("session.ops_per_trial", length, times)
+    for length, times in events_per_trial.items():
+        collector.observe("session.events_per_trial", length, times)
     return SessionResult(
         device=device,
         seed=seed,

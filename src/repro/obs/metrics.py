@@ -44,6 +44,9 @@ HISTOGRAM_KEYS: Tuple[str, ...] = tuple(
     f"le_{bound}" for bound in HISTOGRAM_BOUNDS
 ) + ("inf", "sum", "count")
 
+#: ``(bound, bucket key)`` per bounded bucket, in ascending order.
+_BOUNDED_BUCKETS: Tuple[Tuple[int, str], ...] = tuple(zip(HISTOGRAM_BOUNDS, HISTOGRAM_KEYS))
+
 
 @layout(row=True)
 @dataclass(frozen=True)
@@ -146,19 +149,19 @@ class MetricsCollector:
         if current is None or value > current:
             self._gauges[name] = float(value)
 
-    def observe(self, name: str, value: int) -> None:
-        """Record one integer observation into histogram *name*."""
+    def observe(self, name: str, value: int, times: int = 1) -> None:
+        """Record *times* observations of integer *value* into histogram *name*."""
         hist = self._histograms.get(name)
         if hist is None:
-            hist = self._histograms[name] = {key: 0 for key in HISTOGRAM_KEYS}
-        bucket = "inf"
-        for bound in HISTOGRAM_BOUNDS:
+            hist = self._histograms[name] = dict.fromkeys(HISTOGRAM_KEYS, 0)
+        for bound, bucket in _BOUNDED_BUCKETS:
             if value <= bound:
-                bucket = f"le_{bound}"
                 break
-        hist[bucket] += 1
-        hist["sum"] += int(value)
-        hist["count"] += 1
+        else:
+            bucket = "inf"
+        hist[bucket] += times
+        hist["sum"] += int(value) * times
+        hist["count"] += times
 
     def cover(self, cmdcl: int, cmd: Optional[int] = None, amount: int = 1) -> None:
         """Mark one processing of a ``(cmdcl, cmd)`` coordinate."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Tuple
 
 from ..errors import CryptoError
 from .aes import AES128
@@ -68,9 +69,7 @@ class S0Keys:
 
 def ckdf_expand(network_key: bytes) -> ExpandedKeys:
     """Expand a network key into its CCM / nonce / MPAN components."""
-    if len(network_key) != 16:
-        raise CryptoError(f"network key must be 16 bytes, got {len(network_key)}")
-    return _expand(bytes(network_key))
+    return _network_keys(network_key)[0]
 
 
 def s0_keys(network_key: bytes) -> S0Keys:
@@ -79,31 +78,33 @@ def s0_keys(network_key: bytes) -> S0Keys:
     S0 derives its two working keys by encrypting fixed 16-byte patterns
     under the network key; modelled here with CMAC for uniformity.
     """
+    return _network_keys(network_key)[1]
+
+
+def _network_keys(network_key: bytes) -> Tuple[ExpandedKeys, S0Keys]:
     if len(network_key) != 16:
         raise CryptoError(f"network key must be 16 bytes, got {len(network_key)}")
-    return _s0_keys(bytes(network_key))
+    return _derive(bytes(network_key))
 
 
 # Derivations are pure functions of the network key, and a campaign batch
-# builds hundreds of fresh SUTs over the same handful of keys, so both are
-# memoised, ciphers included.  The caches are least-recently-used and
-# bounded, so a long-lived process that has seen many keys still hits on the
-# ones it uses now.
+# builds hundreds of fresh SUTs over the same handful of keys, so both key
+# sets are memoised together, ciphers included: one CMAC schedule of the
+# network key serves the S2 expansion and the S0 pair.  The cache is
+# least-recently-used and bounded, so a long-lived process that has seen
+# many keys still hits on the ones it uses now.
 
 
 @lru_cache(maxsize=64)
-def _expand(key: bytes) -> ExpandedKeys:
+def _derive(key: bytes) -> Tuple[ExpandedKeys, S0Keys]:
     cmac = Cmac(key)
     t1 = cmac.tag(_CCM_KEY_CONST + b"\x00" * 14 + b"\x01")
     t2 = cmac.tag(t1 + _NONCE_PS_CONST + b"\x00" * 14 + b"\x02")
     t3 = cmac.tag(t2 + _MPAN_CONST + b"\x00" * 14 + b"\x03")
-    return ExpandedKeys(
-        ccm_key=t1, nonce_personalization=t2, mpan_key=t3, ccm=Ccm(t1), personalization=Cmac(t2)
-    )
-
-
-@lru_cache(maxsize=64)
-def _s0_keys(key: bytes) -> S0Keys:
-    cmac = Cmac(key)
     enc, auth = cmac.tag(b"\xaa" * 16), cmac.tag(b"\x55" * 16)
-    return S0Keys(enc_key=enc, auth_key=auth, enc=AES128(enc), auth=AES128(auth))
+    return (
+        ExpandedKeys(
+            ccm_key=t1, nonce_personalization=t2, mpan_key=t3, ccm=Ccm(t1), personalization=Cmac(t2)
+        ),
+        S0Keys(enc_key=enc, auth_key=auth, enc=AES128(enc), auth=AES128(auth)),
+    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 
 class EffectType(Enum):
@@ -483,14 +483,16 @@ _NM_TRANSFER_NODE = 0x09
 _NM_TRANSFER_END = 0x0B
 
 
-@dataclass(frozen=True)
-class SessionFrame:
+class SessionFrame(NamedTuple):
     """One frame of an annotated session trace, as the oracle sees it.
 
     ``state`` is the flow-graph state the session evaluator was in
     immediately *before* consuming this frame, so predicates can ask
     "did the controller accept X while already in state Y?" without
     re-deriving the walk.
+
+    A named tuple: the evaluator builds one per event of every trial, and
+    a tuple is built and read in C.  It is not a wire type.
     """
 
     state: str
@@ -518,10 +520,6 @@ class SessionVulnerability:
     name: str
     description: str
     predicate: SessionPredicate
-
-    def fired_at(self, frames: SessionTrace) -> Optional[int]:
-        """Sequence index where the bug fires on *frames*, or ``None``."""
-        return self.predicate(frames)
 
 
 def _indices(frames: SessionTrace, cmdcl: int, cmd: int) -> List[int]:
@@ -825,9 +823,10 @@ def match_session_vulns(
     """Every planted bug of *flow* that fires on *frames*, with its firing
     sequence index, ordered by (index, vuln_id)."""
     hits = []
-    for vuln in session_vulns_for_flow(flow):
-        fired = vuln.fired_at(frames)
+    for vuln in _SESSION_VULNS_BY_FLOW.get(flow, ()):
+        fired = vuln.predicate(frames)
         if fired is not None:
             hits.append((vuln, fired))
-    hits.sort(key=lambda pair: (pair[1], pair[0].vuln_id))
+    if len(hits) > 1:
+        hits.sort(key=lambda pair: (pair[1], pair[0].vuln_id))
     return hits

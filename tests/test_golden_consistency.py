@@ -1,8 +1,9 @@
 """Cross-file consistency of the committed golden pins (ISSUE 10).
 
 Every golden file pins its own artefact; this suite pins the *pins* and
-the relationships between files, entirely from the committed bytes — no
-campaigns run here, so it stays fast and catches silent regeneration:
+the relationships between files from the committed bytes — apart from two
+sub-second session runs, no campaigns run here, so it stays fast and
+catches silent regeneration:
 
 * the SHA-256 of each campaign/session wire pin is itself pinned, so a
   ``write_golden()`` run that changes bytes cannot slip through review
@@ -12,6 +13,10 @@ campaigns run here, so it stays fast and catches silent regeneration:
   embedded per-device wires — the two sections can never diverge;
 * ``serve_golden``'s checkpoint lines re-verify against the live
   ``record_crc``, so the CRC convention and the golden agree;
+* two live session runs hash their full wire bytes, metrics histograms
+  included: the seed-0 D1 run against its ``session_golden`` pin, and a
+  long-sequence plan whose ``session.events_per_trial`` reaches the
+  ``inf`` bucket;
 * ``BENCH_core.json`` keeps the engine-migration acceptance locked in:
   the campaign_fps ratio must stay at least 2x better than the retired
   per-closure engine's committed 1831.5384.
@@ -26,9 +31,12 @@ import pytest
 from repro.core.resultio import (
     WIRE_VERSION,
     campaign_from_wire,
+    dumps_wire,
     loads_wire,
     require_wire_version,
+    session_to_wire,
 )
+from repro.core.session import SessionPlan, run_sessions
 from repro.obs.export import snapshot_to_document
 from repro.obs.metrics import merge_snapshots
 from repro.serve.checkpoint import record_crc
@@ -48,9 +56,23 @@ SESSION_WIRE_SHA256 = {
     "D2": "cac80ff329e72faae2e68bcb53ddb0df6f31296360344feb5d0b419398dfb2a8",
 }
 
+#: A plan whose trials run past 32 events, so every histogram bucket of
+#: ``session.events_per_trial`` and ``session.ops_per_trial`` can fill;
+#: run on D2 with seed 3.
+LONG_SESSION_PLAN = SessionPlan(
+    name="long", trials=16, min_ops=32, max_ops=96, exploit_boost=8
+)
+
+#: SHA-256 of that run's session wire text.
+LONG_SESSION_WIRE_SHA256 = "a97ffb6bf1fa1c015cc3cf4ae49bbbb26564b3c1cc7d40c2dfb794975627c2e1"
+
 #: The retired legacy engine's committed campaign_fps ratio; the batched
 #: engine's baseline must stay at least 2x below it.
 LEGACY_CAMPAIGN_FPS_RATIO = 1831.5384
+
+
+def _wire_sha256(wire):
+    return hashlib.sha256(dumps_wire(wire).encode("utf-8")).hexdigest()
 
 
 def _json_documents(path):
@@ -100,7 +122,23 @@ class TestWireShaPins:
 
     def test_all_sha_pins_are_distinct(self):
         pins = list(PERF_WIRE_SHA256.values()) + list(SESSION_WIRE_SHA256.values())
+        pins.append(LONG_SESSION_WIRE_SHA256)
         assert len(set(pins)) == len(pins)
+
+
+class TestLiveSessionWirePins:
+    """Whole session wires, metrics included, hashed from live runs."""
+
+    def test_seed0_d1_run_matches_its_golden_pin(self):
+        result = run_sessions("D1", seed=0)
+        assert _wire_sha256(session_to_wire(result)) == SESSION_WIRE_SHA256["D1"]
+
+    def test_long_plan_run_fills_the_inf_bucket(self):
+        result = run_sessions("D2", seed=3, plan=LONG_SESSION_PLAN)
+        histograms = result.metrics.histograms
+        assert histograms["session.events_per_trial"]["inf"] > 0
+        assert histograms["session.ops_per_trial"]["inf"] > 0
+        assert _wire_sha256(session_to_wire(result)) == LONG_SESSION_WIRE_SHA256
 
 
 class TestWireVersions:

@@ -10,8 +10,15 @@ walks agree on transitions, final state, findings and the coverage map.
 Traces are seeded random :func:`apply_ops` sequences over every op kind,
 spliced with frames whose signatures no step or injection template
 defines, so the lookup's fallback path is exercised as well.
+
+The trial records keep their contract as well: scheduled ops equal,
+hash and encode like ops built through ``SessionOp``'s own constructor,
+schedule descriptions stay pinned, and ``SessionFrame`` keeps its field
+order and ``sig()``.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -28,8 +35,17 @@ from repro.core.session import (
 )
 from repro.obs.metrics import MetricsCollector, collecting
 from repro.simulator.vulnerabilities import SessionFrame, match_session_vulns
+from repro.wire import decode, encode
 
 CASES_PER_FLOW = 80
+
+#: SHA-256 of the sorted-key JSON of ``describe(trials=16)`` for every flow
+#: and seeds 0-4, per plan.  The schedule rng stream must never move.
+DESCRIBE_SHA256 = {
+    "default": "a01190144a8c7443804c603eda4e6c30103f5c0aace2c494b4c28586f640751f",
+    "boosted": "8b0918828da78fb82e6f171fabf7996dae43418e9cd69c078b493543357d08ec",
+}
+PLANS = {"default": SessionPlan(), "boosted": SessionPlan(max_ops=6, exploit_boost=3)}
 
 
 def reference_walk(flow, events, collector):
@@ -134,3 +150,40 @@ def test_scheduled_frames_never_miss_the_table(flow):
         ops = schedule.trial_ops(trial) + schedule.havoc_ops(trial)
         for sender, cmdcl, cmd, _params in apply_ops(flow, ops):
             assert all((state, sender, cmdcl, cmd) in table for state in states)
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_scheduled_ops_match_constructed_ops(flow, seed):
+    """Every op a schedule emits is the op ``SessionOp(...)`` would build."""
+    schedule = SessionSchedule(flow, SessionPlan(max_ops=6, exploit_boost=3), seed)
+    for trial in range(40):
+        for op in schedule.trial_ops(trial) + schedule.havoc_ops(trial):
+            built = SessionOp(op.kind, op.index, op.index2, op.byte_pos, op.xor)
+            assert op == built and hash(op) == hash(built)
+            assert repr(op) == repr(built)
+            assert encode(op) == encode(built) == op.to_wire()
+            assert decode(SessionOp, encode(op), "op") == built
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_schedule_descriptions_are_pinned(name):
+    docs = [
+        SessionSchedule(flow, PLANS[name], seed).describe(trials=16)
+        for seed in range(5)
+        for flow in FLOWS
+    ]
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DESCRIBE_SHA256[name]
+
+
+def test_session_frame_keeps_its_record_shape():
+    assert SessionFrame._fields == ("state", "sender", "cmdcl", "cmd", "params")
+    frame = SessionFrame("idle", "ctrl", 0x98, 0x04, b"\x00")
+    assert frame.sig() == (0x98, 0x04)
+    assert frame == SessionFrame(
+        state="idle", sender="ctrl", cmdcl=0x98, cmd=0x04, params=b"\x00"
+    )
+    assert hash(frame) == hash(SessionFrame("idle", "ctrl", 0x98, 0x04, b"\x00"))
+    with pytest.raises(AttributeError):
+        frame.state = "done"
