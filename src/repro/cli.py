@@ -47,7 +47,7 @@ from .obs.metrics import merge_all
 from .obs.tracing import Tracer
 from .radio.trace import dissect_trace, load_trace, save_trace, TraceRecord
 from .simulator.testbed import CONTROLLER_IDS, build_sut
-from .wire import decode, encode
+from .wire import decode, dumps_wire, encode
 from .zwave.registry import load_full_registry
 
 _MODES = {"full": Mode.FULL, "beta": Mode.BETA, "gamma": Mode.GAMMA}
@@ -524,7 +524,7 @@ def cmd_sessions(args: argparse.Namespace) -> int:
     ``--workers N`` runs are byte-identical, which the CI flaky-detector
     diff pins via ``--json``.
     """
-    from .core.resultio import dumps_wire, session_to_wire
+    from .core.resultio import session_to_wire
     from .core.session import (
         FLOWS,
         planted_vuln_ids,

@@ -440,7 +440,7 @@ def execute_units(
 
     Returns one :class:`UnitOutcome` per unit **in the input order**,
     regardless of which worker finished first — the caller's merge step
-    (:func:`repro.core.resultio.merge_trials`) depends on this.
+    (:func:`repro.core.trials.merge_trials`) depends on this.
 
     With at most one worker to use (``min(workers, len(units)) <= 1``)
     and no *timeout*, or on a platform without a process pool, units run

@@ -1,4 +1,4 @@
-"""Lossless wire serialisation and deterministic merging of results.
+"""Lossless wire serialisation of results, plans and job records.
 
 Campaign results must cross process boundaries when trials are sharded
 across workers (:mod:`repro.core.parallel`).  Pickling the live objects
@@ -13,37 +13,38 @@ The codecs below are named entry points into :mod:`repro.wire`, which
 derives every encoder and decoder from the dataclass fields; the layout
 facts the type hints cannot say (rows, ``Mode`` by name, the
 ``wire_version`` envelope, the ``bug_log`` and ``unique`` adapters) are
-declared next to their classes.  This module's imports from the package
-are the wire vocabulary that the W3xx lint proves JSON-clean.
+declared next to their classes with ``@layout``, and those declarations
+are also the vocabulary the W3xx/W401 lint proves JSON-clean.
 
 The round trip is **lossless**: ``campaign_from_wire(campaign_to_wire(r))``
 compares equal to ``r`` and renders byte-identical reports, which is what
 lets the parallel executor guarantee output identical to a serial run
-(``tests/test_parallel_determinism.py`` is the proof).
-
-The second half of this module is the deterministic merge: shard outcomes
-are reassembled in canonical seed order — the order the serial loop would
-have produced them — regardless of worker completion order.
+(``tests/test_parallel_determinism.py`` is the proof).  Shard outcomes
+are merged in canonical seed order by
+:func:`repro.core.trials.merge_trials`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
-
-from ..faults.plan import DegradationRecord, FaultPlan  # noqa: F401
-from ..obs.metrics import MetricsSnapshot, SpanStats  # noqa: F401
-from ..radio.trace import TraceRecord  # noqa: F401
 from ..serve.protocol import JobSpec, JobStatus
-from ..wire import WIRE_VERSION, WireError, WireVersionError, require_wire_version  # noqa: F401
-from ..wire import decode, dumps_wire, encode, loads_wire  # noqa: F401
+from ..wire import decode, dumps_wire, encode
 from .baseline import VFuzzResult
-from .buglog import BugLog, BugRecord  # noqa: F401
-from .campaign import CampaignResult, Mode, UniqueRow  # noqa: F401
-from .fuzzer import DetectionMark, FuzzResult, TimelinePoint  # noqa: F401
-from .monitor import ObservedKind  # noqa: F401
-from .properties import ControllerProperties  # noqa: F401
-from .session import SessionBugRecord, SessionPlan, SessionResult  # noqa: F401
-from .tester import Signature, VerifiedFinding, VerifiedUnique  # noqa: F401
+from .campaign import CampaignResult
+from .session import SessionResult
+
+__all__ = [
+    "campaign_from_wire",
+    "campaign_to_wire",
+    "dumps_wire",
+    "jobspec_from_wire",
+    "jobspec_to_wire",
+    "jobstatus_from_wire",
+    "jobstatus_to_wire",
+    "session_from_wire",
+    "session_to_wire",
+    "vfuzz_from_wire",
+    "vfuzz_to_wire",
+]
 
 
 def campaign_to_wire(result: CampaignResult) -> dict:
@@ -99,46 +100,3 @@ def jobstatus_to_wire(status: JobStatus) -> dict:
 def jobstatus_from_wire(data: dict) -> JobStatus:
     """Rebuild a :class:`JobStatus`, rejecting mismatched wire versions."""
     return decode(JobStatus, data, "job status")
-
-
-# -- deterministic merging -----------------------------------------------------
-
-
-def merge_trials(
-    device: str,
-    mode: Mode,
-    duration: float,
-    outcomes: List[Any],
-) -> "TrialSummary":
-    """Reassemble executor outcomes into a :class:`TrialSummary`.
-
-    *outcomes* are :class:`repro.core.parallel.UnitOutcome` records in
-    canonical seed order, which the executor guarantees whatever the
-    worker scheduling, so aggregate statistics, bug-ID
-    unions/intersections and the rendered report are byte-identical at
-    every worker count.  Failed shards become structured entries in
-    ``summary.failures`` without disturbing the surviving trials.
-
-    The summary also carries a harness metrics snapshot (unit counts,
-    per-unit attempts, failure categories), keeping merged
-    ``--metrics-out`` documents byte-identical across worker counts.
-    """
-    from ..obs.metrics import harness_snapshot
-    from .trials import TrialSummary  # local import: trials imports us too
-
-    return TrialSummary(
-        device=device,
-        mode=mode,
-        duration=duration,
-        trials=[o.result for o in outcomes if o.result is not None],
-        failures=[o.failure for o in outcomes if o.result is None and o.failure is not None],
-        harness_metrics=harness_snapshot(
-            units=len(outcomes),
-            attempts=[outcome.attempts for outcome in outcomes],
-            failure_categories=[
-                outcome.failure.category
-                for outcome in outcomes
-                if outcome.failure is not None
-            ],
-        ),
-    )

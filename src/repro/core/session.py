@@ -739,7 +739,7 @@ class SessionResult:
 def merge_session_results(results: Sequence[SessionResult]) -> SessionResult:
     """Fold per-flow shard results, in the given (canonical) order.
 
-    Mirrors :func:`repro.core.resultio.merge_trials`: the caller hands the
+    Mirrors :func:`repro.core.trials.merge_trials`: the caller hands the
     shards in submission order, so the merged result is byte-identical to
     a serial run for any worker count.
     """

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs.metrics import MetricsSnapshot, merge_all, merge_snapshots
+from ..obs.metrics import MetricsSnapshot, harness_snapshot, merge_all, merge_snapshots
 from .campaign import CampaignResult, DAY, Mode
 
 
@@ -47,7 +47,7 @@ class TrialSummary:
     #: (:class:`repro.core.parallel.UnitFailure`); empty on a clean run.
     failures: List[object] = field(default_factory=list)
     #: Executor-side metrics (unit counts, retries, failure categories),
-    #: built by :func:`repro.core.resultio.merge_trials`.
+    #: built by :func:`merge_trials`.
     harness_metrics: Optional[MetricsSnapshot] = None
 
     @property
@@ -200,6 +200,43 @@ def trial_units(
     return units
 
 
+def merge_trials(
+    device: str,
+    mode: Mode,
+    duration: float,
+    outcomes: List[Any],
+) -> TrialSummary:
+    """Reassemble executor outcomes into a :class:`TrialSummary`.
+
+    *outcomes* are :class:`repro.core.parallel.UnitOutcome` records in
+    canonical seed order, which the executor guarantees whatever the
+    worker scheduling, so aggregate statistics, bug-ID
+    unions/intersections and the rendered report are byte-identical at
+    every worker count.  Failed shards become structured entries in
+    ``summary.failures`` without disturbing the surviving trials.
+
+    The summary also carries a harness metrics snapshot (unit counts,
+    per-unit attempts, failure categories), keeping merged
+    ``--metrics-out`` documents byte-identical across worker counts.
+    """
+    return TrialSummary(
+        device=device,
+        mode=mode,
+        duration=duration,
+        trials=[o.result for o in outcomes if o.result is not None],
+        failures=[o.failure for o in outcomes if o.result is None and o.failure is not None],
+        harness_metrics=harness_snapshot(
+            units=len(outcomes),
+            attempts=[outcome.attempts for outcome in outcomes],
+            failure_categories=[
+                outcome.failure.category
+                for outcome in outcomes
+                if outcome.failure is not None
+            ],
+        ),
+    )
+
+
 def run_trials(
     device: str = "D1",
     mode: Mode = Mode.FULL,
@@ -222,7 +259,6 @@ def run_trials(
     fault injection (:mod:`repro.faults`).
     """
     from .parallel import execute_units
-    from .resultio import merge_trials
 
     units = trial_units(
         device, mode, n_trials, duration, base_seed, fault_plan, scheduler

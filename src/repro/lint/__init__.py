@@ -9,9 +9,9 @@ Four analyzer families guard the invariants the test suite cannot see
 * :mod:`repro.lint.conformance` — the dispatch tables of the simulator and
   the mutation engine agree with :class:`repro.zwave.registry.SpecRegistry`
   (a static mirror of the paper's Phase-2 drift discovery);
-* :mod:`repro.lint.wiresafety` — every dataclass crossing the worker
-  boundary through :mod:`repro.core.resultio` carries only JSON-clean
-  field types, so new fields cannot silently break the parallel codec;
+* :mod:`repro.lint.wiresafety` — every class declared with
+  :func:`repro.wire.layout`, and every dataclass it reaches, carries only
+  JSON-clean field types, so new fields cannot silently break the codec;
 * :mod:`repro.lint.flow` — the interprocedural dataflow engine: call
   graph over the whole tree, entropy/clock taint to a fixpoint, wire
   type inference, and the committed purity manifest whose drift CI gates.

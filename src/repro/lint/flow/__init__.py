@@ -3,8 +3,10 @@
 The syntactic families (D1xx, C2xx, W3xx) judge one AST node at a time;
 this package judges *reachability*: whether a campaign entry point can
 transitively reach global entropy, an unseeded generator, or the wall
-clock, and whether statically-typed values entering the wire codecs stay
-inside the W3xx vocabulary.  The pipeline is
+clock, and whether statically-typed values entering the wire codec stay
+inside the W3xx vocabulary: the classes the ``@layout`` declarations
+reach (:func:`~repro.lint.wiresafety.wire_vocabulary`), so W3xx proves
+the vocabulary's fields and W401 what enters the codec.  The pipeline is
 
     summarize (per file)
       -> link (:class:`~repro.lint.flow.callgraph.CallGraph`)

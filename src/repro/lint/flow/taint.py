@@ -14,9 +14,10 @@ Three analyses run to a fixpoint on the linked
   outside the sanctioned owner modules, and calls to the owner's
   ``wall_*`` helpers from non-exempt modules, seed the same backward
   reachability; tainted entry points raise ``D204``.
-* **wire-type inference** — statically-typed values flowing into a
-  ``*_to_wire`` codec of :mod:`repro.core.resultio` are cross-checked
-  against the W3xx wire vocabulary; a type outside it raises ``W401``.
+* **wire-type inference** — statically-typed values flowing into the
+  codec (:func:`repro.wire.encode` or any ``*_to_wire`` function) are
+  cross-checked against the W3xx wire vocabulary, the classes the
+  ``@layout`` declarations reach; a type outside it raises ``W401``.
 
 Witness chains are deterministic: propagation is a BFS that visits
 functions in sorted id order, so every finding renders the same call
@@ -28,7 +29,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..findings import LintFinding, Severity
-from ..wiresafety import WIRE_MODULE
 from .callgraph import CallGraph, FunctionId
 
 #: Modules whose wall-clock reads are sanctioned *measurements*: the
@@ -317,17 +317,16 @@ def escape_findings(graph: CallGraph) -> List[LintFinding]:
 
 
 def wire_type_findings(graph: CallGraph, vocabulary: FrozenSet[str]) -> List[LintFinding]:
-    """W401: statically-typed values entering codecs outside *vocabulary*,
-    the W3xx wire vocabulary (:func:`repro.lint.wiresafety.wire_vocabulary`)."""
-    has_wire_module = WIRE_MODULE in graph.summaries
+    """W401: statically-typed values entering the codec outside *vocabulary*,
+    the W3xx wire vocabulary (:func:`repro.lint.wiresafety.wire_vocabulary`).
+
+    The codec is :func:`repro.wire.encode` and every ``*_to_wire`` function.
+    """
     findings: List[LintFinding] = []
     seen = set()
     for caller, callee, line, col, _cls_rel, cls_name in sorted(graph.typed_arg0):
-        callee_rel = graph.function_rel(callee)
         callee_name = graph.function_qualname(callee)
-        if not callee_name.endswith("_to_wire"):
-            continue
-        if has_wire_module and callee_rel != WIRE_MODULE:
+        if callee != "wire.py::encode" and not callee_name.endswith("_to_wire"):
             continue
         if cls_name in vocabulary:
             continue
@@ -344,8 +343,8 @@ def wire_type_findings(graph: CallGraph, vocabulary: FrozenSet[str]) -> List[Lin
                 col,
                 f"{cls_name} flows into wire codec {callee_name} but is "
                 "outside the W3xx wire vocabulary",
-                "add the type to the codec's module-level vocabulary "
-                "(core/resultio.py) or convert before encoding",
+                "declare the type with @layout (repro.wire) or convert "
+                "before encoding",
             )
         )
     return findings

@@ -1,20 +1,22 @@
-"""Wire-safety lint: worker-boundary dataclasses must stay JSON-clean.
+"""Wire-safety lint: the codec's declared vocabulary must stay JSON-clean.
 
-The parallel campaign engine ships results between processes through the
-codec in :mod:`repro.core.resultio`, which round-trips a fixed vocabulary
-of dataclasses via plain JSON documents (the encoders and decoders are
-derived from the dataclass fields by :mod:`repro.wire`).  A field added with a type the
-codec cannot represent (an arbitrary object, ``Any``, an un-encoded
-class) does not fail loudly at the definition site — it fails at runtime
-inside a worker, or worse, silently truncates data.  This analyzer walks
-the wire vocabulary *statically* and proves every reachable field type is
-representable.
+Results, plans, job specs, WAL records and metrics cross process
+boundaries through :mod:`repro.wire`, which derives every encoder and
+decoder from a dataclass's fields and the facts declared next to it with
+``@layout(...)``.  A field added with a type the codec cannot represent
+(an arbitrary object, ``Any``, a plain class) does not fail loudly at the
+definition site — it fails at runtime inside a worker, or worse,
+silently truncates data.  This analyzer walks the wire vocabulary
+*statically* and proves every reachable field type is representable.
 
-Roots are the types :mod:`repro.core.resultio` imports at module level
-from inside the package (function-level imports are deliberately not
-part of the wire vocabulary).  On a synthetic tree without
-``core/resultio.py`` every module-level dataclass is treated as a root,
-which is what the unit tests use.
+The roots are the classes declared with ``@layout(...)``: the same
+declarations the codec reads, so nothing is imported to name them.  A
+field with a ``via=`` adapter crosses the wire as the adapter's wire
+type, so that type is checked instead of the field's annotation, as the
+codec does at runtime.  On a tree with no ``@layout`` at all (the
+synthetic unit-test trees) every module-level dataclass is a root.  The
+classes the roots reach are the vocabulary (:func:`wire_vocabulary`)
+that the flow engine's W401 checks codec arguments against.
 
 Rules
 =====
@@ -22,7 +24,8 @@ Rules
 ``W301``
     A field of a wire dataclass (or of a dataclass reachable from one)
     has a type the JSON codec cannot represent: ``Any``/``object``, a
-    class without a registered codec, or an unsupported annotation form.
+    class that is neither a dataclass nor an enum and has no ``via``
+    adapter, or an unsupported annotation form.
 
 ``W302``
     A wire type annotation references a name the analyzer cannot resolve
@@ -33,24 +36,17 @@ Allowed grammar: the atoms ``int``/``float``/``str``/``bool``/``bytes``/
 ``None``; ``List``/``Sequence``/``Tuple``/``Set``/``FrozenSet``/``Dict``/
 ``Mapping``/``Optional``/``Union`` (and their lowercase builtins) over
 allowed types; ``Enum`` subclasses; nested dataclasses (checked
-recursively); classes named in :data:`KNOWN_CODECS`, which cross the
-wire through an adapter declared on the field that holds them.
+recursively).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .base import Analyzer, SourceFile, class_kind, dotted_name
 from .findings import LintFinding, Severity
-
-#: Non-dataclass types carried through a declared ``repro.wire`` adapter.
-KNOWN_CODECS = frozenset({"BugLog"})
-
-#: The wire codec module whose module-level imports define the vocabulary.
-WIRE_MODULE = "core/resultio.py"
 
 _ATOMS = frozenset({"int", "float", "str", "bool", "bytes", "None", "NoneType"})
 
@@ -81,39 +77,44 @@ class _ClassInfo:
     source: SourceFile
     node: ast.ClassDef
     kind: str  # "dataclass" | "enum" | "class"
+    #: field -> adapter wire type, or ``None`` when not declared with @layout
+    via: Optional[Dict[str, ast.expr]]
 
 
-def wire_vocabulary(
-    sources: List[SourceFile], wire_module: str = WIRE_MODULE
-) -> List[str]:
-    """The wire codec's type vocabulary, as local names.
+def _declared_vias(node: ast.ClassDef) -> Optional[Dict[str, ast.expr]]:
+    """The ``via=`` wire types of a class declared with ``@layout(...)``.
 
-    Types :mod:`repro.core.resultio` imports at module level from inside
-    the package.  On a tree without the wire module (synthetic unit-test
-    trees) every module-level dataclass is in the vocabulary instead —
-    the same fallback both W3xx and the flow engine's W401 use.
+    ``None`` when the class has no ``@layout``.  An adapter is a
+    ``(wire type, to wire, from wire)`` tuple in a dict literal; one
+    written any other way is not read, so its field's annotation is
+    checked instead.
     """
-    wire = next((s for s in sources if s.rel == wire_module), None)
-    if wire is None:
-        names = set()
-        for source in sources:
-            for node in source.tree.body:
-                if isinstance(node, ast.ClassDef) and class_kind(node) == "dataclass":
-                    names.add(node.name)
-        return sorted(names)
-    roots: List[str] = []
-    for node in wire.tree.body:  # module level only, by design
-        if not isinstance(node, ast.ImportFrom):
+    for deco in node.decorator_list:
+        if not isinstance(deco, ast.Call):
             continue
-        in_package = node.level > 0 or (node.module or "").split(".")[0] == "repro"
-        if not in_package:
+        if (dotted_name(deco.func) or "").split(".")[-1] != "layout":
             continue
-        roots.extend(alias.asname or alias.name for alias in node.names)
-    return sorted(set(roots))
+        vias: Dict[str, ast.expr] = {}
+        for keyword in deco.keywords:
+            if keyword.arg == "via" and isinstance(keyword.value, ast.Dict):
+                for key, value in zip(keyword.value.keys, keyword.value.values):
+                    if (
+                        isinstance(key, ast.Constant)
+                        and isinstance(value, ast.Tuple)
+                        and value.elts
+                    ):
+                        vias[key.value] = value.elts[0]
+        return vias
+    return None
+
+
+def wire_vocabulary(sources: List[SourceFile]) -> List[str]:
+    """The wire vocabulary: every class the W3xx roots reach, by name."""
+    return sorted(_Proof(sources).run().checked)
 
 
 class WireSafetyAnalyzer(Analyzer):
-    """Prove the worker-boundary dataclasses are JSON-representable."""
+    """Prove the codec's declared vocabulary is JSON-representable."""
 
     name = "wire-safety"
     rules = {
@@ -121,111 +122,73 @@ class WireSafetyAnalyzer(Analyzer):
         "W302": "wire type annotation references an unresolvable name",
     }
 
-    def __init__(
-        self,
-        wire_module: str = WIRE_MODULE,
-        known_codecs=KNOWN_CODECS,
-    ):
-        self._wire_module = wire_module
-        self._known_codecs = frozenset(known_codecs)
-
     def analyze(self, sources: List[SourceFile]) -> List[LintFinding]:
-        """Resolve the wire vocabulary and type-check it recursively."""
-        index, aliases, functions = self._build_index(sources)
-        roots = self._wire_roots(sources, index)
-        findings: List[LintFinding] = []
-        checked: Set[str] = set()
-        for name in roots:
-            if name in self._known_codecs or name in functions:
-                continue
-            info = index.get(name)
-            if info is not None:
-                self._check_class(name, index, aliases, checked, findings)
-            elif name in aliases:
-                src, expr = aliases[name]
-                self._check_annotation(
-                    expr, src, expr.lineno, f"alias {name}", index, aliases, checked, findings
-                )
-            # names resolving to nothing in-tree (re-exports, typing stubs)
-            # are outside this analyzer's remit and skipped silently
-        return findings
+        """Derive the wire vocabulary and type-check it recursively."""
+        return _Proof(sources).run().findings
 
-    # -- indexing --------------------------------------------------------------
 
-    def _build_index(self, sources: List[SourceFile]):
-        index: Dict[str, _ClassInfo] = {}
-        aliases: Dict[str, Tuple[SourceFile, ast.expr]] = {}
-        functions: Set[str] = set()
+class _Proof:
+    """One recursive type check of the wire vocabulary over a tree."""
+
+    def __init__(self, sources: List[SourceFile]):
+        self.index: Dict[str, _ClassInfo] = {}
+        self.aliases: Dict[str, Tuple[SourceFile, ast.expr]] = {}
         for source in sources:
             for node in source.tree.body:
                 if isinstance(node, ast.ClassDef):
-                    index[node.name] = _ClassInfo(source, node, class_kind(node))
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    functions.add(node.name)
+                    self.index[node.name] = _ClassInfo(
+                        source, node, class_kind(node), _declared_vias(node)
+                    )
                 elif (
                     isinstance(node, ast.Assign)
                     and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)
                     and isinstance(node.value, (ast.Subscript, ast.Name, ast.Attribute))
                 ):
-                    aliases[node.targets[0].id] = (source, node.value)
-        return index, aliases, functions
+                    self.aliases[node.targets[0].id] = (source, node.value)
+        #: names of the classes proven so far: the vocabulary
+        self.checked: Set[str] = set()
+        self.findings: List[LintFinding] = []
 
-    def _wire_roots(
-        self, sources: List[SourceFile], index: Dict[str, _ClassInfo]
-    ) -> List[str]:
-        return wire_vocabulary(sources, self._wire_module)
+    def run(self) -> "_Proof":
+        """Check every root: the ``@layout`` classes, else every dataclass."""
+        roots = [name for name, info in self.index.items() if info.via is not None] or [
+            name for name, info in self.index.items() if info.kind == "dataclass"
+        ]
+        for name in sorted(roots):
+            self.check_class(name)
+        return self
 
-    # -- recursive type checking -----------------------------------------------
-
-    def _check_class(
-        self,
-        name: str,
-        index: Dict[str, _ClassInfo],
-        aliases,
-        checked: Set[str],
-        findings: List[LintFinding],
-    ) -> None:
-        if name in checked:
+    def check_class(self, name: str) -> None:
+        if name in self.checked:
             return
-        checked.add(name)
-        info = index[name]
+        self.checked.add(name)
+        info = self.index[name]
         if info.kind != "dataclass":
             return  # enums are codec-clean; plain classes handled at the ref site
+        vias = info.via or {}
         for stmt in info.node.body:
             if not isinstance(stmt, ast.AnnAssign) or not isinstance(
                 stmt.target, ast.Name
             ):
                 continue
+            field = stmt.target.id
             base = stmt.annotation
             if isinstance(base, ast.Subscript):
                 head = dotted_name(base.value)
                 if head is not None and head.split(".")[-1] == "ClassVar":
                     continue
-            self._check_annotation(
-                stmt.annotation,
-                info.source,
-                stmt.lineno,
-                f"field {stmt.target.id!r} of {name}",
-                index,
-                aliases,
-                checked,
-                findings,
-            )
+            if field in vias:
+                annotation, context = vias[field], f"via adapter of field {field!r} of {name}"
+            else:
+                annotation, context = stmt.annotation, f"field {field!r} of {name}"
+            self.check_annotation(annotation, info.source, stmt.lineno, context)
 
-    def _check_annotation(
-        self,
-        expr: ast.expr,
-        source: SourceFile,
-        line: int,
-        context: str,
-        index: Dict[str, _ClassInfo],
-        aliases,
-        checked: Set[str],
-        findings: List[LintFinding],
+    def check_annotation(
+        self, expr: ast.expr, source: SourceFile, line: int, context: str
     ) -> None:
         def fail(rule: str, why: str, hint: str) -> None:
-            findings.append(
+            self.findings.append(
                 LintFinding(
                     rule=rule,
                     severity=Severity.ERROR,
@@ -247,9 +210,7 @@ class WireSafetyAnalyzer(Analyzer):
                     fail("W302", f"unparsable forward reference {expr.value!r}",
                          "fix the annotation string")
                     return
-                self._check_annotation(
-                    parsed, source, line, context, index, aliases, checked, findings
-                )
+                self.check_annotation(parsed, source, line, context)
                 return
             fail("W301", f"literal {expr.value!r} is not a type", "use a real type")
             return
@@ -265,27 +226,22 @@ class WireSafetyAnalyzer(Analyzer):
                     "use a concrete JSON-representable type",
                 )
                 return
-            info = index.get(name)
+            info = self.index.get(name)
             if info is not None:
-                if info.kind == "enum":
-                    return
-                if info.kind == "dataclass":
-                    self._check_class(name, index, aliases, checked, findings)
-                    return
-                if name in self._known_codecs:
+                if info.kind != "class":
+                    self.check_class(name)
                     return
                 fail(
                     "W301",
                     f"class {name} has no wire codec",
-                    "make it a dataclass of JSON-clean fields or add a codec "
-                    "to core/resultio.py and KNOWN_CODECS",
+                    "make it a dataclass of JSON-clean fields or declare a "
+                    "via= adapter for the field in its class's @layout",
                 )
                 return
-            if name in aliases:
-                src, target = aliases[name]
-                self._check_annotation(
-                    target, src, target.lineno, f"alias {name} (via {context})",
-                    index, aliases, checked, findings,
+            if name in self.aliases:
+                src, target = self.aliases[name]
+                self.check_annotation(
+                    target, src, target.lineno, f"alias {name} (via {context})"
                 )
                 return
             fail(
@@ -307,18 +263,12 @@ class WireSafetyAnalyzer(Analyzer):
             inner = expr.slice
             elements = inner.elts if isinstance(inner, ast.Tuple) else [inner]
             for element in elements:
-                self._check_annotation(
-                    element, source, line, context, index, aliases, checked, findings
-                )
+                self.check_annotation(element, source, line, context)
             return
 
         if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.BitOr):
-            self._check_annotation(
-                expr.left, source, line, context, index, aliases, checked, findings
-            )
-            self._check_annotation(
-                expr.right, source, line, context, index, aliases, checked, findings
-            )
+            self.check_annotation(expr.left, source, line, context)
+            self.check_annotation(expr.right, source, line, context)
             return
 
         fail("W301", "unsupported annotation form", "use the documented type grammar")

@@ -380,7 +380,7 @@ def harness_snapshot(
 ) -> MetricsSnapshot:
     """Executor-side metrics: unit counts, per-unit retries, failures.
 
-    Built by :func:`repro.core.resultio.merge_trials` from the
+    Built by :func:`repro.core.trials.merge_trials` from the
     :class:`~repro.core.parallel.UnitOutcome` records every worker count
     shares, so a parallel run merges to the same bytes as a serial one.
     """

@@ -273,12 +273,8 @@ def prepare_event_queue(fast: bool) -> Callable[[], WorkloadRun]:
 def prepare_resultio_wire(fast: bool) -> Callable[[], WorkloadRun]:
     """Wire round-trips of a real (short) campaign result."""
     from ..core.campaign import Mode, run_campaign
-    from ..core.resultio import (
-        campaign_from_wire,
-        campaign_to_wire,
-        dumps_wire,
-        loads_wire,
-    )
+    from ..core.resultio import campaign_from_wire, campaign_to_wire
+    from ..wire import dumps_wire, loads_wire
 
     result = run_campaign("D1", Mode.FULL, duration=120.0, seed=11)
     rounds = 8 if fast else 25

@@ -17,13 +17,10 @@ import http.client
 import json
 from typing import Optional, Tuple
 
-from ..core.resultio import (
-    dumps_wire,
-    jobspec_to_wire,
-    jobstatus_from_wire,
-)
+from ..core.resultio import jobspec_to_wire, jobstatus_from_wire
 from ..errors import CampaignError
 from ..radio.clock import wall_monotonic, wall_sleep
+from ..wire import dumps_wire
 from .protocol import JOB_DONE, JOB_FAILED, JobSpec, JobStatus
 
 

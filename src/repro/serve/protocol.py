@@ -11,9 +11,9 @@ in-process (see :mod:`repro.serve.results`).
 
 This module is deliberately free of any :mod:`repro.core.resultio`
 import: ``resultio`` exposes the :class:`JobSpec`/:class:`JobStatus`
-codecs (wire v6) and imports these classes at module level so the W3xx
-wire-safety lint proves their fields JSON-clean; their layouts are
-declared here, with :func:`repro.wire.layout`.
+codecs (wire v6) and imports these classes at module level.  Their
+layouts are declared here, with :func:`repro.wire.layout`, which also
+puts them in the vocabulary the W3xx wire-safety lint proves JSON-clean.
 
 Job identity is content-addressed: :func:`job_id_for` hashes the
 canonical spec serialisation, so submitting the same spec twice is

@@ -28,9 +28,9 @@ from typing import Any, List, Sequence
 from ..core.campaign import HOUR, Mode
 # rehydrate_unit_result is re-exported: service and checkpoint callers import it here.
 from ..core.parallel import CampaignUnit, execute_units, rehydrate_unit_result  # noqa: F401
-from ..core.resultio import jobspec_to_wire, merge_trials, session_to_wire
+from ..core.resultio import jobspec_to_wire, session_to_wire
 from ..core.session import merge_session_outcomes, session_plan_with_trials, session_units
-from ..core.trials import trial_units
+from ..core.trials import merge_trials, trial_units
 from ..obs.export import canonical_dumps, snapshot_to_document
 from .protocol import JobSpec, job_id_for
 

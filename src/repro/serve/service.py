@@ -46,16 +46,11 @@ import threading
 from typing import Optional, Tuple
 
 from ..core.parallel import UnitOutcome, WorkerPool, unit_attempts
-from ..core.resultio import (
-    WireError,
-    WireVersionError,
-    dumps_wire,
-    jobspec_from_wire,
-    jobstatus_to_wire,
-)
+from ..core.resultio import jobspec_from_wire, jobstatus_to_wire
 from ..obs.export import snapshot_to_document
 from ..obs.metrics import MetricsCollector
 from ..radio.clock import wall_monotonic
+from ..wire import WireError, WireVersionError, dumps_wire
 from .checkpoint import (
     CheckpointWriter,
     done_record,

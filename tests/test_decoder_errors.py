@@ -7,10 +7,11 @@ module's :class:`ReproError` subclass, never as a stray ``AttributeError``,
 
 import pytest
 
-from repro.core.resultio import WireError, jobspec_from_wire
+from repro.core.resultio import jobspec_from_wire
 from repro.core.session import loads_session_plan
 from repro.errors import CampaignError, ReproError
 from repro.faults.plan import FaultPlanError, loads_plan
+from repro.wire import WireError
 
 
 def test_jobspec_from_wire_rejects_array():

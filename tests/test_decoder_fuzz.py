@@ -22,18 +22,17 @@ import pytest
 
 from repro.core.buglog import BugLog
 from repro.core.resultio import (
-    WireError,
     campaign_from_wire,
     jobspec_from_wire,
     jobstatus_from_wire,
     jobstatus_to_wire,
-    loads_wire,
     session_from_wire,
     session_to_wire,
     vfuzz_from_wire,
     vfuzz_to_wire,
 )
 from repro.errors import ReproError
+from repro.wire import WireError, loads_wire
 
 DATA = Path(__file__).resolve().parent / "data"
 BENCH_BASELINE = DATA.parent.parent / "benchmarks" / "baselines" / "BENCH_core.json"
@@ -351,7 +350,7 @@ class TestDecoderFuzz:
         """Every mutated ``POST /jobs`` body the spec decoder rejects gets a
         400 ``layout`` (or ``wire-version``) answer, and every one that
         decodes but fails validation a 400 ``spec``, never a 500."""
-        from repro.core.resultio import WireVersionError
+        from repro.wire import WireVersionError
         from repro.serve.protocol import SpecError, validate_spec
         from repro.serve.service import ZCoverService
 
@@ -385,7 +384,7 @@ class TestDecoderFuzz:
     ids=["campaign", "vfuzz", "session", "jobspec", "jobstatus"],
 )
 def test_bare_version_envelope_is_a_wire_error(decoder):
-    from repro.core.resultio import WIRE_VERSION
+    from repro.wire import WIRE_VERSION
 
     with pytest.raises(WireError):
         decoder({"wire_version": WIRE_VERSION})

@@ -20,13 +20,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.campaign import Mode, run_campaign
-from repro.core.resultio import campaign_to_wire, dumps_wire, session_to_wire
+from repro.core.resultio import campaign_to_wire, session_to_wire
 from repro.core.session import run_sessions
 from repro.core.trials import run_trials
 from repro.faults.plan import canonical_mixed_plan
 from repro.faults.report import build_chaos_document, dumps_chaos_document
 from repro.radio.clock import SimClock
 from repro.radio.medium import RadioMedium
+from repro.wire import dumps_wire
 from repro.zwave.constants import Region
 
 DURATION = 600.0  # 10 simulated minutes: all the early bugs, fast cells

@@ -36,12 +36,14 @@ from repro.core.parallel import (
     parallel_supported,
     unit_attempts,
 )
-from repro.core.resultio import campaign_to_wire, dumps_wire, merge_trials
+from repro.core.resultio import campaign_to_wire
+from repro.core.trials import merge_trials
 from repro.obs.export import canonical_dumps
 from repro.serve.client import ServeClient
 from repro.serve.protocol import JOB_DONE, JobSpec
 from repro.serve.results import direct_document, dumps_result_document
 from repro.serve.service import ServiceThread
+from repro.wire import dumps_wire
 
 pytestmark = pytest.mark.skipif(not parallel_supported(), reason="no process pool here")
 

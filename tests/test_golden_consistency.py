@@ -28,18 +28,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.resultio import (
-    WIRE_VERSION,
-    campaign_from_wire,
-    dumps_wire,
-    loads_wire,
-    require_wire_version,
-    session_to_wire,
-)
+from repro.core.resultio import campaign_from_wire, session_to_wire
 from repro.core.session import SessionPlan, run_sessions
 from repro.obs.export import snapshot_to_document
 from repro.obs.metrics import merge_snapshots
 from repro.serve.checkpoint import record_crc
+from repro.wire import WIRE_VERSION, dumps_wire, loads_wire, require_wire_version
 
 DATA = Path(__file__).resolve().parent / "data"
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines" / "BENCH_core.json"

@@ -5,11 +5,15 @@ Every rule is exercised on a minimal synthetic tree built from in-memory
 the summarize/link/fixpoint pipeline.
 """
 
-from repro.lint.base import SourceFile
+from pathlib import Path
+
+from repro.lint.base import SourceFile, collect_sources
 from repro.lint.flow import FlowAnalyzer
 from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.purity import diff_manifests
 from repro.lint.flow.symbols import summarize_text
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def tree(files):
@@ -290,31 +294,68 @@ class TestWireTypes:
         )
         assert [f for f in findings if f.rule == "W401"] == []
 
-    def test_function_level_import_is_outside_the_vocabulary(self):
-        # W3xx takes the vocabulary from resultio's module-level imports
-        # only; W401 must agree, so a type imported inside a function and
-        # handed to a codec is flagged.
-        dataclass_module = "from dataclasses import dataclass\n@dataclass\nclass {0}:\n    x: int\n"
+    def test_undeclared_dataclass_is_outside_the_vocabulary(self):
+        # Once the tree declares layouts, W3xx takes the vocabulary from
+        # them; W401 agrees, so an undeclared dataclass handed to either
+        # codec form (wire.encode or a *_to_wire function) is flagged.
         findings, _ = analyze(
             {
-                "core/packet.py": dataclass_module.format("Packet"),
-                "core/summary.py": dataclass_module.format("Summary"),
-                "core/resultio.py": (
+                "wire.py": "def layout(**facts):\n    return facts\ndef encode(obj):\n    return obj\n",
+                "core/packet.py": (
+                    "from dataclasses import dataclass\n"
+                    "from ..wire import layout\n"
+                    "@layout()\n"
+                    "@dataclass\n"
+                    "class Packet:\n"
+                    "    x: int\n"
+                ),
+                "core/summary.py": (
+                    "from dataclasses import dataclass\n"
+                    "@dataclass\n"
+                    "class Summary:\n"
+                    "    x: int\n"
+                ),
+                "core/codecs.py": (
+                    "from ..wire import encode\n"
                     "from .packet import Packet\n"
-                    "def packet_to_wire(p):\n"
-                    "    return p\n"
+                    "from .summary import Summary\n"
                     "def summary_to_wire(s):\n"
                     "    return s\n"
-                    "def merge():\n"
-                    "    from .summary import Summary\n"
-                    "    packet_to_wire(Packet(1))\n"
+                    "def entry():\n"
+                    "    encode(Packet(1))\n"
+                    "    encode(Summary(1))\n"
                     "    return summary_to_wire(Summary(1))\n"
                 ),
             }
         )
+        w401 = sorted((f for f in findings if f.rule == "W401"), key=lambda f: f.line)
+        assert [(f.path, f.line) for f in w401] == [("core/codecs.py", 8), ("core/codecs.py", 9)]
+        assert "Summary flows into wire codec encode" in w401[0].message
+        assert "Summary flows into wire codec summary_to_wire" in w401[1].message
+
+
+class TestRealTreeCodec:
+    ROGUE = (
+        "from dataclasses import dataclass\n"
+        "\n"
+        "from .wire import encode\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class Rogue:\n"
+        "    x: int\n"
+        "\n"
+        "\n"
+        "def leak():\n"
+        "    return encode(Rogue(1))\n"
+    )
+
+    def test_encode_of_an_undeclared_dataclass_is_flagged(self):
+        sources = collect_sources(SRC_ROOT) + [SourceFile.from_text("rogue.py", self.ROGUE)]
+        findings = FlowAnalyzer().analyze(sources)
         w401 = [f for f in findings if f.rule == "W401"]
-        assert [(f.path, f.line) for f in w401] == [("core/resultio.py", 9)]
-        assert "Summary flows into wire codec summary_to_wire" in w401[0].message
+        assert [(f.path, f.line) for f in w401] == [("rogue.py", 12)]
+        assert "Rogue flows into wire codec encode" in w401[0].message
 
 
 class TestEntryPoints:

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 from repro.lint.base import SourceFile, collect_sources
-from repro.lint.wiresafety import WireSafetyAnalyzer
+from repro.lint.wiresafety import WireSafetyAnalyzer, wire_vocabulary
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -18,9 +18,8 @@ def make_source(text, rel="mod.py"):
     )
 
 
-def lint(*sources, **kwargs):
-    analyzer = WireSafetyAnalyzer(**kwargs)
-    return analyzer.analyze([make_source(text, rel) for rel, text in sources])
+def lint(*sources):
+    return WireSafetyAnalyzer().analyze([make_source(text, rel) for rel, text in sources])
 
 
 def rules(findings):
@@ -28,7 +27,7 @@ def rules(findings):
 
 
 class TestSyntheticDataclasses:
-    """Without core/resultio.py every module-level dataclass is a root."""
+    """Without any @layout in the tree every module-level dataclass is a root."""
 
     def test_clean_dataclass_passes(self):
         text = HEADER + (
@@ -97,17 +96,6 @@ class TestSyntheticDataclasses:
         assert rules(findings) == ["W301"]
         assert "no wire codec" in findings[0].message
 
-    def test_known_codec_class_passes(self):
-        text = HEADER + (
-            "class Opaque:\n"
-            "    pass\n"
-            "@dataclass\n"
-            "class P:\n"
-            "    o: Opaque\n"
-        )
-        findings = lint(("mod.py", text), known_codecs=frozenset({"Opaque"}))
-        assert findings == []
-
     def test_alias_resolution(self):
         text = HEADER + (
             "Signature = Tuple[int, str, Optional[int]]\n"
@@ -144,17 +132,12 @@ class TestSyntheticDataclasses:
         assert lint(("mod.py", text)) == []
 
 
-class TestRootDiscovery:
-    """With core/resultio.py present, its module-level imports are roots."""
+class TestDeclaredRoots:
+    """With @layout declarations in the tree, they are the roots."""
 
-    RESULTIO = (
-        "import json\n"
-        "from .models import Wire\n"
-        "def save(x):\n"
-        "    from .models import Local\n"
-        "    return Local\n"
-    )
     MODELS = HEADER + (
+        "from repro.wire import layout\n"
+        "@layout()\n"
         "@dataclass\n"
         "class Wire:\n"
         "    a: int\n"
@@ -163,27 +146,88 @@ class TestRootDiscovery:
         "    bad: Any\n"
     )
 
-    def test_only_module_level_imports_are_roots(self):
-        findings = lint(
-            ("core/resultio.py", self.RESULTIO), ("models.py", self.MODELS)
-        )
-        # Local (with its Any field) is imported inside a function, so it
-        # is not part of the wire vocabulary and must not be flagged.
-        assert findings == []
+    def test_only_declared_classes_are_roots(self):
+        # Local (with its Any field) is declared nowhere and no root
+        # reaches it, so it is outside the wire vocabulary.
+        assert lint(("models.py", self.MODELS)) == []
 
-    def test_module_level_import_is_checked(self):
-        resultio = "from .models import Wire, Local\n"
-        findings = lint(
-            ("core/resultio.py", resultio), ("models.py", self.MODELS)
-        )
+    def test_declared_class_is_checked(self):
+        text = self.MODELS.replace("@dataclass\nclass Local", "@layout(row=True)\n@dataclass\nclass Local")
+        findings = lint(("models.py", text))
         assert rules(findings) == ["W301"]
+        assert "of Local" in findings[0].message
 
-    def test_stdlib_imports_ignored(self):
-        resultio = "import json\nfrom typing import Any\nfrom .models import Wire\n"
-        findings = lint(
-            ("core/resultio.py", resultio), ("models.py", self.MODELS)
-        )
-        assert findings == []
+    def test_classes_a_root_reaches_are_checked(self):
+        text = self.MODELS.replace("    a: int\n", "    a: int\n    local: Optional['Local']\n")
+        findings = lint(("models.py", text))
+        assert rules(findings) == ["W301"]
+        assert "'bad' of Local" in findings[0].message
+
+    def test_other_decorator_calls_are_not_declarations(self):
+        text = self.MODELS.replace("@dataclass\nclass Local", "@register(layout=True)\n@dataclass\nclass Local")
+        assert lint(("models.py", text)) == []
+
+    def test_qualified_layout_is_a_declaration(self):
+        text = self.MODELS.replace("@dataclass\nclass Local", "@wire.layout()\n@dataclass\nclass Local")
+        assert rules(lint(("models.py", text))) == ["W301"]
+
+
+class TestViaAdapters:
+    """A field with a via= adapter crosses the wire as its wire type."""
+
+    OPAQUE = HEADER + (
+        "from repro.wire import layout\n"
+        "class Opaque:\n"
+        "    pass\n"
+        "{decorator}\n"
+        "@dataclass\n"
+        "class P:\n"
+        "    o: Opaque\n"
+    )
+
+    def test_adapter_replaces_the_annotation(self):
+        text = self.OPAQUE.format(decorator="@layout(via={'o': (List[int], list, Opaque)})")
+        assert lint(("mod.py", text)) == []
+
+    def test_field_without_adapter_is_checked(self):
+        text = self.OPAQUE.format(decorator="@layout(via={'other': (List[int], list, list)})")
+        findings = lint(("mod.py", text))
+        assert rules(findings) == ["W301"]
+        assert "class Opaque has no wire codec" in findings[0].message
+
+    def test_adapter_wire_type_is_checked(self):
+        text = self.OPAQUE.format(decorator="@layout(via={'o': (Dict[str, Any], dict, Opaque)})")
+        findings = lint(("mod.py", text))
+        assert rules(findings) == ["W301"]
+        assert findings[0].line == text.splitlines().index("    o: Opaque") + 1
+        assert "via adapter of field 'o' of P: Any" in findings[0].message
+
+    def test_adapter_wire_type_reaches_dataclasses(self):
+        text = self.OPAQUE.format(
+            decorator="@layout(via={'o': (List[Row], list, Opaque)})"
+        ) + "@dataclass\nclass Row:\n    blob: object\n"
+        findings = lint(("mod.py", text))
+        assert rules(findings) == ["W301"]
+        assert "'blob' of Row" in findings[0].message
+
+
+#: Classes the vocabulary held before it was derived from @layout (the
+#: module-level imports of core/resultio.py and what they reached), less
+#: WireError/WireVersionError (exceptions) and VerifiedUnique/
+#: VerifiedFinding (they cross the wire only as UniqueRow rows).
+EARLIER_VOCABULARY = {
+    "BugRecord", "CampaignResult", "ControllerProperties", "DegradationRecord",
+    "DetectionMark", "FaultPlan", "FaultSpec", "FuzzResult", "JobSpec",
+    "JobStatus", "MetricsSnapshot", "Mode", "ObservedKind", "SessionBugRecord",
+    "SessionPlan", "SessionResult", "SpanStats", "TimelinePoint", "TraceRecord",
+    "UniqueRow", "VFuzzResult",
+}
+
+#: Layouts, and classes they reach, that only the declarations name.
+DECLARED_ONLY = {
+    "JobLine", "UnitLine", "DoneLine", "MetricsDocument", "BenchDocument",
+    "BenchEntry", "PurityManifest", "EntryVerdict", "SpanEntry", "SessionOp",
+}
 
 
 class TestRealTree:
@@ -191,12 +235,21 @@ class TestRealTree:
         sources = collect_sources(SRC_ROOT)
         assert WireSafetyAnalyzer().analyze(sources) == []
 
-    def test_real_roots_are_nontrivial(self):
-        # Guard against silent no-op: the resultio vocabulary must be found.
-        analyzer = WireSafetyAnalyzer()
+    def test_vocabulary_is_derived_from_the_declarations(self):
+        vocabulary = set(wire_vocabulary(collect_sources(SRC_ROOT)))
+        assert EARLIER_VOCABULARY | DECLARED_ONLY == vocabulary
+        # BugLog crosses only through FuzzResult's bug_log adapter.
+        assert "BugLog" not in vocabulary
+
+    def test_wal_line_field_is_checked(self):
+        rel = "serve/checkpoint.py"
         sources = collect_sources(SRC_ROOT)
-        index, _aliases, _functions = analyzer._build_index(sources)
-        roots = analyzer._wire_roots(sources, index)
-        assert {"FuzzResult", "CampaignResult", "VFuzzResult", "BugLog"}.issubset(
-            set(roots)
-        )
+        (source,) = [s for s in sources if s.rel == rel]
+        anchor = "class DoneLine:\n    job_id: str\n    state: str\n    error: str\n"
+        assert anchor in source.text
+        text = source.text.replace(anchor, anchor + "    extra: Any\n")
+        line = text.splitlines().index("    extra: Any") + 1
+        sources = [SourceFile.from_text(rel, text) if s.rel == rel else s for s in sources]
+        findings = WireSafetyAnalyzer().analyze(sources)
+        assert [(f.rule, f.path, f.line) for f in findings] == [("W301", rel, line)]
+        assert "field 'extra' of DoneLine" in findings[0].message

@@ -9,9 +9,9 @@ import json
 import pytest
 
 from repro.core.buglog import BugLog, BugRecord
-from repro.core.resultio import WIRE_VERSION
 from repro.errors import ReproError
 from repro.serve.protocol import JobSpec, job_id_for
+from repro.wire import WIRE_VERSION
 
 
 class TestLineLoaders:

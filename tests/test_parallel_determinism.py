@@ -12,9 +12,10 @@ import pytest
 
 from repro.analysis.summary import campaign_report
 from repro.core.campaign import Mode, run_ablation, run_campaign
-from repro.core.resultio import campaign_to_wire, dumps_wire
+from repro.core.resultio import campaign_to_wire
 from repro.core.trials import run_trials
 from repro.obs.export import dumps_document
+from repro.wire import dumps_wire
 
 N_TRIALS = 3
 DURATION = 900.0  # 15 simulated minutes: all the early bugs, fast test

@@ -19,7 +19,7 @@ from repro.core.parallel import (
     parallel_supported,
     resolve_workers,
 )
-from repro.core.resultio import merge_trials
+from repro.core.trials import merge_trials
 from repro.core.trials import trial_units
 
 DURATION = 600.0  # 10 simulated minutes keeps each shard ~0.5 s wall

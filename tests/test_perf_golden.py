@@ -24,9 +24,10 @@ import pytest
 
 from repro.core.campaign import Mode, run_campaign
 from repro.core.parallel import CampaignUnit, execute_units
-from repro.core.resultio import campaign_to_wire, dumps_wire
+from repro.core.resultio import campaign_to_wire
 from repro.obs.export import canonical_dumps, snapshot_to_document
 from repro.obs.metrics import merge_snapshots
+from repro.wire import dumps_wire
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "perf_golden.json"
 

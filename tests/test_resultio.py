@@ -15,16 +15,13 @@ import pytest
 from repro.core.baseline import VFuzzBaseline
 from repro.core.campaign import Mode, run_campaign
 from repro.core.resultio import (
-    WIRE_VERSION,
-    WireError,
     campaign_from_wire,
     campaign_to_wire,
-    dumps_wire,
-    loads_wire,
     vfuzz_from_wire,
     vfuzz_to_wire,
 )
 from repro.simulator.testbed import build_sut
+from repro.wire import WIRE_VERSION, WireError, dumps_wire, loads_wire
 
 DURATION = 600.0
 

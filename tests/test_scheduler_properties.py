@@ -31,7 +31,7 @@ from repro.core.mutation import (
     prioritize_static,
     static_priority_key,
 )
-from repro.core.resultio import campaign_to_wire, campaign_from_wire, dumps_wire
+from repro.core.resultio import campaign_from_wire, campaign_to_wire
 from repro.core.scheduler import (
     PROBE_FACTOR,
     REASON_PROBE,
@@ -41,6 +41,7 @@ from repro.core.scheduler import (
 )
 from repro.core.trials import run_trials
 from repro.obs.metrics import MetricsCollector
+from repro.wire import dumps_wire
 from repro.zwave.registry import load_full_registry
 
 PURITY_SEEDS = 250

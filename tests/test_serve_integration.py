@@ -23,15 +23,16 @@ stack exercised through the service's front door.
 import functools
 import json
 import os
+import threading
 
 import pytest
 
-from repro.core.resultio import WIRE_VERSION
 from repro.radio.clock import wall_monotonic, wall_sleep
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import JOB_DONE, JobSpec
 from repro.serve.results import direct_document, dumps_result_document
 from repro.serve.service import ServiceThread
+from repro.wire import WIRE_VERSION
 
 SPEC_TRIALS = JobSpec(
     kind="trials", device="D1", mode="full", seed=0, trials=2, hours=0.05
@@ -124,7 +125,8 @@ class TestProtocolSurface:
     def test_future_wire_version_rejected(self, service):
         import http.client
 
-        from repro.core.resultio import dumps_wire, jobspec_to_wire
+        from repro.core.resultio import jobspec_to_wire
+        from repro.wire import dumps_wire
 
         wire = jobspec_to_wire(SPEC_TRIALS)
         wire["wire_version"] = WIRE_VERSION + 1
@@ -292,23 +294,33 @@ class TestKillAndResume:
 
     def test_abrupt_kill_then_checkpoint_resume(self, tmp_path):
         checkpoint = os.fspath(tmp_path / "serve.ckpt")
-        # One worker in the first life, so units land one at a time and the
-        # poll below has two whole units to see a partial job in; the
+        # One worker in the first life, so units settle one at a time; the
         # resumed lives run two workers.
         first = ServiceThread(
             workers=1, port=0, checkpoint_path=checkpoint
         ).start()
+        # The kill lands between unit 1 and unit 2 by construction, not
+        # by timing: once the first unit is checkpointed, the runner is
+        # aborted on the service's own loop, before it can settle another.
+        settle = first.service._unit_settled
+        killed = threading.Event()
+        progress = []
+
+        def settle_then_kill(record, index, outcome, wire):
+            settle(record, index, outcome, wire)
+            if not killed.is_set():
+                progress.append((record.state, record.units_done, record.units_total))
+                first.service.abort()  # what stop(drain=False) schedules
+                killed.set()
+
+        first.service._unit_settled = settle_then_kill
         client = ServeClient(port=first.port)
         status = client.submit(SPEC_RESUME)
-        deadline = wall_monotonic() + WAIT_S
-        while True:
-            current = client.status(status.job_id)
-            if 0 < current.units_done < current.units_total:
-                break
-            assert current.state != JOB_DONE, "job finished before the kill"
-            assert wall_monotonic() < deadline
-            wall_sleep(0.02)
-        first.stop(drain=False)  # simulated kill: no drain, no farewell
+        assert killed.wait(WAIT_S)
+        first.stop(drain=False)  # already killed: this joins the service thread
+        ((state, units_done, units_total),) = progress
+        assert state != JOB_DONE, "job finished before the kill"
+        assert 0 < units_done < units_total
 
         # The write-ahead log holds the completed prefix (and only it).
         lines = [

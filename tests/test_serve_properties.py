@@ -36,11 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.resultio import (
-    WIRE_VERSION,
-    WireVersionError,
     campaign_from_wire,
-    dumps_wire,
-    encode,
     jobspec_from_wire,
     jobspec_to_wire,
     jobstatus_from_wire,
@@ -76,6 +72,7 @@ from repro.serve.protocol import (
     validate_spec,
 )
 from repro.simulator.testbed import CONTROLLER_IDS
+from repro.wire import WIRE_VERSION, WireVersionError, dumps_wire, encode
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "serve_golden.json"
 SCHEMA = "zcover.serve-golden/v1"

@@ -22,9 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.resultio import dumps_wire, session_to_wire
+from repro.core.resultio import session_to_wire
 from repro.core.session import FLOWS, planted_vuln_ids, run_sessions
 from repro.obs.metrics import is_state_coverage_key
+from repro.wire import dumps_wire
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "session_golden.json"
 

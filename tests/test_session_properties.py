@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.core.resultio import dumps_wire, session_from_wire, session_to_wire
+from repro.core.resultio import session_from_wire, session_to_wire
 from repro.core.session import (
     FLOWS,
     SessionPlan,
@@ -37,6 +37,7 @@ from repro.obs.metrics import (
     merge_snapshots,
     state_coverage_key,
 )
+from repro.wire import dumps_wire
 
 #: Small plan keeping the ~300 engine runs of this suite fast.
 FAST_PLAN = SessionPlan(name="fast", trials=8, batch_trials=3)
@@ -151,7 +152,7 @@ class TestWireRoundTrip:
         assert restored == result
 
     def test_stale_wire_version_rejected(self):
-        from repro.core.resultio import WIRE_VERSION, WireError
+        from repro.wire import WIRE_VERSION, WireError
 
         wire = session_to_wire(run_session_flow("D1", "s0", seed=0, plan=FAST_PLAN))
         wire["wire_version"] = WIRE_VERSION + 1

@@ -22,8 +22,9 @@ SCRIPT = """
 import sys
 from repro.core import mutation
 from repro.core.campaign import Mode, run_campaign
-from repro.core.resultio import campaign_to_wire, dumps_wire
+from repro.core.resultio import campaign_to_wire
 from repro.security import kdf
+from repro.wire import dumps_wire
 from repro.zwave.registry import load_full_registry
 
 
