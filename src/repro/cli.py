@@ -20,21 +20,14 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis.report import (
-    render_figure5,
-    render_figure12,
-    render_table2,
-    render_table3,
-    render_table5,
-    render_table6,
-)
+from .analysis.report import render_figure5, render_figure12, render_table2, render_table3
 from .analysis.triage import CrashTriage, render_triage_report
 from .core.buglog import BugLog
-from .core.campaign import HOUR, Mode, run_ablation, run_campaign
+from .core.campaign import HOUR, Mode, run_campaign
 from .core.discovery import discover_unknown_properties
 from .core.fingerprint import fingerprint
-from .core.trials import run_trials
-from .errors import ReproError
+from .core.scheduler import SCHEDULERS
+from .errors import CampaignError, ReproError
 from .obs.export import (
     MetricsDocument,
     load_document,
@@ -43,14 +36,17 @@ from .obs.export import (
     snapshot_to_document,
     write_document,
 )
-from .obs.metrics import merge_all
 from .obs.tracing import Tracer
 from .radio.trace import dissect_trace, load_trace, save_trace, TraceRecord
+from .serve.protocol import JOB_KINDS, JobSpec
 from .simulator.testbed import CONTROLLER_IDS, build_sut
 from .wire import decode, dumps_wire, encode
 from .zwave.registry import load_full_registry
 
-_MODES = {"full": Mode.FULL, "beta": Mode.BETA, "gamma": Mode.GAMMA}
+_MODES = {mode.name.lower(): mode for mode in Mode}
+
+#: The JobSpec fields a command's options of the same name set.
+_SPEC_OPTIONS = ("device", "mode", "seed", "trials", "hours", "scheduler")
 
 
 def _add_device(parser: argparse.ArgumentParser) -> None:
@@ -107,7 +103,7 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
 def _add_scheduler(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scheduler",
-        choices=("static", "coverage"),
+        choices=SCHEDULERS,
         default="static",
         help="PSM window scheduler: 'static' walks the priority queue with "
         "fixed C_T windows (the paper's design); 'coverage' assigns energy "
@@ -125,14 +121,44 @@ def _add_fault_plan(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_fault_plan(args: argparse.Namespace):
-    """Resolve ``--fault-plan`` (or ``--plan``) to a FaultPlan, or None."""
-    ref = getattr(args, "fault_plan", None) or getattr(args, "plan", None)
-    if not ref:
-        return None
-    from .faults.plan import resolve_plan
+def _names(text: Optional[str]) -> tuple:
+    """The names of a comma-separated option value, in order."""
+    return tuple(name.strip() for name in (text or "").split(",") if name.strip())
 
-    return resolve_plan(ref)
+
+def _job_spec(args: argparse.Namespace, fault_plan: Optional[str]) -> JobSpec:
+    """The :class:`JobSpec` a command's options name; JobSpec's defaults fill
+    the rest.  ``--devices`` is sorted and de-duplicated (one computation,
+    one job id) and its first device is the job's."""
+    fields = {name: getattr(args, name) for name in _SPEC_OPTIONS if hasattr(args, name)}
+    devices = tuple(sorted(set(_names(getattr(args, "devices", None)))))
+    if devices:
+        fields["device"] = devices[0]
+    flows = _names(getattr(args, "flows", None))
+    flows = () if flows == ("all",) else flows
+    return JobSpec(kind=args.kind, fault_plan=fault_plan, flows=flows, devices=devices, **fields)
+
+
+def _run_document(args: argparse.Namespace) -> dict:
+    """Run the command's job here at ``--workers`` processes and return the
+    document the service would serve.  A stock fault-plan name rides in
+    the spec; a plan file is read here and passed beside it."""
+    from .faults.plan import STOCK_PLANS, load_plan
+    from .serve.results import direct_document
+
+    ref, plan = getattr(args, "fault_plan", None), None
+    if ref and ref not in STOCK_PLANS:
+        ref, plan = None, load_plan(ref)
+    spec = _job_spec(args, ref or None)
+    return direct_document(spec, workers=_resolve_workers_arg(args), fault_plan=plan)
+
+
+def _print_document(args: argparse.Namespace, doc: dict) -> None:
+    """Print a document's table and write its metrics to ``--metrics-out``."""
+    print(doc["render"])
+    if args.metrics_out:
+        write_document(doc["metrics"], args.metrics_out)
+        print(f"metrics written to {args.metrics_out}")
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -196,85 +222,18 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     coverage-guided scheduler, so the table compares frames-to-first-
     zero-day between static and adaptive scheduling.
     """
-    from .core.campaign import arm_name
-
-    results = run_ablation(
-        device=args.device,
-        duration=args.hours * HOUR,
-        seed=args.seed,
-        workers=_resolve_workers_arg(args),
-        fault_plan=_resolve_fault_plan(args),
-        scheduler=args.scheduler,
-    )
-    print(render_table6(results))
-    if args.metrics_out:
-        merged = merge_all(
-            results[key].metrics
-            for key in sorted(results, key=arm_name)
-            if results[key].metrics is not None
-        )
-        write_document(
-            snapshot_to_document(
-                merged,
-                meta={
-                    "kind": "ablation",
-                    "device": args.device,
-                    "duration_s": args.hours * HOUR,
-                    "modes": len(results),
-                },
-            ),
-            args.metrics_out,
-        )
-        print(f"metrics written to {args.metrics_out}")
+    _print_document(args, _run_document(args))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run the Table V comparison (ZCover vs VFuzz)."""
-    from .core.parallel import CampaignUnit, execute_units
-    from .faults.plan import dumps_plan
-
-    devices = [d.strip() for d in args.devices.split(",") if d.strip()]
-    duration = args.hours * HOUR
-    # Fault plans apply to the ZCover campaigns only — the VFuzz baseline
-    # has no campaign/fault machinery to degrade gracefully through.
-    plan = _resolve_fault_plan(args)
-    plan_json = None if plan is None else dumps_plan(plan)
-    units = [
-        CampaignUnit(device=d, kind=kind, mode=Mode.FULL, duration=duration,
-                     seed=args.seed,
-                     fault_plan_json=plan_json if kind == "zcover" else None,
-                     scheduler=args.scheduler if kind == "zcover" else "static")
-        for d in devices
-        for kind in ("vfuzz", "zcover")
-    ]
-    vfuzz_results, zcover_results = {}, {}
-    for outcome in execute_units(units, workers=_resolve_workers_arg(args)):
-        if outcome.failure is not None:
-            print(outcome.failure.render(), file=sys.stderr)
-            return 1
-        target = vfuzz_results if outcome.unit.kind == "vfuzz" else zcover_results
-        target[outcome.unit.device] = outcome.result
-    print(render_table5(vfuzz_results, zcover_results))
-    if args.metrics_out:
-        snapshots = []
-        for device in sorted(set(vfuzz_results) | set(zcover_results)):
-            for mapping in (vfuzz_results, zcover_results):
-                result = mapping.get(device)
-                if result is not None and result.metrics is not None:
-                    snapshots.append(result.metrics)
-        write_document(
-            snapshot_to_document(
-                merge_all(snapshots),
-                meta={
-                    "kind": "compare",
-                    "devices": ",".join(sorted(set(vfuzz_results) | set(zcover_results))),
-                    "duration_s": duration,
-                },
-            ),
-            args.metrics_out,
-        )
-        print(f"metrics written to {args.metrics_out}")
+    try:
+        doc = _run_document(args)
+    except CampaignError as exc:  # a unit exhausted its attempts
+        print(exc, file=sys.stderr)
+        return 1
+    _print_document(args, doc)
     return 0
 
 
@@ -455,21 +414,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_trials(args: argparse.Namespace) -> int:
     """Run repeated trials and print aggregate statistics."""
-    summary = run_trials(
-        device=args.device,
-        mode=_MODES[args.mode],
-        n_trials=args.trials,
-        duration=args.hours * HOUR,
-        base_seed=args.seed,
-        workers=_resolve_workers_arg(args),
-        fault_plan=_resolve_fault_plan(args),
-        scheduler=args.scheduler,
-    )
-    print(summary.render())
-    if args.metrics_out:
-        write_document(summary.metrics_document(), args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-    return 1 if summary.failures else 0
+    doc = _run_document(args)
+    _print_document(args, doc)
+    return 1 if doc["failures"] else 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -479,26 +426,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     document) on every run, serial or ``--workers N`` — that is the
     property this command exists to demonstrate and CI pins.
     """
-    from .faults.plan import resolve_plan
-    from .faults.report import (
-        build_chaos_document,
-        dumps_chaos_document,
-        render_chaos_text,
-    )
+    from .faults.report import render_chaos_text
+    from .obs.export import canonical_dumps
 
-    plan = resolve_plan(args.plan)
-    summary = run_trials(
-        device=args.device,
-        mode=_MODES[args.mode],
-        n_trials=args.trials,
-        duration=args.hours * HOUR,
-        base_seed=args.seed,
-        workers=_resolve_workers_arg(args),
-        fault_plan=plan,
-    )
-    doc = build_chaos_document(summary, plan, args.seed)
+    doc = _run_document(args)["chaos"]
     if args.format == "json":
-        rendering = dumps_chaos_document(doc)
+        rendering = canonical_dumps(doc)
     else:
         rendering = render_chaos_text(doc) + "\n"
     if args.out:
@@ -510,7 +443,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.metrics_out:
         write_document(doc["metrics"], args.metrics_out)
         print(f"metrics written to {args.metrics_out}")
-    return 1 if summary.failures else 0
+    return 1 if doc["failures"] else 0
 
 
 def cmd_sessions(args: argparse.Namespace) -> int:
@@ -524,26 +457,12 @@ def cmd_sessions(args: argparse.Namespace) -> int:
     ``--workers N`` runs are byte-identical, which the CI flaky-detector
     diff pins via ``--json``.
     """
-    from .core.resultio import session_to_wire
-    from .core.session import (
-        FLOWS,
-        planted_vuln_ids,
-        run_sessions,
-        session_plan_with_trials,
-    )
+    from .core.resultio import session_from_wire
+    from .core.session import planted_vuln_ids
     from .simulator.vulnerabilities import session_vuln_by_id
 
-    if args.flows and args.flows != "all":
-        flows = tuple(flow.strip() for flow in args.flows.split(",") if flow.strip())
-    else:
-        flows = FLOWS
-    result = run_sessions(
-        device=args.device,
-        flows=flows,
-        seed=args.seed,
-        plan=session_plan_with_trials(args.trials),
-        workers=_resolve_workers_arg(args),
-    )
+    doc = _run_document(args)
+    result = session_from_wire(doc["session"])
     planted = planted_vuln_ids(result.flows)
     found = result.found_vuln_ids
     counters = result.metrics.counters if result.metrics else {}
@@ -572,12 +491,10 @@ def cmd_sessions(args: argparse.Namespace) -> int:
         print(f"  MISSING planted bugs: {', '.join(missing)}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(dumps_wire(session_to_wire(result)) + "\n")
+            handle.write(dumps_wire(doc["session"]) + "\n")
         print(f"wire result written to {args.json}")
     if args.metrics_out:
-        from .serve.results import session_metrics_document
-
-        write_document(session_metrics_document(result), args.metrics_out)
+        write_document(doc["metrics"], args.metrics_out)
         print(f"metrics written to {args.metrics_out}")
     return 1 if missing else 0
 
@@ -664,9 +581,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     baseline = None
     if args.baseline and not args.update_baseline:
         baseline = load_perf_document(args.baseline)
-    names = None
-    if args.workloads:
-        names = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    names = list(_names(args.workloads)) if args.workloads else None
     report = run_bench(names=names, fast=args.fast, repeats=args.repeats)
     doc = report_to_document(report)
     current = validate_document(doc)
@@ -721,22 +636,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
     in-process, serially, emitting the oracle document — the bytes a
     service result must equal.  The CI smoke job diffs the two.
     """
-    from .serve.protocol import JobSpec, validate_spec
+    from .serve.protocol import validate_spec
 
-    flows: tuple = ()
-    if args.flows:
-        flows = tuple(f.strip() for f in args.flows.split(",") if f.strip())
-    spec = JobSpec(
-        kind=args.kind,
-        device=args.device,
-        mode=args.mode,
-        seed=args.seed,
-        trials=args.trials,
-        hours=args.hours,
-        scheduler=args.scheduler,
-        fault_plan=args.fault_plan,
-        flows=flows,
-    )
+    spec = _job_spec(args, args.fault_plan)
     validate_spec(spec)
     if args.direct:
         from .serve.results import direct_document, dumps_result_document
@@ -808,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics_out(ablation)
     _add_fault_plan(ablation)
     _add_scheduler(ablation)
-    ablation.set_defaults(func=cmd_ablation)
+    ablation.set_defaults(func=cmd_ablation, kind="ablation")
 
     compare = sub.add_parser("compare", help="Table V: ZCover vs VFuzz")
     compare.add_argument("--devices", default="D1,D2,D3,D4,D5")
@@ -818,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics_out(compare)
     _add_fault_plan(compare)
     _add_scheduler(compare)
-    compare.set_defaults(func=cmd_compare)
+    compare.set_defaults(func=cmd_compare, kind="compare")
 
     table = sub.add_parser("table", help="print a static paper table")
     table.add_argument("--which", type=int, default=2, choices=(2, 3, 5))
@@ -869,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics_out(trials)
     _add_fault_plan(trials)
     _add_scheduler(trials)
-    trials.set_defaults(func=cmd_trials)
+    trials.set_defaults(func=cmd_trials, kind="trials")
 
     chaos = sub.add_parser(
         "chaos", help="resilience audit: campaigns under a fault plan"
@@ -877,6 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(chaos)
     chaos.add_argument(
         "--plan",
+        dest="fault_plan",
+        metavar="PLAN",
         default="canonical",
         help="stock plan name (canonical, lossy, flaky) or a plan JSON file",
     )
@@ -887,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--out", help="write the report here (default: stdout)")
     _add_workers(chaos)
     _add_metrics_out(chaos)
-    chaos.set_defaults(func=cmd_chaos)
+    chaos.set_defaults(func=cmd_chaos, kind="chaos")
 
     sessions = sub.add_parser(
         "sessions",
@@ -914,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serial vs --workers N; the CI determinism diff reads this)",
     )
     _add_metrics_out(sessions)
-    sessions.set_defaults(func=cmd_sessions)
+    sessions.set_defaults(func=cmd_sessions, kind="sessions")
 
     obs = sub.add_parser("obs", help="observability: metrics + tracing spans")
     _add_common(obs)
@@ -1012,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--port", type=int, default=8377, help="service port")
     submit.add_argument(
         "--kind",
-        choices=("trials", "sessions", "chaos"),
+        choices=JOB_KINDS,
         default="trials",
         help="job kind (default trials)",
     )
@@ -1035,6 +939,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--flows", help="comma-separated session flows (sessions jobs only)"
+    )
+    submit.add_argument(
+        "--devices", help="comma-separated devices (compare jobs only; sorted here)"
     )
     submit.add_argument(
         "--wait", action="store_true", help="poll until the job is terminal"

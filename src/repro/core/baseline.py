@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..errors import FuzzerError
+from ..errors import CampaignError, FuzzerError
 from ..obs.metrics import MetricsCollector, MetricsSnapshot, collecting
 from ..simulator.testbed import SystemUnderTest
 from ..wire import layout
@@ -245,3 +245,38 @@ class VFuzzBaseline:
             self._observer.restore_memory()
         if host_kind is not None:
             self._observer.restart_host()
+
+
+def compare_units(
+    devices: Tuple[str, ...],
+    duration: float,
+    seed: int = 0,
+    fault_plan: "Optional[FaultPlan]" = None,
+    scheduler: str = "static",
+) -> "List[CampaignUnit]":
+    """The Table V units: a VFuzz then a ZCover campaign per device.  The
+    fault plan and the scheduler apply to ZCover only — the baseline has
+    no fault machinery to degrade through and no CMDCL queue to schedule."""
+    from ..faults.plan import dumps_plan
+    from .campaign import Mode
+    from .parallel import CampaignUnit
+
+    plan_json = None if fault_plan is None else dumps_plan(fault_plan)
+    return [
+        CampaignUnit(device=device, kind=kind, mode=Mode.FULL, duration=duration, seed=seed,
+                     fault_plan_json=plan_json if kind == "zcover" else None,
+                     scheduler=scheduler if kind == "zcover" else "static")
+        for device in devices
+        for kind in ("vfuzz", "zcover")
+    ]
+
+
+def merge_compare(outcomes: List[Any]) -> Tuple[Dict[str, VFuzzResult], Dict[str, Any]]:
+    """Split executor outcomes into the per-device VFuzz and ZCover results;
+    a unit that exhausted its attempts fails the whole comparison."""
+    split: Dict[str, Dict[str, Any]] = {"vfuzz": {}, "zcover": {}}
+    for outcome in outcomes:
+        if outcome.failure is not None:
+            raise CampaignError(outcome.failure.render())
+        split[outcome.unit.kind][outcome.unit.device] = outcome.result
+    return split["vfuzz"], split["zcover"]

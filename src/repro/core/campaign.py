@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import CampaignError
 from ..faults.injector import AbortHook, ControllerFaultInjector, MediumFaultInjector
-from ..faults.plan import DegradationRecord, FaultPlan
+from ..faults.plan import DegradationRecord, FaultPlan, dumps_plan
 from ..faults.schedule import FaultPlanner
 from ..obs.metrics import (
     MetricsCollector,
@@ -460,6 +460,49 @@ def verify_findings(device: str, seed: int, fuzz: FuzzResult) -> Dict[Signature,
     return tester.verify_log(groups)
 
 
+def ablation_units(
+    device: str = "D1",
+    duration: float = HOUR,
+    seed: int = 0,
+    fault_plan: Optional[FaultPlan] = None,
+    scheduler: str = SCHEDULER_STATIC,
+) -> "List[CampaignUnit]":
+    """The Table VI arms as campaign units, in table order: FULL, BETA and
+    GAMMA under the static scheduler (the paper's table), plus FULL under
+    the coverage scheduler when *scheduler* is "coverage".  A *fault_plan*
+    applies to every arm."""
+    if scheduler not in SCHEDULERS:
+        raise CampaignError(
+            f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
+        )
+    arms = [(mode, SCHEDULER_STATIC) for mode in (Mode.FULL, Mode.BETA, Mode.GAMMA)]
+    if scheduler == SCHEDULER_COVERAGE:
+        arms.append((Mode.FULL, SCHEDULER_COVERAGE))
+    from .parallel import CampaignUnit
+
+    plan_json = None if fault_plan is None else dumps_plan(fault_plan)
+    return [
+        CampaignUnit(device=device, mode=mode, duration=duration, seed=seed,
+                     fault_plan_json=plan_json, scheduler=arm_scheduler)
+        for mode, arm_scheduler in arms
+    ]
+
+
+def merge_ablation(outcomes: "List[UnitOutcome]") -> Dict[object, CampaignResult]:
+    """The ablation mapping of executor outcomes: classic arms under their
+    :class:`Mode`, the coverage-scheduled arm under :data:`COVERAGE_ARM`.
+    Every arm is a row of the table, so a failed unit fails the experiment.
+    """
+    results: Dict[object, CampaignResult] = {}
+    for outcome in outcomes:
+        if outcome.failure is not None:
+            raise CampaignError(outcome.failure.render())
+        unit = outcome.unit
+        key = COVERAGE_ARM if unit.scheduler == SCHEDULER_COVERAGE else unit.mode
+        results[key] = outcome.result
+    return results
+
+
 def run_ablation(
     device: str = "D1",
     duration: float = HOUR,
@@ -468,48 +511,10 @@ def run_ablation(
     fault_plan: Optional[FaultPlan] = None,
     scheduler: str = SCHEDULER_STATIC,
 ) -> Dict[object, CampaignResult]:
-    """The Table VI experiment: all three modes for one hour on one device.
+    """The Table VI experiment: every arm of :func:`ablation_units`, one
+    executor unit each; ``workers > 1`` shards the arms across a process
+    pool and the returned mapping is identical to the serial run."""
+    from .parallel import execute_units
 
-    Each arm is one unit of :func:`repro.core.parallel.execute_units`;
-    ``workers > 1`` shards the arms across a process pool and the returned
-    mapping is identical to the serial run either way — including under a
-    *fault_plan*, which applies to every arm.
-
-    ``scheduler="coverage"`` adds a fourth arm — FULL mode driven by the
-    coverage-guided scheduler — under the :data:`COVERAGE_ARM` string key,
-    so the report can compare frames-to-first-zero-day against the static
-    FULL arm.  The three classic arms always run the static scheduler
-    (they *are* the paper's Table VI).
-    """
-    if scheduler not in SCHEDULERS:
-        raise CampaignError(
-            f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
-        )
-    arms: List[Tuple[object, Mode, str]] = [
-        (Mode.FULL, Mode.FULL, SCHEDULER_STATIC),
-        (Mode.BETA, Mode.BETA, SCHEDULER_STATIC),
-        (Mode.GAMMA, Mode.GAMMA, SCHEDULER_STATIC),
-    ]
-    if scheduler == SCHEDULER_COVERAGE:
-        arms.append((COVERAGE_ARM, Mode.FULL, SCHEDULER_COVERAGE))
-    from ..faults.plan import dumps_plan
-    from .parallel import CampaignUnit, execute_units
-
-    plan_json = None if fault_plan is None else dumps_plan(fault_plan)
-    units = [
-        CampaignUnit(
-            device=device,
-            mode=mode,
-            duration=duration,
-            seed=seed,
-            fault_plan_json=plan_json,
-            scheduler=arm_scheduler,
-        )
-        for _, mode, arm_scheduler in arms
-    ]
-    results: Dict[object, CampaignResult] = {}
-    for (key, _, _), outcome in zip(arms, execute_units(units, workers=workers)):
-        if outcome.failure is not None:
-            raise CampaignError(outcome.failure.render())
-        results[key] = outcome.result
-    return results
+    units = ablation_units(device, duration, seed, fault_plan, scheduler)
+    return merge_ablation(execute_units(units, workers=workers))

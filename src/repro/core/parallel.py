@@ -434,7 +434,6 @@ def execute_units(
     units: Sequence[CampaignUnit],
     workers: int = 1,
     timeout: Optional[float] = None,
-    retries: int = 1,
 ) -> List[UnitOutcome]:
     """Run *units* over *workers* processes and return outcomes in order.
 
@@ -446,8 +445,8 @@ def execute_units(
     and no *timeout*, or on a platform without a process pool, units run
     in this process.  *timeout* bounds the
     wall-clock wait for each attempt and forces worker processes even at
-    ``workers=1``; *retries* is the number of extra attempts a failing
-    unit gets before its failure is surfaced.
+    ``workers=1``.  A failing unit gets one retry before its failure is
+    surfaced.
 
     A ``KeyboardInterrupt`` (Ctrl-C, or SIGTERM routed through a handler)
     drains instead of tearing units down mid-flight, then raises
@@ -459,7 +458,7 @@ def execute_units(
     pool = None
     if parallel_supported() and (size > 1 or timeout is not None):
         pool = WorkerPool(max(size, 1))
-    core = unit_attempts(outcomes, pool, retries, timeout)
+    core = unit_attempts(outcomes, pool, 1, timeout)
     try:
         drained = _settle_all(core, timeout)
     except KeyboardInterrupt:

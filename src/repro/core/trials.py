@@ -131,6 +131,14 @@ class TrialSummary:
             },
         )
 
+    def failure_rows(self) -> List[dict]:
+        """One ``{label, category, attempts}`` row per failed shard (the
+        result and chaos documents list these)."""
+        return [
+            {"label": f.unit.label(), "category": f.category, "attempts": f.attempts}
+            for f in self.failures
+        ]
+
     def render(self) -> str:
         """Human-readable summary table."""
         lines = [
@@ -244,7 +252,6 @@ def run_trials(
     duration: float = DAY,
     base_seed: int = 0,
     workers: int = 1,
-    timeout: Optional[float] = None,
     fault_plan: "Optional[FaultPlan]" = None,
     scheduler: str = "static",
 ) -> TrialSummary:
@@ -263,5 +270,5 @@ def run_trials(
     units = trial_units(
         device, mode, n_trials, duration, base_seed, fault_plan, scheduler
     )
-    outcomes = execute_units(units, workers=workers, timeout=timeout)
+    outcomes = execute_units(units, workers=workers)
     return merge_trials(device, mode, duration, outcomes)

@@ -27,11 +27,10 @@ from .plan import (
     load_plan,
     loads_plan,
     lossy_link_plan,
-    resolve_plan,
     save_plan,
     stock_plan,
 )
-from .report import build_chaos_document, dumps_chaos_document, render_chaos_text
+from .report import build_chaos_document, render_chaos_text
 from .schedule import ControllerEvent, FaultPlanner, FaultSchedule, derive_seed
 from .worker import WorkerFault, WorkerFaultError, apply_worker_fault
 
@@ -54,14 +53,12 @@ __all__ = [
     "build_chaos_document",
     "canonical_mixed_plan",
     "derive_seed",
-    "dumps_chaos_document",
     "dumps_plan",
     "flaky_controller_plan",
     "load_plan",
     "loads_plan",
     "lossy_link_plan",
     "render_chaos_text",
-    "resolve_plan",
     "save_plan",
     "stock_plan",
 ]

@@ -224,26 +224,23 @@ def flaky_controller_plan(
     )
 
 
+#: The built-in plans by name: the one list of stock plan names, which
+#: is also what the job protocol accepts over the wire.
+STOCK_PLANS = {
+    "canonical": canonical_mixed_plan,
+    "lossy": lossy_link_plan,
+    "flaky": flaky_controller_plan,
+}
+
+
 def stock_plan(name: str) -> FaultPlan:
     """Resolve a built-in plan name (``canonical``, ``lossy``, ``flaky``)."""
-    builders = {
-        "canonical": canonical_mixed_plan,
-        "lossy": lossy_link_plan,
-        "flaky": flaky_controller_plan,
-    }
-    builder = builders.get(name)
+    builder = STOCK_PLANS.get(name)
     if builder is None:
         raise FaultPlanError(
-            f"unknown stock plan {name!r} (expected one of {', '.join(sorted(builders))})"
+            f"unknown stock plan {name!r} (expected one of {', '.join(sorted(STOCK_PLANS))})"
         )
     return builder()
-
-
-def resolve_plan(ref: str) -> FaultPlan:
-    """A CLI ``--plan``/``--fault-plan`` value: stock name or file path."""
-    if ref in ("canonical", "lossy", "flaky"):
-        return stock_plan(ref)
-    return load_plan(ref)
 
 
 # -- degradation ---------------------------------------------------------------

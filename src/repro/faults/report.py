@@ -1,16 +1,14 @@
 """The chaos report: canonical document of one resilience audit.
 
-``zcover chaos`` and the golden regression test share this builder so
-they can never disagree.  The document is canonical JSON (sorted keys,
-two-space indent, trailing newline): the same plan and seed produce the
-same bytes on every run, serial or sharded — the property the acceptance
-gate (`zcover chaos ... --seed 0` twice, and with ``--workers 2``)
-holds.
+``zcover chaos`` (a ``chaos`` job) and the golden regression test share
+this builder so they can never disagree.  The document is canonical JSON
+(:func:`repro.obs.export.canonical_dumps`): the same plan and seed produce
+the same bytes on every run, serial or sharded — the property the
+acceptance gate (`zcover chaos ... --seed 0` twice, and with
+``--workers 2``) holds.
 """
 
 from __future__ import annotations
-
-import json
 
 from .plan import FaultPlan
 
@@ -43,21 +41,9 @@ def build_chaos_document(summary, plan: FaultPlan, seed: int) -> dict:
         },
         "plan": plan.to_wire(),
         "trials": trials,
-        "failures": [
-            {
-                "label": failure.unit.label(),
-                "category": failure.category,
-                "attempts": failure.attempts,
-            }
-            for failure in summary.failures
-        ],
+        "failures": summary.failure_rows(),
         "metrics": summary.metrics_document(),
     }
-
-
-def dumps_chaos_document(doc: dict) -> str:
-    """Canonical serialisation: sorted keys, indent 2, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def render_chaos_text(doc: dict) -> str:

@@ -2,8 +2,9 @@
 
 A *job* is a campaign the service runs on a client's behalf: repeated
 fuzzing trials (``kind="trials"``), a stateful session campaign
-(``kind="sessions"``) or a fault-injection resilience audit
-(``kind="chaos"``).  The :class:`JobSpec` here is the entire request — a
+(``kind="sessions"``), a fault-injection resilience audit
+(``kind="chaos"``) or the Table VI/V experiment (``kind="ablation"``/
+``"compare"``).  The :class:`JobSpec` here is the entire request — a
 handful of plain scalars naming a deterministic computation — which is
 what makes the service's correctness contract so strong: the result a
 client receives must be **byte-identical** to running the same spec
@@ -37,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..errors import CampaignError
-from ..wire import dumps_wire, encode, layout
+from ..faults.plan import STOCK_PLANS
+from ..wire import dumps_wire, encode, is_zero, layout
 
 #: Job lifecycle states, in nominal order.
 JOB_QUEUED = "queued"
@@ -56,11 +58,11 @@ VALID_TRANSITIONS: Dict[str, Tuple[str, ...]] = {
 }
 
 #: The job kinds the service executes.
-JOB_KINDS: Tuple[str, ...] = ("trials", "sessions", "chaos")
+JOB_KINDS: Tuple[str, ...] = ("trials", "sessions", "chaos", "ablation", "compare")
 
 #: Stock fault-plan names accepted over the wire (no file paths: a spec
 #: must be self-contained, never a pointer into the server's filesystem).
-STOCK_FAULT_PLANS: Tuple[str, ...] = ("canonical", "lossy", "flaky")
+STOCK_FAULT_PLANS: Tuple[str, ...] = tuple(STOCK_PLANS)
 
 #: Upper bounds on a spec's work.  A paper-length campaign is 24 simulated
 #: hours and the largest in-repo session budget is 580 trials per flow;
@@ -69,9 +71,6 @@ STOCK_FAULT_PLANS: Tuple[str, ...] = ("canonical", "lossy", "flaky")
 #: has no unit timeout, so an unbounded spec pins a worker or the handler.
 MAX_HOURS = 168.0
 MAX_TRIALS = 10_000
-
-_MODES: Tuple[str, ...] = ("full", "beta", "gamma")
-_SCHEDULERS: Tuple[str, ...] = ("static", "coverage")
 
 
 class SpecError(CampaignError):
@@ -83,16 +82,18 @@ class SpecError(CampaignError):
         self.reason = message
 
 
-@layout(versioned=True)
+@layout(versioned=True, elide={"devices": is_zero})
 @dataclass(frozen=True)
 class JobSpec:
     """Everything the service needs to run one job, as plain scalars.
 
     ``trials`` is kind-specific: the trial count for ``trials``/``chaos``
     jobs, the per-flow trial override for ``sessions`` jobs (``None``
-    keeps each kind's stock default).  ``hours`` are *simulated* hours,
-    exactly like the CLI.  ``flows`` applies to session jobs only; empty
-    means every flow in canonical order.
+    keeps each kind's stock default; ablation and compare take none).
+    ``hours`` are *simulated* hours, exactly like the CLI.  ``flows``
+    applies to session jobs only; empty means every flow in canonical
+    order.  ``devices`` applies to compare jobs only and is left off the
+    wire when empty, so every other spec keeps its encoding and job id.
     """
 
     kind: str = "trials"
@@ -104,6 +105,7 @@ class JobSpec:
     scheduler: str = "static"
     fault_plan: Optional[str] = None
     flows: Tuple[str, ...] = field(default_factory=tuple)
+    devices: Tuple[str, ...] = ()
 
     def resolved_trials(self) -> Optional[int]:
         """The effective trial count (kind-specific stock default)."""
@@ -113,20 +115,23 @@ class JobSpec:
             return 5
         if self.kind == "chaos":
             return 2
-        return None  # sessions: the stock SessionPlan budget applies
+        return None  # sessions: the stock SessionPlan budget; ablation/compare: none
 
 
 def validate_spec(spec: JobSpec) -> None:
     """Reject malformed specs with a structured, field-naming error."""
+    from ..core.campaign import Mode
+    from ..core.scheduler import SCHEDULERS
     from ..core.session import FLOWS
     from ..simulator.testbed import CONTROLLER_IDS
 
+    modes = tuple(mode.name.lower() for mode in Mode)
     if spec.kind not in JOB_KINDS:
         raise SpecError("kind", f"unknown job kind {spec.kind!r}; expected one of {JOB_KINDS}")
     if spec.device not in CONTROLLER_IDS:
         raise SpecError("device", f"unknown device {spec.device!r}")
-    if spec.mode not in _MODES:
-        raise SpecError("mode", f"unknown mode {spec.mode!r}; expected one of {_MODES}")
+    if spec.mode not in modes:
+        raise SpecError("mode", f"unknown mode {spec.mode!r}; expected one of {modes}")
     if not isinstance(spec.seed, int) or isinstance(spec.seed, bool):
         raise SpecError("seed", "seed must be an integer")
     if spec.trials is not None and (
@@ -142,9 +147,9 @@ def validate_spec(spec: JobSpec) -> None:
         or not 0 < spec.hours <= MAX_HOURS
     ):
         raise SpecError("hours", f"hours must be a finite number in (0, {MAX_HOURS:g}]")
-    if spec.scheduler not in _SCHEDULERS:
+    if spec.scheduler not in SCHEDULERS:
         raise SpecError(
-            "scheduler", f"unknown scheduler {spec.scheduler!r}; expected one of {_SCHEDULERS}"
+            "scheduler", f"unknown scheduler {spec.scheduler!r}; expected one of {SCHEDULERS}"
         )
     if spec.fault_plan is not None and spec.fault_plan not in STOCK_FAULT_PLANS:
         raise SpecError(
@@ -160,6 +165,23 @@ def validate_spec(spec: JobSpec) -> None:
             raise SpecError("flows", f"unknown flow {flow!r}; expected a subset of {FLOWS}")
     if len(set(spec.flows)) != len(spec.flows):
         raise SpecError("flows", "duplicate flow names")
+    # An experiment runs each of its arms (or fuzzers) once, in mode full.
+    experiment = spec.kind in ("ablation", "compare")
+    if experiment and spec.trials is not None:
+        raise SpecError("trials", f"{spec.kind} jobs take no trial count")
+    if experiment and spec.mode != "full":
+        raise SpecError("mode", f"{spec.kind} jobs run mode 'full', not {spec.mode!r}")
+    if spec.kind != "compare" and spec.devices:
+        raise SpecError("devices", f"devices apply to compare jobs only, not {spec.kind!r}")
+    for device in spec.devices:
+        if device not in CONTROLLER_IDS:
+            raise SpecError("devices", f"unknown device {device!r}")
+    # One computation, one spelling: sorted and distinct, so it has one job id.
+    distinct = sorted(set(spec.devices))
+    if spec.kind == "compare" and (not distinct or list(spec.devices) != distinct):
+        raise SpecError("devices", "compare jobs require distinct devices in sorted order")
+    if spec.devices and spec.device != spec.devices[0]:
+        raise SpecError("device", f"compare jobs name devices[0] ({spec.devices[0]!r}) as device")
 
 
 def spec_key(spec: JobSpec) -> str:

@@ -24,7 +24,8 @@ from repro.core.resultio import campaign_to_wire, session_to_wire
 from repro.core.session import run_sessions
 from repro.core.trials import run_trials
 from repro.faults.plan import canonical_mixed_plan
-from repro.faults.report import build_chaos_document, dumps_chaos_document
+from repro.faults.report import build_chaos_document
+from repro.obs.export import canonical_dumps
 from repro.radio.clock import SimClock
 from repro.radio.medium import RadioMedium
 from repro.wire import dumps_wire
@@ -71,7 +72,7 @@ def _chaos_cell(device):
         workers=1,
         fault_plan=plan,
     )
-    return dumps_chaos_document(build_chaos_document(summary, plan, SEED))
+    return canonical_dumps(build_chaos_document(summary, plan, SEED))
 
 
 def _session_cell(device):

@@ -27,7 +27,8 @@ from repro.faults import (
     flaky_controller_plan,
     lossy_link_plan,
 )
-from repro.faults.report import build_chaos_document, dumps_chaos_document
+from repro.faults.report import build_chaos_document
+from repro.obs.export import canonical_dumps
 from repro.radio.medium import RadioMedium
 from repro.radio.clock import SimClock
 from repro.simulator.testbed import build_sut
@@ -174,7 +175,7 @@ def _chaos_doc(plan, workers):
         workers=workers,
         fault_plan=plan,
     )
-    return summary, dumps_chaos_document(build_chaos_document(summary, plan, 0))
+    return summary, canonical_dumps(build_chaos_document(summary, plan, 0))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PLANS))

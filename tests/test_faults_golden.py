@@ -21,7 +21,8 @@ import pytest
 from repro.core.campaign import Mode
 from repro.core.trials import run_trials
 from repro.faults.plan import canonical_mixed_plan
-from repro.faults.report import SCHEMA, build_chaos_document, dumps_chaos_document
+from repro.faults.report import SCHEMA, build_chaos_document
+from repro.obs.export import canonical_dumps
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "faults_golden.json"
 
@@ -49,7 +50,7 @@ def build_golden_text(summaries=None):
     """Both devices' chaos documents, concatenated in device order."""
     summaries = summaries or {device: _run_device(device) for device in DEVICES}
     return "".join(
-        dumps_chaos_document(build_chaos_document(summary, plan, SEED))
+        canonical_dumps(build_chaos_document(summary, plan, SEED))
         for summary, plan in (summaries[device] for device in DEVICES)
     )
 

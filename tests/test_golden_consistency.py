@@ -2,8 +2,8 @@
 
 Every golden file pins its own artefact; this suite pins the *pins* and
 the relationships between files from the committed bytes — apart from two
-sub-second session runs, no campaigns run here, so it stays fast and
-catches silent regeneration:
+sub-second session runs and two short experiment documents, no campaigns
+run here, so it stays fast and catches silent regeneration:
 
 * the SHA-256 of each campaign/session wire pin is itself pinned, so a
   ``write_golden()`` run that changes bytes cannot slip through review
@@ -17,6 +17,8 @@ catches silent regeneration:
   included: the seed-0 D1 run against its ``session_golden`` pin, and a
   long-sequence plan whose ``session.events_per_trial`` reaches the
   ``inf`` bucket;
+* the serial oracle documents of one ``ablation`` job (coverage arm
+  included) and one two-device ``compare`` job hash to pinned digests;
 * ``BENCH_core.json`` keeps the engine-migration acceptance locked in:
   the campaign_fps ratio must stay at least 2x better than the retired
   per-closure engine's committed 1831.5384.
@@ -33,6 +35,8 @@ from repro.core.session import SessionPlan, run_sessions
 from repro.obs.export import snapshot_to_document
 from repro.obs.metrics import merge_snapshots
 from repro.serve.checkpoint import record_crc
+from repro.serve.protocol import JobSpec
+from repro.serve.results import direct_document, dumps_result_document
 from repro.wire import WIRE_VERSION, dumps_wire, loads_wire, require_wire_version
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -59,6 +63,14 @@ LONG_SESSION_PLAN = SessionPlan(
 
 #: SHA-256 of that run's session wire text.
 LONG_SESSION_WIRE_SHA256 = "a97ffb6bf1fa1c015cc3cf4ae49bbbb26564b3c1cc7d40c2dfb794975627c2e1"
+
+#: SHA-256 of the serial oracle document of each pinned experiment job.
+EXPERIMENT_DOCUMENT_SHA256 = {
+    JobSpec(kind="ablation", hours=0.05, scheduler="coverage"):
+        "17e040d8b440390d7c83d84250e69ddb0f612776f7ff631efad2148fd69617df",
+    JobSpec(kind="compare", devices=("D1", "D2"), hours=0.05):
+        "94ffd851246e837297ad7eb01afc0e7181b25a1eed7914b63fdca22aaca1fc7c",
+}
 
 #: The retired legacy engine's committed campaign_fps ratio; the batched
 #: engine's baseline must stay at least 2x below it.
@@ -117,6 +129,7 @@ class TestWireShaPins:
     def test_all_sha_pins_are_distinct(self):
         pins = list(PERF_WIRE_SHA256.values()) + list(SESSION_WIRE_SHA256.values())
         pins.append(LONG_SESSION_WIRE_SHA256)
+        pins.extend(EXPERIMENT_DOCUMENT_SHA256.values())
         assert len(set(pins)) == len(pins)
 
 
@@ -133,6 +146,18 @@ class TestLiveSessionWirePins:
         assert histograms["session.events_per_trial"]["inf"] > 0
         assert histograms["session.ops_per_trial"]["inf"] > 0
         assert _wire_sha256(session_to_wire(result)) == LONG_SESSION_WIRE_SHA256
+
+
+class TestExperimentDocumentPins:
+    """The ablation and compare documents, hashed from live oracle runs."""
+
+    @pytest.mark.parametrize(
+        "spec", list(EXPERIMENT_DOCUMENT_SHA256), ids=["ablation", "compare"]
+    )
+    def test_direct_document_matches_its_pin(self, spec):
+        text = dumps_result_document(direct_document(spec))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == EXPERIMENT_DOCUMENT_SHA256[spec]
 
 
 class TestWireVersions:

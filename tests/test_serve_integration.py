@@ -5,8 +5,8 @@ asyncio server on an ephemeral port of a background thread and every
 assertion below talks to it over actual HTTP sockets via the stdlib
 client — no internal shortcuts.  The oracle is
 :func:`repro.serve.results.direct_document`: the same spec run
-in-process, serially, through the ordinary ``run_trials`` /
-``run_sessions`` entry points.  The contract, for every job kind:
+in-process, serially, through the same units and fold the CLI commands
+use.  The contract, for every job kind:
 
     bytes(GET /jobs/<id>/result) == bytes(oracle document)
 
@@ -52,6 +52,8 @@ SPEC_CHAOS = JobSpec(
 SPEC_RESUME = JobSpec(
     kind="trials", device="D2", mode="full", seed=0, trials=4, hours=0.05
 )
+SPEC_ABLATION = JobSpec(kind="ablation", device="D1", seed=0, hours=0.05, scheduler="coverage")
+SPEC_COMPARE = JobSpec(kind="compare", device="D1", devices=("D1", "D2"), seed=0, hours=0.05)
 
 WAIT_S = 300.0
 
@@ -83,8 +85,8 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize(
         "spec",
-        [SPEC_TRIALS, SPEC_SESSIONS, SPEC_CHAOS],
-        ids=["trials", "sessions", "chaos"],
+        [SPEC_TRIALS, SPEC_SESSIONS, SPEC_CHAOS, SPEC_ABLATION, SPEC_COMPARE],
+        ids=["trials", "sessions", "chaos", "ablation", "compare"],
     )
     def test_served_bytes_equal_oracle(self, client, spec):
         status = client.submit(spec)
@@ -379,3 +381,65 @@ class TestKillAndResume:
             assert resumed.result_bytes(status.job_id) == oracle_bytes(SPEC_RESUME)
         finally:
             second.stop(drain=True)
+
+    @pytest.mark.parametrize(
+        "spec", [SPEC_ABLATION, SPEC_COMPARE], ids=["ablation", "compare"]
+    )
+    def test_experiment_job_survives_kill_and_restore(self, tmp_path, spec):
+        """An ablation or compare job killed after its first unit resumes
+        from the write-ahead log, and a third life restores the finished
+        document from the log alone — the oracle bytes every time."""
+        checkpoint = os.fspath(tmp_path / "experiment.ckpt")
+        first = ServiceThread(workers=1, port=0, checkpoint_path=checkpoint).start()
+        settle = first.service._unit_settled
+        killed = threading.Event()
+        progress = []
+
+        def settle_then_kill(record, index, outcome, wire):
+            settle(record, index, outcome, wire)
+            if not killed.is_set():
+                progress.append((record.units_done, record.units_total))
+                first.service.abort()
+                killed.set()
+
+        first.service._unit_settled = settle_then_kill
+        job_id = ServeClient(port=first.port).submit(spec).job_id
+        assert killed.wait(WAIT_S)
+        first.stop(drain=False)
+        ((units_done, units_total),) = progress
+        assert 0 < units_done < units_total
+
+        for life in ("resumed", "restored"):
+            handle = ServiceThread(workers=2, port=0, checkpoint_path=checkpoint).start()
+            try:
+                client = ServeClient(port=handle.port)
+                final = client.wait(job_id, timeout=WAIT_S)
+                assert final.state == JOB_DONE, life
+                assert client.result_bytes(job_id) == oracle_bytes(spec), life
+            finally:
+                handle.stop(drain=True)
+
+
+class TestCliDocumentPath:
+    """``zcover ablation``/``compare`` print parts of the oracle document."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (["ablation", "--hours", "0.05", "--scheduler", "coverage"], SPEC_ABLATION),
+            (["compare", "--devices", "D2,D1", "--hours", "0.05"], SPEC_COMPARE),
+        ],
+        ids=["ablation", "compare"],
+    )
+    def test_cli_output_is_the_document(self, tmp_path, capsys, argv, spec, workers):
+        from repro.cli import main
+        from repro.obs.export import canonical_dumps
+
+        metrics = os.fspath(tmp_path / "metrics.json")
+        assert main(argv + ["--workers", workers, "--metrics-out", metrics]) == 0
+        doc = json.loads(oracle_bytes(spec))
+        out = capsys.readouterr().out
+        assert out == f"{doc['render']}\nmetrics written to {metrics}\n"
+        with open(metrics, encoding="utf-8") as handle:
+            assert handle.read() == canonical_dumps(doc["metrics"])
