@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.baseline import VFuzzBaseline, VFuzzResult
 from repro.core.campaign import CampaignResult, HOUR, Mode, run_campaign
-from repro.core.parallel import CampaignUnit, execute_units
+from repro.core.parallel import CampaignUnit, execute_units, resolve_workers
 from repro.simulator.testbed import build_sut
 
 BENCH_HOURS = float(os.environ.get("ZCOVER_BENCH_HOURS", "2"))
@@ -64,7 +64,7 @@ def prefetch(specs: Iterable[CampaignSpec], workers: int = 0) -> None:
     through to the lazy ``cached_*`` helpers below and time the original
     code path.
     """
-    workers = workers or BENCH_WORKERS
+    workers = resolve_workers(workers or BENCH_WORKERS)
     missing = [
         spec for spec in specs if _cache_for(*spec)[1] not in _cache_for(*spec)[0]
     ]

@@ -38,7 +38,7 @@ from .obs.export import (
 )
 from .obs.tracing import Tracer
 from .radio.trace import dissect_trace, load_trace, save_trace, TraceRecord
-from .serve.protocol import JOB_KINDS, JobSpec
+from .serve.protocol import JOB_KINDS, JobSpec, SpecError
 from .simulator.testbed import CONTROLLER_IDS, build_sut
 from .wire import decode, dumps_wire, encode
 from .zwave.registry import load_full_registry
@@ -82,15 +82,8 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="shard independent campaigns over N worker processes "
-        "(0 = one per CPU core; results are identical to --workers 1)",
+        "(0 or less = one per CPU core; results are identical to --workers 1)",
     )
-
-
-def _resolve_workers_arg(args: argparse.Namespace) -> int:
-    """Map the CLI convention (0 = auto) onto an explicit worker count."""
-    from .core.parallel import resolve_workers
-
-    return resolve_workers(None) if args.workers == 0 else args.workers
 
 
 def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
@@ -142,15 +135,18 @@ def _job_spec(args: argparse.Namespace, fault_plan: Optional[str]) -> JobSpec:
 def _run_document(args: argparse.Namespace) -> dict:
     """Run the command's job here at ``--workers`` processes and return the
     document the service would serve.  A stock fault-plan name rides in
-    the spec; a plan file is read here and passed beside it."""
+    the spec; a plan file is read here and passed beside it.  The spec is
+    checked as ``POST /jobs`` checks it before any unit runs."""
     from .faults.plan import STOCK_PLANS, load_plan
+    from .serve.protocol import validate_spec
     from .serve.results import direct_document
 
     ref, plan = getattr(args, "fault_plan", None), None
     if ref and ref not in STOCK_PLANS:
         ref, plan = None, load_plan(ref)
     spec = _job_spec(args, ref or None)
-    return direct_document(spec, workers=_resolve_workers_arg(args), fault_plan=plan)
+    validate_spec(spec, plan)
+    return direct_document(spec, workers=args.workers, fault_plan=plan)
 
 
 def _print_document(args: argparse.Namespace, doc: dict) -> None:
@@ -230,6 +226,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Run the Table V comparison (ZCover vs VFuzz)."""
     try:
         doc = _run_document(args)
+    except SpecError:
+        raise  # a usage error, exit 2
     except CampaignError as exc:  # a unit exhausted its attempts
         print(exc, file=sys.stderr)
         return 1
@@ -622,9 +620,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     serve_forever(
         host=args.host,
         port=args.port,
-        workers=_resolve_workers_arg(args),
+        workers=args.workers,
         checkpoint_path=args.checkpoint,
-        retries=args.retries,
     )
     return 0
 
@@ -900,12 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         help="write-ahead checkpoint file: completed units are logged here "
         "and a restarted service resumes unfinished jobs mid-trial-set",
-    )
-    serve.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="extra attempts per failing campaign unit (default 1)",
     )
     serve.set_defaults(func=cmd_serve)
 

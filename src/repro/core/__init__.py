@@ -7,7 +7,7 @@ phase 3 — position-sensitive mutation and fuzzing (:mod:`.mutation`,
 orchestration (:mod:`.campaign`) and the VFuzz baseline (:mod:`.baseline`).
 """
 
-from .baseline import VFuzzBaseline, VFuzzConfig, VFuzzResult
+from .baseline import VFuzzBaseline, VFuzzResult
 from .buglog import BugLog, BugRecord
 from .campaign import (
     CampaignResult,
@@ -113,6 +113,5 @@ __all__ = [
     "VerifiedUnique",
     "verify_findings",
     "VFuzzBaseline",
-    "VFuzzConfig",
     "VFuzzResult",
 ]

@@ -41,16 +41,14 @@ P_MUTATE_P2 = 0.5
 P_MUTATE_LEN = 0.7
 P_MUTATE_DST = 0.7
 
-
-@dataclass(frozen=True)
-class VFuzzConfig:
-    """Engine knobs for the baseline."""
-
-    packet_period: float = 0.75
-    settle_time: float = 0.1
-    ping_timeout: float = 0.5
-    recovery_time: float = 2.0
-    seed_capture_duration: float = 120.0
+#: Engine timing, in simulated seconds: one test packet per period, the
+#: settle wait after each packet, the liveness ping's timeout, the
+#: observer's recovery allowance and the sniffing window for seeds.
+PACKET_PERIOD = 0.75
+SETTLE_TIME = 0.1
+PING_TIMEOUT = 0.5
+RECOVERY_TIME = 2.0
+SEED_CAPTURE_DURATION = 120.0
 
 
 @layout(versioned=True)
@@ -91,20 +89,14 @@ class VFuzzResult:
 class VFuzzBaseline:
     """Runs the VFuzz-style MAC-frame fuzzing loop against one SUT."""
 
-    def __init__(
-        self,
-        sut: SystemUnderTest,
-        config: Optional[VFuzzConfig] = None,
-        seed: int = 0,
-    ):
+    def __init__(self, sut: SystemUnderTest, seed: int = 0):
         self._sut = sut
         self._clock = sut.clock
-        self.config = config or VFuzzConfig()
         self._rng = random.Random(seed)
         self._monitor = LivenessMonitor(
-            sut.dongle, sut.clock, sut.controller, timeout=self.config.ping_timeout
+            sut.dongle, sut.clock, sut.controller, timeout=PING_TIMEOUT
         )
-        self._observer = SutObserver(sut, recovery_time=self.config.recovery_time)
+        self._observer = SutObserver(sut, recovery_time=RECOVERY_TIME)
         self._seeds: List[bytes] = []
 
     # -- seeding --------------------------------------------------------------------
@@ -118,7 +110,7 @@ class VFuzzBaseline:
         model, so VFuzz's generation works from plaintext templates.
         """
         self._sut.dongle.clear_captures()
-        self._clock.advance(self.config.seed_capture_duration)
+        self._clock.advance(SEED_CAPTURE_DURATION)
         target = self._sut.controller.node_id
         for capture in self._sut.dongle.drain_captures():
             frame = capture.frame
@@ -194,11 +186,11 @@ class VFuzzBaseline:
                     result.accepted_estimate += 1
                 collector.inc("vfuzz.frames_tx")
                 self._sut.dongle.inject_raw(raw)
-                self._clock.advance(self.config.settle_time)
+                self._clock.advance(SETTLE_TIME)
                 result.packets_sent += 1
                 self._check_oracles(result, seen_quirks, baseline_events, start)
                 baseline_events = len(self._sut.controller.events())
-                remaining = self.config.packet_period - (self._clock.now - test_start)
+                remaining = PACKET_PERIOD - (self._clock.now - test_start)
                 if remaining > 0:
                     self._clock.advance(remaining)
             collector.inc("vfuzz.accepted_estimate", result.accepted_estimate)

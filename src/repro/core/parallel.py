@@ -12,26 +12,25 @@ The attempt policy lives in one place, :func:`unit_attempts`, and every
 caller — :func:`execute_units` (trials, ablation, compare, sessions) and
 the job service — drives it:
 
-* each unit gets up to ``1 + retries`` attempts;
+* each unit gets up to ``1 + UNIT_RETRIES`` attempts;
 * first attempts are submitted in index order and settled in index
-  order; a failure is classified once (exception, worker crash or
-  timeout) and the unit is retried in a fresh single-worker pool, so one
-  persistently crashing unit cannot take healthy neighbours down;
+  order; a failure is classified once (exception or worker crash) and
+  the unit is retried in a fresh single-worker pool, so one persistently
+  crashing unit cannot take healthy neighbours down;
 * a unit that exhausts its attempts surfaces as a structured
   :class:`UnitFailure` instead of an exception, so one bad shard never
   discards the others' results;
 * a drain (Ctrl-C, or the service's shutdown) cancels queued attempts,
   stops retrying and lets in-flight units finish and report.
 
-Units run in the caller's process when ``workers <= 1`` and no timeout
-is set (an in-process unit cannot be interrupted, so a timeout always
-runs units in a worker process).  Worker processes return results in the
-:mod:`repro.core.resultio` wire form (plain JSON-safe data), never live
-simulator objects, so nothing heavyweight — in particular no
-:class:`~repro.zwave.registry.SpecRegistry` — crosses a process boundary.
+Units run in the caller's process when there is only one worker to use.
+Worker processes return results in the :mod:`repro.wire` form (plain
+JSON-safe data), never live simulator objects, so nothing heavyweight —
+in particular no :class:`~repro.zwave.registry.SpecRegistry` — crosses a
+process boundary.
 
 Fault injection rides the unit itself: ``fault`` carries a
-:mod:`repro.faults.worker` token ("raise", "exit", "hang:<s>", ...)
+:mod:`repro.faults.worker` token ("raise", "exit", "raise-once:<path>", ...)
 applied before the campaign starts, and ``fault_plan_json`` a serialised
 :class:`~repro.faults.plan.FaultPlan` the worker compiles against the
 unit's seed for in-simulation faults.  Both are ``None`` in production
@@ -42,23 +41,33 @@ from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeout,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import CampaignError
+from ..faults.plan import loads_plan
 from ..faults.worker import apply_worker_fault
-from .campaign import Mode, run_campaign
+from ..simulator.testbed import build_sut
+from ..wire import decode, encode
+from .baseline import VFuzzBaseline, VFuzzResult
+from .campaign import CampaignResult, Mode, run_campaign
+from .session import SessionResult, loads_session_plan, run_session_flow
 
 #: Failure categories recorded on :class:`UnitFailure`.
 FAILURE_EXCEPTION = "exception"
 FAILURE_CRASH = "worker-crash"
-FAILURE_TIMEOUT = "timeout"
+
+#: Extra attempts a failing unit gets, on every path: the executor and
+#: the job service both run :func:`unit_attempts`.
+UNIT_RETRIES = 1
+
+#: Each unit kind's result type, and the context its decode errors name.
+RESULT_TYPES: Dict[str, Tuple[type, str]] = {
+    "zcover": (CampaignResult, "campaign result"),
+    "vfuzz": (VFuzzResult, "vfuzz result"),
+    "sessions": (SessionResult, "session result"),
+}
 
 
 class ExecutionInterrupted(BaseException):
@@ -100,8 +109,7 @@ class CampaignUnit:
     #: identity because it changes every downstream byte.
     scheduler: str = "static"
     #: Worker-layer fault token (see :mod:`repro.faults.worker`, e.g.
-    #: "raise", "exit", "raise-once:<path>", "hang:<seconds>"); None in
-    #: production.
+    #: "raise", "exit", "raise-once:<path>"); None in production.
     fault: Optional[str] = None
     #: Serialised :class:`~repro.faults.plan.FaultPlan` for in-simulation
     #: fault injection (JSON string — keeps the unit hashable and
@@ -126,7 +134,7 @@ class UnitFailure:
     """A shard that exhausted its attempts, as surfaced in merged output."""
 
     unit: CampaignUnit
-    category: str  # one of FAILURE_EXCEPTION / FAILURE_CRASH / FAILURE_TIMEOUT
+    category: str  # FAILURE_EXCEPTION or FAILURE_CRASH
     error: str
     attempts: int
 
@@ -159,11 +167,7 @@ def execute_unit(unit: CampaignUnit) -> Any:
     to prove the codec is lossless.
     """
     apply_worker_fault(unit.fault)
-    fault_plan = None
-    if unit.fault_plan_json is not None:
-        from ..faults.plan import loads_plan
-
-        fault_plan = loads_plan(unit.fault_plan_json)
+    fault_plan = None if unit.fault_plan_json is None else loads_plan(unit.fault_plan_json)
     if unit.kind == "zcover":
         return run_campaign(
             device=unit.device,
@@ -174,14 +178,9 @@ def execute_unit(unit: CampaignUnit) -> Any:
             scheduler=unit.scheduler,
         )
     if unit.kind == "vfuzz":
-        from ..simulator.testbed import build_sut
-        from .baseline import VFuzzBaseline
-
         sut = build_sut(unit.device, seed=unit.seed)
         return VFuzzBaseline(sut, seed=unit.seed).run(unit.duration)
     if unit.kind == "sessions":
-        from .session import loads_session_plan, run_session_flow
-
         session_plan = (
             None
             if unit.session_plan_json is None
@@ -195,14 +194,7 @@ def execute_unit(unit: CampaignUnit) -> Any:
 
 def execute_unit_to_wire(unit: CampaignUnit) -> dict:
     """Worker entry point: run one unit, return its wire-form result."""
-    from .resultio import campaign_to_wire, session_to_wire, vfuzz_to_wire
-
-    result = execute_unit(unit)
-    if unit.kind == "vfuzz":
-        return vfuzz_to_wire(result)
-    if unit.kind == "sessions":
-        return session_to_wire(result)
-    return campaign_to_wire(result)
+    return encode(execute_unit(unit))
 
 
 def rehydrate_unit_result(unit: CampaignUnit, wire: dict) -> Any:
@@ -213,13 +205,8 @@ def rehydrate_unit_result(unit: CampaignUnit, wire: dict) -> Any:
     the same one a live settle uses — and merged output cannot tell the
     difference.
     """
-    from .resultio import campaign_from_wire, session_from_wire, vfuzz_from_wire
-
-    if unit.kind == "vfuzz":
-        return vfuzz_from_wire(wire)
-    if unit.kind == "sessions":
-        return session_from_wire(wire)
-    return campaign_from_wire(wire)
+    result_type, context = RESULT_TYPES[unit.kind]
+    return decode(result_type, wire, context)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -304,8 +291,7 @@ class WorkerPool:
 # -- the attempt policy ---------------------------------------------------------
 
 #: What a driver sends back for each yielded future: ``(value, None)`` or
-#: ``(None, exception)``.  A wait that outlived the timeout is reported
-#: as a :class:`concurrent.futures.TimeoutError`.
+#: ``(None, exception)``.
 Settled = Tuple[Any, Optional[BaseException]]
 
 
@@ -321,16 +307,9 @@ def _submit(pool: Optional[WorkerPool], unit: CampaignUnit) -> Future:
         return failed
 
 
-def _failure(
-    unit: CampaignUnit, error: BaseException, attempts: int, timeout: Optional[float]
-) -> UnitFailure:
+def _failure(unit: CampaignUnit, error: BaseException, attempts: int) -> UnitFailure:
     """Classify one failed attempt; the text is the exception's last line."""
-    if isinstance(error, FutureTimeout):
-        category, error = FAILURE_TIMEOUT, FutureTimeout(f"no result within {timeout}s")
-    elif isinstance(error, BrokenExecutor):
-        category = FAILURE_CRASH
-    else:
-        category = FAILURE_EXCEPTION
+    category = FAILURE_CRASH if isinstance(error, BrokenExecutor) else FAILURE_EXCEPTION
     text = "".join(traceback.format_exception_only(type(error), error)).strip()
     return UnitFailure(unit=unit, category=category, error=text, attempts=attempts)
 
@@ -346,8 +325,6 @@ def _never() -> bool:
 def unit_attempts(
     outcomes: List[UnitOutcome],
     pool: Optional[WorkerPool],
-    retries: int,
-    timeout: Optional[float] = None,
     report: Callable[[int, UnitOutcome, Optional[dict]], None] = _ignore_report,
     draining: Callable[[], bool] = _never,
     rehydrate: Callable[[CampaignUnit, dict], Any] = rehydrate_unit_result,
@@ -355,9 +332,9 @@ def unit_attempts(
     """The unit attempt policy; a generator its driver settles futures for.
 
     It yields each future it needs settled and receives that future's
-    :data:`Settled` reply; :func:`execute_units` drives it with
-    ``future.result(timeout)``, the job service with an ``await`` on its
-    event loop.  Outcomes that already hold a result (the service's
+    :data:`Settled` reply; :func:`execute_units` drives it by blocking on
+    each future, the job service with an ``await`` on its event loop.
+    Outcomes that already hold a result (the service's
     checkpoint-restored units) are skipped.  Units run in this process
     when *pool* is ``None`` (live results) and on *pool* otherwise (wire
     results, decoded by *rehydrate*).
@@ -399,17 +376,17 @@ def unit_attempts(
                 drained = True
                 continue  # cancel what is queued, then wait for this one
             if solo is not None:
-                solo.drain(wait=False)
+                solo.drain()  # its one attempt has settled
             if error is None:
                 decoded = value if pool is None else rehydrate(outcome.unit, value)
                 outcome.result, outcome.failure = decoded, None
                 break
-            outcome.failure = _failure(outcome.unit, error, outcome.attempts, timeout)
+            outcome.failure = _failure(outcome.unit, error, outcome.attempts)
             crashed = outcome.failure.category == FAILURE_CRASH
             if crashed and solo is None and origin is not None and pool.executor is origin:
                 pool.respawn()
             drained = drained or draining()
-            if drained or outcome.attempts > retries:
+            if drained or outcome.attempts > UNIT_RETRIES:
                 break
             outcome.attempts += 1
             try:
@@ -430,23 +407,17 @@ def unit_attempts(
     return drained
 
 
-def execute_units(
-    units: Sequence[CampaignUnit],
-    workers: int = 1,
-    timeout: Optional[float] = None,
-) -> List[UnitOutcome]:
+def execute_units(units: Sequence[CampaignUnit], workers: int = 1) -> List[UnitOutcome]:
     """Run *units* over *workers* processes and return outcomes in order.
 
     Returns one :class:`UnitOutcome` per unit **in the input order**,
     regardless of which worker finished first — the caller's merge step
     (:func:`repro.core.trials.merge_trials`) depends on this.
 
-    With at most one worker to use (``min(workers, len(units)) <= 1``)
-    and no *timeout*, or on a platform without a process pool, units run
-    in this process.  *timeout* bounds the
-    wall-clock wait for each attempt and forces worker processes even at
-    ``workers=1``.  A failing unit gets one retry before its failure is
-    surfaced.
+    *workers* resolves through :func:`resolve_workers` (``<= 0`` is one
+    per core).  With at most one worker to use, or on a platform without
+    a process pool, units run in this process.  A failing unit gets
+    :data:`UNIT_RETRIES` more attempts before its failure is surfaced.
 
     A ``KeyboardInterrupt`` (Ctrl-C, or SIGTERM routed through a handler)
     drains instead of tearing units down mid-flight, then raises
@@ -454,35 +425,34 @@ def execute_units(
     persist the completed prefix.
     """
     outcomes = [UnitOutcome(unit=unit) for unit in units]
-    size = min(workers, len(units))
-    pool = None
-    if parallel_supported() and (size > 1 or timeout is not None):
-        pool = WorkerPool(max(size, 1))
-    core = unit_attempts(outcomes, pool, 1, timeout)
+    size = min(resolve_workers(workers), len(units))
+    pool = WorkerPool(size) if size > 1 and parallel_supported() else None
+    drained = True
     try:
-        drained = _settle_all(core, timeout)
+        drained = _settle_all(unit_attempts(outcomes, pool))
     except KeyboardInterrupt:
-        drained = True
+        pass
     finally:
         if pool is not None:
-            pool.drain(wait=False)
+            # Every future has settled unless the run was cut short, so a
+            # clean run waits for its workers to exit: an executor left
+            # winding down can fail in the interpreter's exit hook.
+            pool.drain(wait=not drained)
     if drained:
         raise ExecutionInterrupted(outcomes)
     return outcomes
 
 
-def _settle_all(core: Generator[Future, Settled, bool], timeout: Optional[float]) -> bool:
+def _settle_all(core: Generator[Future, Settled, bool]) -> bool:
     """Drive :func:`unit_attempts` by blocking on each future in turn."""
     try:
         future = next(core)
         while True:
             try:
-                error = future.exception(timeout=timeout)  # waits; a unit's error is data
+                error = future.exception()  # waits; a unit's error is data
             except KeyboardInterrupt:
                 future = core.throw(KeyboardInterrupt())
                 continue
-            except FutureTimeout as exc:
-                error = exc
             future = core.send((None, error) if error is not None else (future.result(), None))
     except StopIteration as stop:
         return stop.value

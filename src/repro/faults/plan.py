@@ -13,7 +13,7 @@ JSON-clean description of what must go wrong:
   applied per transmission on the shared RF channel;
 * **controller** layer — ``hang`` / ``spurious-reset`` / ``slow-ack``
   applied to the virtual hub's firmware;
-* **worker** layer — ``crash`` / ``raise`` / ``timeout`` applied to the
+* **worker** layer — ``crash`` / ``raise`` applied to the
   process-pool shard running a campaign unit;
 * **campaign** layer — ``abort`` cuts the fuzzing phase short, producing
   a partial result tagged with a :class:`DegradationRecord`.
@@ -47,7 +47,7 @@ LAYER_CAMPAIGN = "campaign"
 KINDS_BY_LAYER: Dict[str, Tuple[str, ...]] = {
     LAYER_MEDIUM: ("drop", "corrupt", "duplicate", "delay"),
     LAYER_CONTROLLER: ("hang", "spurious-reset", "slow-ack"),
-    LAYER_WORKER: ("crash", "raise", "timeout"),
+    LAYER_WORKER: ("crash", "raise"),
     LAYER_CAMPAIGN: ("abort",),
 }
 
@@ -77,7 +77,7 @@ class FaultSpec:
     * one-shot faults (campaign ``abort``) fire at ``at_s`` seconds into
       the fuzzing phase;
     * worker faults target the unit at ``unit_index`` in its series
-      (``-1`` = every unit); ``magnitude`` is the hang/timeout duration.
+      (``-1`` = every unit).
 
     ``magnitude`` is the kind's intensity: hang/slow-ack/delay duration
     in seconds.

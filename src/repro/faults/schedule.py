@@ -109,7 +109,7 @@ class FaultSchedule:
         """The fault for the unit at *unit_index* in its series, if any."""
         for spec in self.worker_specs:
             if spec.unit_index in (-1, unit_index):
-                return WorkerFault.from_spec_kind(spec.kind, spec.magnitude)
+                return WorkerFault.from_spec_kind(spec.kind)
         return None
 
     def worker_token(self, unit_index: int) -> Optional[str]:

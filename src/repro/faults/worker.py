@@ -1,4 +1,4 @@
-"""Worker-layer faults: structured crash/raise/timeout injection.
+"""Worker-layer faults: structured crash/raise injection.
 
 The parallel executor used to honour an ad-hoc fault *string* parsed
 inline in :mod:`repro.core.parallel`; the behaviour now lives here as a
@@ -13,7 +13,6 @@ serial and the pooled execution paths apply it through
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,20 +28,16 @@ class WorkerFault:
     """One worker-process fault.
 
     Kinds: ``raise`` (an exception inside the worker), ``exit`` (the
-    process dies, breaking its pool), ``hang`` (sleep *seconds* of wall
-    time, for timeout handling), and the transient ``raise-once`` /
+    process dies, breaking its pool), and the transient ``raise-once`` /
     ``exit-once`` variants gated on a *marker* file so the retry
     succeeds.
     """
 
     kind: str
-    seconds: float = 0.0
     marker: str = ""
 
     def to_token(self) -> str:
         """The compact string form carried by a campaign unit."""
-        if self.kind == "hang":
-            return f"hang:{self.seconds}"
         if self.kind in ("raise-once", "exit-once"):
             return f"{self.kind}:{self.marker}"
         return self.kind
@@ -51,25 +46,18 @@ class WorkerFault:
     def from_token(cls, token: str) -> "WorkerFault":
         if token in ("raise", "exit"):
             return cls(kind=token)
-        if token.startswith("hang:"):
-            try:
-                return cls(kind="hang", seconds=float(token.split(":", 1)[1]))
-            except ValueError as exc:
-                raise WorkerFaultError(f"bad hang token {token!r}") from exc
         if token.startswith("raise-once:") or token.startswith("exit-once:"):
             kind, marker = token.split(":", 1)
             return cls(kind=kind, marker=marker)
         raise WorkerFaultError(f"unknown fault token {token!r}")
 
     @classmethod
-    def from_spec_kind(cls, kind: str, magnitude: float) -> "WorkerFault":
+    def from_spec_kind(cls, kind: str) -> "WorkerFault":
         """Map a plan-level worker fault kind onto an executable fault."""
         if kind == "crash":
             return cls(kind="exit")
         if kind == "raise":
             return cls(kind="raise")
-        if kind == "timeout":
-            return cls(kind="hang", seconds=magnitude or 1.0)
         raise WorkerFaultError(f"unknown worker fault kind {kind!r}")
 
     def apply(self) -> None:
@@ -78,9 +66,6 @@ class WorkerFault:
             raise RuntimeError("injected fault: raise")
         if self.kind == "exit":
             os._exit(17)
-        if self.kind == "hang":
-            time.sleep(self.seconds)
-            return
         if self.kind in ("raise-once", "exit-once"):
             # The marker file is cross-process state: the first attempt
             # creates it and fails, the retry sees it and proceeds.

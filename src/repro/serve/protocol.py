@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..errors import CampaignError
-from ..faults.plan import STOCK_PLANS
+from ..faults.plan import STOCK_PLANS, FaultPlan
 from ..wire import dumps_wire, encode, is_zero, layout
 
 #: Job lifecycle states, in nominal order.
@@ -66,9 +66,10 @@ STOCK_FAULT_PLANS: Tuple[str, ...] = tuple(STOCK_PLANS)
 
 #: Upper bounds on a spec's work.  A paper-length campaign is 24 simulated
 #: hours and the largest in-repo session budget is 580 trials per flow;
-#: the bounds sit well above both.  They exist because ``POST /jobs``
-#: builds ``trials`` units inside the request handler and the service
-#: has no unit timeout, so an unbounded spec pins a worker or the handler.
+#: the bounds sit well above both.  They exist because units have no
+#: timeout and ``POST /jobs`` builds ``trials`` units inside the request
+#: handler, so an unbounded spec pins a worker or the handler; the CLI
+#: applies the same bounds, so every path accepts the same specs.
 MAX_HOURS = 168.0
 MAX_TRIALS = 10_000
 
@@ -118,8 +119,13 @@ class JobSpec:
         return None  # sessions: the stock SessionPlan budget; ablation/compare: none
 
 
-def validate_spec(spec: JobSpec) -> None:
-    """Reject malformed specs with a structured, field-naming error."""
+def validate_spec(spec: JobSpec, fault_plan: Optional[FaultPlan] = None) -> None:
+    """Reject malformed specs with a structured, field-naming error.
+
+    *fault_plan* is a plan passed beside the spec, as
+    :func:`~repro.serve.results.spec_units` takes it (the CLI's plan
+    file): it gives a chaos job its plan.
+    """
     from ..core.campaign import Mode
     from ..core.scheduler import SCHEDULERS
     from ..core.session import FLOWS
@@ -156,7 +162,7 @@ def validate_spec(spec: JobSpec) -> None:
             "fault_plan",
             f"unknown fault plan {spec.fault_plan!r}; expected one of {STOCK_FAULT_PLANS}",
         )
-    if spec.kind == "chaos" and spec.fault_plan is None:
+    if spec.kind == "chaos" and spec.fault_plan is None and fault_plan is None:
         raise SpecError("fault_plan", "chaos jobs require a stock fault plan name")
     if spec.kind != "sessions" and spec.flows:
         raise SpecError("flows", f"flows apply to session jobs only, not {spec.kind!r}")

@@ -110,12 +110,10 @@ class ZCoverService:
         port: int = 0,
         workers: int = 1,
         checkpoint_path: Optional[str] = None,
-        retries: int = 1,
     ):
         self.host = host
         self.port = port  # rewritten with the bound port after start()
         self.workers = workers
-        self.retries = retries
         self.checkpoint_path = checkpoint_path
         self.queue = JobQueue()
         self.collector = MetricsCollector()
@@ -281,7 +279,6 @@ class ZCoverService:
         core = unit_attempts(
             outcomes,
             self.pool,
-            self.retries,
             report=functools.partial(self._unit_settled, record),
             draining=lambda: self._draining,
             rehydrate=rehydrate_unit_result,
@@ -535,7 +532,6 @@ def serve_forever(
     port: int = 8377,
     workers: int = 1,
     checkpoint_path: Optional[str] = None,
-    retries: int = 1,
 ) -> None:
     """Run a service until SIGTERM/SIGINT, draining gracefully.
 
@@ -551,7 +547,6 @@ def serve_forever(
             port=port,
             workers=workers,
             checkpoint_path=checkpoint_path,
-            retries=retries,
         )
         await service.start()
         loop = asyncio.get_running_loop()

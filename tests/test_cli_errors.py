@@ -64,7 +64,26 @@ CASES = {
         "[]",
     ),
     "submit-invalid-spec": (["submit", "--direct", "--trials", "0"], ""),
+    # Commands that run units check their spec as POST /jobs does, first.
+    "compare-unknown-device": (["compare", "--devices", "D9"], ""),
+    "trials-negative-count": (["trials", "--trials", "-3"], ""),
+    "chaos-zero-trials": (["chaos", "--trials", "0"], ""),
+    "chaos-plan-worker-timeout": (
+        ["chaos", "--trials", "1", "--hours", "0.01", "--plan", "{input}"],
+        json.dumps({
+            "schema": "zcover-fault-plan", "schema_version": 1, "name": "t",
+            "faults": [{"layer": "worker", "kind": "timeout"}],
+        }),
+    ),
 }
+
+
+def _cli(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -72,13 +91,38 @@ def test_bad_input_is_one_line_and_exit_2(case, tmp_path):
     argv, contents = CASES[case]
     path = tmp_path / "input.json"
     path.write_bytes(contents if isinstance(contents, bytes) else contents.encode())
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *(arg.format(input=path) for arg in argv)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _cli([arg.format(input=path) for arg in argv], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(f"zcover {argv[0]}: ")
+
+
+def test_removed_serve_retries_option_is_a_usage_error():
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["serve", "--retries", "1"])
+    assert exit_.value.code == 2
+
+
+def test_chaos_plan_file_counts_as_its_plan(tmp_path):
+    from repro.cli import main
+    from repro.faults.plan import canonical_mixed_plan, save_plan
+
+    plan = tmp_path / "canonical.json"
+    save_plan(canonical_mixed_plan(), str(plan))
+    base = ["chaos", "--trials", "1", "--hours", "0.01", "--format", "json", "--out"]
+    assert main(base + [str(tmp_path / "stock.json"), "--plan", "canonical"]) == 0
+    assert main(base + [str(tmp_path / "file.json"), "--plan", str(plan)]) == 0
+    assert (tmp_path / "file.json").read_bytes() == (tmp_path / "stock.json").read_bytes()
+
+
+def test_pooled_runs_leave_stderr_empty(tmp_path):
+    # The executor waits for its pool's workers once every unit settled,
+    # so nothing is left for the interpreter's exit hook to trip on.
+    for _ in range(4):
+        proc = _cli(["trials", "--trials", "2", "--hours", "0.02", "--workers", "2"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

@@ -8,10 +8,7 @@ per-unit attempts, failure categories and failure text, the same merged
 harness metrics, and byte-identical results for the healthy units.
 
 ``exit`` would kill the test process in-process, so it runs on the pool
-and the service only.  ``hang`` needs a timeout, which the service has
-no option for, so it runs on the two executor paths: a timeout forces
-worker processes even at ``workers=1``, so the hang times out there too
-instead of sleeping.
+and the service only.
 
 The service's shared pool is respawned once per breakage, and the drain
 inside the policy is checked directly against hand-settled futures.
@@ -26,6 +23,7 @@ from concurrent.futures import Future
 import pytest
 
 import repro.serve.service as service_module
+from repro.core import parallel
 from repro.core.campaign import Mode
 from repro.core.parallel import (
     FAILURE_CRASH,
@@ -48,15 +46,13 @@ from repro.wire import dumps_wire
 pytestmark = pytest.mark.skipif(not parallel_supported(), reason="no process pool here")
 
 DURATION = 300.0
-TIMEOUT = 2.5
 WAIT_S = 300.0
 
 
 def units_with(fault, faulty_first=False):
     """Two healthy trials and one faulty unit.
 
-    The faulty unit goes last by default, so a hang never delays the
-    healthy units queued behind it.  An ``exit`` goes first instead: it
+    The faulty unit goes last by default.  An ``exit`` goes first instead: it
     breaks the pool before either healthy unit can finish, so both are
     collateral on every path rather than racing the crash.
     """
@@ -79,7 +75,7 @@ def run_served(units, monkeypatch, seed=0, workers=2):
 
     monkeypatch.setattr(service_module, "spec_units", lambda spec: list(units))
     monkeypatch.setattr(service_module, "document_from_outcomes", capture)
-    handle = ServiceThread(workers=workers, port=0, retries=1).start()
+    handle = ServiceThread(workers=workers, port=0).start()
     try:
         client = ServeClient(port=handle.port)
         spec = JobSpec(kind="trials", device="D1", mode="full", seed=seed, trials=3, hours=0.05)
@@ -143,16 +139,6 @@ class TestOnePolicy:
         assert bad[1] == FAILURE_CRASH
         assert "BrokenProcessPool" in bad[2]
 
-    def test_hang_times_out_at_every_worker_count(self):
-        units = units_with("hang:6")
-        inline = fingerprint(execute_units(units, workers=1, timeout=TIMEOUT))
-        pooled = fingerprint(execute_units(units, workers=2, timeout=TIMEOUT))
-        assert inline == pooled
-        bad = inline[0][2]
-        assert bad[0] == 2 and bad[1] == "timeout"
-        assert f"no result within {TIMEOUT}s" in bad[2]
-        assert all(u[3] is not None for u in inline[0][:2])
-
 
 class TestSharedPoolRespawn:
     def test_one_broken_pool_is_respawned_once(self, monkeypatch):
@@ -171,7 +157,7 @@ class TestSharedPoolRespawn:
         # shared pool before the next job submits: that job's first
         # attempts fail as crashes, the pool is respawned once, and the
         # retries still give the oracle's bytes.
-        handle = ServiceThread(workers=1, port=0, retries=1).start()
+        handle = ServiceThread(workers=1, port=0).start()
         try:
             client = ServeClient(port=handle.port)
             first, second = (
@@ -218,7 +204,7 @@ class TestDrain:
         outcomes = [UnitOutcome(unit=unit) for unit in units_with(None)]
         reported = []
         core = unit_attempts(
-            outcomes, pool, retries=1,
+            outcomes, pool,
             report=lambda index, outcome, wire: reported.append((index, wire)),
             rehydrate=lambda unit, wire: wire,
         )
@@ -237,7 +223,7 @@ class TestDrain:
         pool = _HeldPool()
         outcomes = [UnitOutcome(unit=unit) for unit in units_with(None)[:1]]
         draining = [False]
-        core = unit_attempts(outcomes, pool, retries=1, draining=lambda: draining[0])
+        core = unit_attempts(outcomes, pool, draining=lambda: draining[0])
         next(core)
         draining[0] = True
         with pytest.raises(StopIteration):
@@ -246,12 +232,13 @@ class TestDrain:
         assert outcomes[0].attempts == 1
         assert outcomes[0].result is None and outcomes[0].failure is None
 
-    def test_interrupted_worker_fails_only_its_unit(self):
+    def test_interrupted_worker_fails_only_its_unit(self, monkeypatch):
         # A worker's own KeyboardInterrupt (Ctrl-C reaches the whole
         # process group) is that unit's error, not a second interrupt of
         # the parent: it must settle once instead of being re-thrown.
+        monkeypatch.setattr(parallel, "UNIT_RETRIES", 0)
         pool = _InterruptedPool()
         outcomes = [UnitOutcome(unit=unit) for unit in units_with(None)[:1]]
-        assert _settle_all(unit_attempts(outcomes, pool, retries=0), timeout=None) is False
+        assert _settle_all(unit_attempts(outcomes, pool)) is False
         assert outcomes[0].failure.category == "exception"
         assert outcomes[0].failure.error == "KeyboardInterrupt"

@@ -1,6 +1,6 @@
 """Worker-crash handling in the parallel executor.
 
-A campaign unit whose worker raises, dies or hangs must be retried once
+A campaign unit whose worker raises or dies must be retried once
 and then surfaced as a *structured* failure in the merged summary — never
 an unhandled exception, and never at the cost of the other shards'
 results.
@@ -8,11 +8,11 @@ results.
 
 import pytest
 
+from repro.core import parallel
 from repro.core.campaign import Mode
 from repro.core.parallel import (
     FAILURE_CRASH,
     FAILURE_EXCEPTION,
-    FAILURE_TIMEOUT,
     CampaignUnit,
     UnitFailure,
     execute_units,
@@ -98,22 +98,6 @@ class TestWorkerDeath:
         assert [o.result for o in outcomes] == reference
 
 
-@pytest.mark.skipif(not parallel_supported(), reason="no process pool here")
-class TestTimeout:
-    def test_hanging_worker_times_out(self, reference):
-        # The hang (6 s wall) comfortably exceeds the per-unit budget
-        # (2.5 s), while the healthy shard finishes well inside it.
-        outcomes = execute_units(
-            [good_units(1)[0], faulty("hang:6")], workers=2, timeout=2.5
-        )
-        good, bad = outcomes
-        assert good.result == reference[0]
-        assert bad.result is None
-        assert bad.failure is not None
-        assert bad.failure.category == FAILURE_TIMEOUT
-        assert "2.5" in bad.failure.error
-
-
 class TestWorkerResolution:
     def test_zero_means_per_core(self):
         import os
@@ -124,3 +108,19 @@ class TestWorkerResolution:
     def test_explicit_counts_are_honoured(self):
         assert resolve_workers(4) == 4
         assert resolve_workers(1) == 1
+
+    @pytest.mark.skipif(not parallel_supported(), reason="no process pool here")
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_executor_reads_zero_or_less_as_per_core(self, monkeypatch, reference, workers):
+        sizes = []
+
+        class RecordingPool(parallel.WorkerPool):
+            def __init__(self, workers=1):
+                sizes.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "WorkerPool", RecordingPool)
+        outcomes = execute_units(good_units(), workers=workers)
+        assert sizes == [2]
+        assert [o.result for o in outcomes] == reference
