@@ -247,20 +247,23 @@ def compare_units(
     scheduler: str = "static",
 ) -> "List[CampaignUnit]":
     """The Table V units: a VFuzz then a ZCover campaign per device.  The
-    fault plan and the scheduler apply to ZCover only — the baseline has
-    no fault machinery to degrade through and no CMDCL queue to schedule."""
+    fault plan's in-simulation faults and the scheduler apply to ZCover
+    only — the baseline has no fault machinery to degrade through and no
+    CMDCL queue to schedule.  Its worker faults target any unit by its
+    place in this list, since they hit the executor, not the fuzzer."""
     from ..faults.plan import dumps_plan
     from .campaign import Mode
-    from .parallel import CampaignUnit
+    from .parallel import CampaignUnit, assign_worker_faults
 
     plan_json = None if fault_plan is None else dumps_plan(fault_plan)
-    return [
+    units = [
         CampaignUnit(device=device, kind=kind, mode=Mode.FULL, duration=duration, seed=seed,
                      fault_plan_json=plan_json if kind == "zcover" else None,
                      scheduler=scheduler if kind == "zcover" else "static")
         for device in devices
         for kind in ("vfuzz", "zcover")
     ]
+    return assign_worker_faults(units, fault_plan)
 
 
 def merge_compare(outcomes: List[Any]) -> Tuple[Dict[str, VFuzzResult], Dict[str, Any]]:

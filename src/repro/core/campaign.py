@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import CampaignError
 from ..faults.injector import AbortHook, ControllerFaultInjector, MediumFaultInjector
 from ..faults.plan import DegradationRecord, FaultPlan, dumps_plan
-from ..faults.schedule import FaultPlanner
+from ..faults.schedule import FaultSchedule
 from ..obs.metrics import (
     MetricsCollector,
     MetricsSnapshot,
@@ -321,7 +321,7 @@ def run_campaign(
         raise CampaignError("mode GAMMA has no CMDCL queue to schedule")
     sut = build_sut(device, seed=seed)
     config = fuzzer_config or FuzzerConfig()
-    schedule = None if fault_plan is None else FaultPlanner(fault_plan).compile(seed)
+    schedule = None if fault_plan is None else FaultSchedule(fault_plan, seed)
 
     collector = MetricsCollector()
     if tracer is None:
@@ -470,7 +470,8 @@ def ablation_units(
     """The Table VI arms as campaign units, in table order: FULL, BETA and
     GAMMA under the static scheduler (the paper's table), plus FULL under
     the coverage scheduler when *scheduler* is "coverage".  A *fault_plan*
-    applies to every arm."""
+    applies to every arm; its worker faults target an arm by its place in
+    that order."""
     if scheduler not in SCHEDULERS:
         raise CampaignError(
             f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
@@ -478,14 +479,15 @@ def ablation_units(
     arms = [(mode, SCHEDULER_STATIC) for mode in (Mode.FULL, Mode.BETA, Mode.GAMMA)]
     if scheduler == SCHEDULER_COVERAGE:
         arms.append((Mode.FULL, SCHEDULER_COVERAGE))
-    from .parallel import CampaignUnit
+    from .parallel import CampaignUnit, assign_worker_faults
 
     plan_json = None if fault_plan is None else dumps_plan(fault_plan)
-    return [
+    units = [
         CampaignUnit(device=device, mode=mode, duration=duration, seed=seed,
                      fault_plan_json=plan_json, scheduler=arm_scheduler)
         for mode, arm_scheduler in arms
     ]
+    return assign_worker_faults(units, fault_plan)
 
 
 def merge_ablation(outcomes: "List[UnitOutcome]") -> Dict[object, CampaignResult]:

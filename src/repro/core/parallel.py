@@ -31,10 +31,11 @@ process boundary.
 
 Fault injection rides the unit itself: ``fault`` carries a
 :mod:`repro.faults.worker` token ("raise", "exit", "raise-once:<path>", ...)
-applied before the campaign starts, and ``fault_plan_json`` a serialised
-:class:`~repro.faults.plan.FaultPlan` the worker compiles against the
-unit's seed for in-simulation faults.  Both are ``None`` in production
-campaigns.
+applied before the campaign starts, which :func:`assign_worker_faults`
+sets from a plan by the unit's position in its job, and
+``fault_plan_json`` a serialised :class:`~repro.faults.plan.FaultPlan`
+the worker compiles against the unit's seed for in-simulation faults.
+Both are ``None`` in production campaigns.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ from __future__ import annotations
 import os
 import traceback
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import CampaignError
-from ..faults.plan import loads_plan
+from ..faults.plan import FaultPlan, loads_plan
+from ..faults.schedule import FaultSchedule
 from ..faults.worker import apply_worker_fault
 from ..simulator.testbed import build_sut
 from ..wire import decode, encode
@@ -127,6 +129,25 @@ class CampaignUnit:
             return f"{self.kind}:{self.device}:{self.flow}:seed={self.seed}"
         suffix = "" if self.scheduler == "static" else f":{self.scheduler}"
         return f"{self.kind}:{self.device}:{self.mode.name}:seed={self.seed}{suffix}"
+
+
+def assign_worker_faults(
+    units: List[CampaignUnit], fault_plan: Optional[FaultPlan]
+) -> List[CampaignUnit]:
+    """*units* with the worker-layer fault token *fault_plan* gives each,
+    by its position in the list.
+
+    Every kind of unit counts: a worker fault targets the executor, not
+    the fuzzer.  A token does not read the seed, so one schedule serves
+    the whole list.
+    """
+    if fault_plan is None:
+        return units
+    schedule = FaultSchedule(fault_plan, 0)
+    return [
+        replace(unit, fault=schedule.worker_token(index))
+        for index, unit in enumerate(units)
+    ]
 
 
 @dataclass(frozen=True)

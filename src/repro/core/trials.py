@@ -179,33 +179,25 @@ def trial_units(
     """The campaign units of one trial series, in canonical seed order.
 
     With *fault_plan*, every unit carries the serialised plan (the worker
-    compiles it against its own seed) plus its worker-layer fault token —
-    resolved here, on the parent side, because targeting by
-    ``unit_index`` needs the unit's place in the series.
+    compiles it against its own seed) plus its worker-layer fault token,
+    which targets the unit by its trial index.
     """
     from ..faults.plan import dumps_plan
-    from ..faults.schedule import FaultPlanner
-    from .parallel import CampaignUnit
+    from .parallel import CampaignUnit, assign_worker_faults
 
     plan_json = None if fault_plan is None else dumps_plan(fault_plan)
-    units = []
-    for trial_index in range(n_trials):
-        seed = base_seed + SEED_STRIDE * trial_index
-        token = None
-        if fault_plan is not None:
-            token = FaultPlanner(fault_plan).compile(seed).worker_token(trial_index)
-        units.append(
-            CampaignUnit(
-                device=device,
-                mode=mode,
-                duration=duration,
-                seed=seed,
-                fault=token,
-                fault_plan_json=plan_json,
-                scheduler=scheduler,
-            )
+    units = [
+        CampaignUnit(
+            device=device,
+            mode=mode,
+            duration=duration,
+            seed=base_seed + SEED_STRIDE * trial_index,
+            fault_plan_json=plan_json,
+            scheduler=scheduler,
         )
-    return units
+        for trial_index in range(n_trials)
+    ]
+    return assign_worker_faults(units, fault_plan)
 
 
 def merge_trials(

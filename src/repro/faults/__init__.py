@@ -1,8 +1,8 @@
 """Deterministic fault injection (`repro.faults`).
 
 Failure as a first-class, reproducible input: declarative
-:class:`FaultPlan` documents compile — via a seeded
-:class:`FaultPlanner` — into deterministic schedules injected through
+:class:`FaultPlan` documents compile — per seed, as a
+:class:`FaultSchedule` — into deterministic schedules injected through
 small hook points at the radio medium, the virtual controller, the
 process-pool worker and the campaign itself.  Same plan + same seed ⇒
 the same faults, the same partial results and byte-identical reports,
@@ -31,7 +31,7 @@ from .plan import (
     stock_plan,
 )
 from .report import build_chaos_document, render_chaos_text
-from .schedule import ControllerEvent, FaultPlanner, FaultSchedule, derive_seed
+from .schedule import ControllerEvent, FaultSchedule, derive_seed
 from .worker import WorkerFault, WorkerFaultError, apply_worker_fault
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "DegradationRecord",
     "FaultPlan",
     "FaultPlanError",
-    "FaultPlanner",
     "FaultSchedule",
     "FaultSpec",
     "MediumAction",

@@ -19,7 +19,7 @@ JSON-clean description of what must go wrong:
   a partial result tagged with a :class:`DegradationRecord`.
 
 Plans are compiled into deterministic schedules by
-:class:`repro.faults.schedule.FaultPlanner`: the same ``(plan, seed)``
+:class:`repro.faults.schedule.FaultSchedule`: the same ``(plan, seed)``
 pair always yields the same injected faults, serial or sharded, which is
 what keeps resilience-audit reports byte-identical across runs.
 """

@@ -1,7 +1,7 @@
 """Compiling fault plans into deterministic schedules.
 
-A :class:`FaultPlanner` turns a :class:`~repro.faults.plan.FaultPlan`
-into a :class:`FaultSchedule` for one campaign seed.  Compilation is a
+A :class:`FaultSchedule` compiles a :class:`~repro.faults.plan.FaultPlan`
+for one campaign seed.  Compilation is a
 **pure function of (plan, seed)**: every random draw flows through
 generators seeded by :func:`derive_seed`, which mixes the campaign seed
 with a stable CRC-32 of the layer label — never the builtin ``hash()``,
@@ -15,9 +15,10 @@ Per-layer determinism contracts:
   the decision stream) is identical on every run of the same campaign;
 * **controller** — periodic events are *computed*, not drawn:
   ``k * every_s`` for ``k >= 1``, so they are trivially order-invariant;
-* **worker** — the spec maps a unit's index in its series to a
+* **worker** — the spec maps a unit's index in its job's unit list to a
   :class:`~repro.faults.worker.WorkerFault` token, applied by the unit
-  executor at every worker count, keeping serial and sharded runs aligned;
+  executor at every worker count, keeping serial and sharded runs aligned
+  (the token does not read the seed);
 * **campaign** — the abort offset is read straight off the plan.
 """
 
@@ -106,7 +107,7 @@ class FaultSchedule:
     # -- worker faults ---------------------------------------------------------
 
     def worker_fault(self, unit_index: int) -> Optional[WorkerFault]:
-        """The fault for the unit at *unit_index* in its series, if any."""
+        """The fault for the unit at *unit_index* in its job's unit list, if any."""
         for spec in self.worker_specs:
             if spec.unit_index in (-1, unit_index):
                 return WorkerFault.from_spec_kind(spec.kind)
@@ -150,14 +151,3 @@ class FaultSchedule:
             "abort_at_s": self.abort_at_s,
         }
 
-
-class FaultPlanner:
-    """Compiles one plan into per-seed schedules."""
-
-    def __init__(self, plan: FaultPlan):
-        plan.validate()
-        self.plan = plan
-
-    def compile(self, seed: int) -> FaultSchedule:
-        """The deterministic schedule for one campaign seed."""
-        return FaultSchedule(self.plan, seed)

@@ -4,7 +4,7 @@ Substitutes for the paper's YardStick One SDR and the physical 868/908 MHz
 channel (see DESIGN.md for the substitution rationale).
 """
 
-from .clock import SimClock, Stopwatch
+from .clock import SimClock
 from .medium import (
     RadioMedium,
     Reception,
@@ -37,7 +37,6 @@ __all__ = [
     "received_power_dbm",
     "Reception",
     "SimClock",
-    "Stopwatch",
     "TraceRecord",
     "dissect",
     "dissect_trace",

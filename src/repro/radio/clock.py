@@ -189,17 +189,3 @@ class SimClock:
                 break
         return fired
 
-
-class Stopwatch:
-    """Measure elapsed simulated time against a :class:`SimClock`."""
-
-    def __init__(self, clock: SimClock):
-        self._clock = clock
-        self._start = clock.now
-
-    def restart(self) -> None:
-        self._start = self._clock.now
-
-    @property
-    def elapsed(self) -> float:
-        return self._clock.now - self._start

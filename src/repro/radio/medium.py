@@ -1,4 +1,4 @@
-"""The shared RF medium: propagation, attenuation, noise and delivery.
+"""The shared RF medium: propagation, attenuation and delivery.
 
 Devices and the attacker's dongle attach to one :class:`RadioMedium` at
 physical positions.  A transmission is delivered to every attached endpoint
@@ -8,6 +8,10 @@ frame's airtime.  An endpoint attached with an address is handed only the
 frames for its own network and node.  A log-distance path-loss model gives
 the 10-70 m attack range of Figure 2 realistic behaviour: near receivers
 always hear the frame, far ones suffer increasing loss until the link dies.
+
+The medium carries demodulated frame bytes, as the dongle hands them over;
+the PHY bitstream codec in :mod:`.signal` is the line coding those bytes
+would ride on air, not a delivery path.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from ..errors import RadioError
 from ..zwave import constants as const
 from ..zwave.constants import Region
 from .clock import SimClock
-from .signal import airtime_seconds, corrupt_bits, decode_phy, encode_phy
+from .signal import airtime_seconds
 
 #: Path-loss model constants (log-distance, sub-GHz indoor/outdoor mix).
 TX_POWER_DBM = 0.0
@@ -57,13 +61,12 @@ class Reception:
     why no field has a default.
     """
 
-    __slots__ = ("raw", "rssi_dbm", "timestamp", "rate_kbaud", "bit_errors")
+    __slots__ = ("raw", "rssi_dbm", "timestamp", "rate_kbaud")
 
     raw: bytes
     rssi_dbm: float
     timestamp: float
     rate_kbaud: float
-    bit_errors: int
 
 
 #: Endpoint receive callback signature.
@@ -102,35 +105,20 @@ class _Endpoint:
 class RadioMedium:
     """A single shared sub-GHz channel."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        rng: Optional[random.Random] = None,
-        noise_bit_rate: float = 0.0,
-        bit_accurate: bool = False,
-        collisions: bool = False,
-    ):
-        """*bit_accurate* runs the full PHY bitstream codec (preamble,
-        SOF, Manchester/NRZ line coding) on every transmission; the default
-        fast path delivers frame bytes directly, which is behaviourally
-        identical on a clean channel and an order of magnitude faster for
-        long fuzzing campaigns.  Channel noise requires the bit-accurate
-        path.  With *collisions* enabled, transmissions whose airtimes
-        overlap destroy each other (single shared channel, no capture
-        effect); the default leaves the channel ideally arbitrated, which
-        matches the CSMA behaviour of real Z-Wave radios closely enough
-        for every experiment."""
+    def __init__(self, clock: SimClock, rng: Optional[random.Random] = None):
+        """*rng* draws the per-receiver frame losses of marginal links.
+
+        The channel is ideally arbitrated: transmissions whose airtimes
+        overlap both arrive, which matches the CSMA behaviour of real
+        Z-Wave radios closely enough for every experiment, and a frame
+        arrives with the bytes it was sent with unless a fault injector
+        rewrites them."""
         self._clock = clock
         self._rng = rng or random.Random(0)
         self._endpoints: Dict[str, _Endpoint] = {}
-        self._noise_bit_rate = noise_bit_rate
-        self._bit_accurate = bit_accurate or noise_bit_rate > 0.0
-        self._collisions = collisions
-        self._active: List[dict] = []
         self._transmissions = 0
         self._deliveries = 0
         self._losses = 0
-        self._collision_count = 0
         #: Optional fault-injection hook (repro.faults.MediumFaultInjector);
         #: consulted once per transmission when set.
         self.fault_injector = None
@@ -142,7 +130,7 @@ class RadioMedium:
         # that reach the rng draw — in listener order, so rng consumption
         # is unchanged — and out_of_range counts the sub-sensitivity
         # listeners the legacy loop tallied as losses on every transmission.
-        # Invalidated on attach / detach / move and on every enabled flip
+        # Invalidated on attach / detach and on every enabled flip
         # (the only write path is :meth:`set_enabled`).
         self._plan_cache: Dict[str, Tuple[Tuple[Tuple[_Endpoint, float, float], ...], int]] = {}
 
@@ -190,14 +178,6 @@ class RadioMedium:
         endpoint.enabled = enabled
         self._plan_cache.clear()
 
-    def move(self, name: str, position: Tuple[float, float]) -> None:
-        """Relocate an endpoint (e.g. the attacker walking closer)."""
-        endpoint = self._endpoints.get(name)
-        if endpoint is None:
-            raise RadioError(f"no endpoint named {name!r}")
-        endpoint.position = position
-        self._invalidate_topology()
-
     def endpoints(self) -> List[str]:
         return sorted(self._endpoints)
 
@@ -212,7 +192,6 @@ class RadioMedium:
             "transmissions": self._transmissions,
             "deliveries": self._deliveries,
             "losses": self._losses,
-            "collisions": self._collision_count,
         }
 
     # -- transmission --------------------------------------------------------------
@@ -220,11 +199,10 @@ class RadioMedium:
     def transmit(self, sender: str, frame_bytes: bytes, rate_kbaud: float) -> float:
         """Broadcast *frame_bytes* from *sender*; returns the airtime.
 
-        Each in-range endpoint receives the demodulated bytes after the
-        airtime elapses.  Marginal links (between the perfect-link and
-        sensitivity thresholds) drop frames probabilistically; optional
-        channel noise flips PHY bits, which the receiver's decoder then
-        sees as preamble or payload corruption.
+        Each in-range endpoint receives the bytes after the airtime
+        elapses.  Marginal links (between the perfect-link and sensitivity
+        thresholds) drop frames probabilistically; a fault injector, when
+        set, may drop, rewrite, delay or duplicate the transmission first.
         """
         source = self._endpoints.get(sender)
         if source is None:
@@ -243,23 +221,14 @@ class RadioMedium:
                     frame_bytes = action.corrupt
                 extra_delay = action.extra_delay
                 duplicate = action.duplicate
-        if self._collisions and self._collides(airtime):
-            return airtime
         reachable, out_of_range = self._plan(sender, source)
         self._losses += out_of_range
         # The loss draw happens for every endpoint above sensitivity even on
         # a perfect link, in listener order — the plan must never change
         # rng consumption.
-        if self._bit_accurate:
-            data = None
-            records = self._draw_phy(reachable, encode_phy(frame_bytes, rate_kbaud))
-            deliver = self._deliver_phy
-        else:
-            rng_random = self._rng.random
-            data = frame_bytes
-            records = [record for record in reachable if rng_random() >= record[2]]
-            self._losses += len(reachable) - len(records)
-            deliver = self._deliver_clean
+        rng_random = self._rng.random
+        records = [record for record in reachable if rng_random() >= record[2]]
+        self._losses += len(reachable) - len(records)
         if records:
             # A duplicated transmission arrives a second time one airtime
             # after the original (back-to-back repeat on the channel).
@@ -267,13 +236,11 @@ class RadioMedium:
                 (extra_delay, extra_delay + airtime) if duplicate else (extra_delay,)
             )
             for offset in offsets:
-                event_id = self._clock.schedule_call(
+                self._clock.schedule_call(
                     airtime + offset,
-                    deliver,
-                    (data, records, airtime, rate_kbaud, offset),
+                    self._deliver,
+                    (frame_bytes, records, airtime, rate_kbaud, offset),
                 )
-                if self._collisions:
-                    self._current_transmission["events"].append(event_id)
         return airtime
 
     # -- known-unheard transmissions -------------------------------------------
@@ -290,14 +257,13 @@ class RadioMedium:
         sent by *sender* now, when no other callback would hear it;
         ``None`` otherwise.
 
-        Not ``None`` on the clean channel (not bit-accurate, no
-        collisions, no fault injector) when every other endpoint the
-        transmission can reach (a plan holds only enabled ones) is
-        addressed and rejects the frame's address key, so that its
-        delivery only counts.  What *listener* does with the frame is the
+        Not ``None``, when no fault injector is set, if every other
+        endpoint the transmission can reach (a plan holds only enabled
+        ones) is addressed and rejects the frame's address key, so that
+        its delivery only counts.  What *listener* does with the frame is the
         caller's to know.
         """
-        if self._bit_accurate or self._collisions or self.fault_injector is not None:
+        if self.fault_injector is not None:
             return None
         source = self._endpoints.get(sender)
         if source is None:
@@ -340,36 +306,6 @@ class RadioMedium:
         self._clock.elide_events(batches)
         return heard
 
-    def _draw_phy(
-        self,
-        reachable: Tuple[Tuple[_Endpoint, float, float], ...],
-        phy_bits: List[int],
-    ) -> List[Tuple[_Endpoint, float, List[int], int]]:
-        """Loss and channel-noise draws for the bit-accurate path.
-
-        Each surviving endpoint gets its own bitstream record
-        ``(endpoint, rssi, bits, bit_errors)``: noise flips bits per
-        receiver, so the batch cannot share one buffer.
-        """
-        rng_random = self._rng.random
-        noise = self._noise_bit_rate
-        records = []
-        for endpoint, rssi, loss_p in reachable:
-            if rng_random() < loss_p:
-                self._losses += 1
-                continue
-            delivered_bits = phy_bits
-            bit_errors = 0
-            if noise > 0.0:
-                flips = tuple(
-                    i for i in range(len(phy_bits)) if rng_random() < noise
-                )
-                if flips:
-                    delivered_bits = corrupt_bits(phy_bits, flips)
-                    bit_errors = len(flips)
-            records.append((endpoint, rssi, delivered_bits, bit_errors))
-        return records
-
     def _plan(
         self, sender: str, source: _Endpoint
     ) -> Tuple[Tuple[Tuple[_Endpoint, float, float], ...], int]:
@@ -404,13 +340,12 @@ class RadioMedium:
 
     # -- delivery ------------------------------------------------------------------
     #
-    # Both delivery paths run at the batch's fire time, one clock event per
+    # Delivery runs at the batch's fire time, one clock event per
     # transmission (and offset).  Legacy pushed one closure per (endpoint,
     # offset) with consecutive seq numbers and a shared fire time, so the
     # heap drained them in listener order anyway — the batch replays
     # exactly that order, with one heap push per fire time instead of one
-    # per delivery.  Collision cancellation maps 1:1: cancelling the batch
-    # id cancels all of the transmission's deliveries.
+    # per delivery.
     #
     # The enabled check happens per record, immediately before its
     # callback, so a callback earlier in the batch that powers a later
@@ -420,8 +355,8 @@ class RadioMedium:
     # hoisted.  The address filter runs last, on the bytes actually
     # delivered, and a filtered delivery still counts in ``deliveries``.
 
-    def _deliver_clean(self, batch: tuple) -> None:
-        """Deliver one clean-channel transmission: shared bytes, plan records."""
+    def _deliver(self, batch: tuple) -> None:
+        """Deliver one transmission: shared bytes, plan records."""
         raw, records, airtime, rate_kbaud, offset = batch
         timestamp = self._clock.now + airtime + offset
         key = _address_key(raw)
@@ -432,45 +367,4 @@ class RadioMedium:
             accepts = endpoint.accepts
             if accepts is not None and key not in accepts:
                 continue
-            endpoint.callback(Reception(raw, rssi, timestamp, rate_kbaud, 0))
-
-    def _deliver_phy(self, batch: tuple) -> None:
-        """Deliver one bit-accurate transmission: decode each receiver's bits."""
-        _, records, airtime, rate_kbaud, offset = batch
-        timestamp = self._clock.now + airtime + offset
-        for endpoint, rssi, phy_bits, bit_errors in records:
-            if not endpoint.enabled:
-                continue
-            try:
-                raw = decode_phy(phy_bits, rate_kbaud)
-            except RadioError:
-                continue  # Undecodable garbage — receiver never syncs.
-            self._deliveries += 1
-            accepts = endpoint.accepts
-            if accepts is not None and _address_key(raw) not in accepts:
-                continue
-            endpoint.callback(
-                Reception(raw, rssi, timestamp, rate_kbaud, bit_errors)
-            )
-
-    def _collides(self, airtime: float) -> bool:
-        """Collision bookkeeping: destroy overlapping transmissions.
-
-        A new transmission overlapping an in-flight one kills both — the
-        victim's scheduled deliveries are cancelled and the newcomer is
-        never delivered.  Returns ``True`` when the newcomer collided.
-        """
-        now = self._clock.now
-        self._active = [t for t in self._active if t["end"] > now]
-        record = {"end": now + airtime, "events": []}
-        if self._active:
-            self._collision_count += 1
-            for transmission in self._active:
-                for event_id in transmission["events"]:
-                    self._clock.cancel(event_id)
-                transmission["events"] = []
-            self._active.append(record)
-            return True
-        self._active.append(record)
-        self._current_transmission = record
-        return False
+            endpoint.callback(Reception(raw, rssi, timestamp, rate_kbaud))

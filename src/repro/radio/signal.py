@@ -2,19 +2,21 @@
 
 The passive scanner of Figure 4 starts from "raw binary data" and must
 "filter out the noise by removing specific repetitive bytes in the signal".
-To give that pipeline something real to chew on, frames travel over the
-simulated medium as PHY bitstreams::
+This module is the line coding a frame rides on air::
 
     PREAMBLE (0x55 × n) | SOF (0xF0) | Manchester(R1) or NRZ(R2/R3) data
 
 R1 (9.6 kbaud) uses Manchester coding, R2/R3 use NRZ, matching ITU-T
 G.9959.  Decoding tolerates leading noise bits and strips the repetitive
-preamble — exactly the "packet capturing" step of the paper.
+preamble — exactly the "packet capturing" step of the paper.  The
+simulated medium delivers demodulated bytes, as the dongle does, and
+uses only :func:`airtime_seconds` from here; the Figure 1 bench runs the
+bitstream codec itself.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import RadioError
 
@@ -126,11 +128,3 @@ def airtime_seconds(frame_bytes: bytes, rate_kbaud: float, preamble_length: int 
         bits += len(frame_bytes) * 8  # Manchester doubles the data symbols.
     return bits / (rate_kbaud * 1000.0)
 
-
-def corrupt_bits(bits: List[int], positions: Tuple[int, ...]) -> List[int]:
-    """Return a copy of *bits* with the given positions flipped (noise)."""
-    noisy = list(bits)
-    for pos in positions:
-        if 0 <= pos < len(noisy):
-            noisy[pos] ^= 1
-    return noisy

@@ -28,6 +28,8 @@ class TraceRecord:
     timestamp: float
     rssi_dbm: float
     raw_hex: str
+    #: Always 0 for a capture: the medium delivers the bytes it was sent.
+    #: Kept so trace files keep their bytes and older ones still load.
     bit_errors: int = 0
 
     @property
@@ -47,7 +49,6 @@ class TraceRecord:
             timestamp=capture.timestamp,
             rssi_dbm=capture.rssi_dbm,
             raw_hex=capture.raw.hex(),
-            bit_errors=capture.bit_errors,
         )
 
 

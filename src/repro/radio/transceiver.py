@@ -21,7 +21,6 @@ from typing import Deque, List, Optional, Tuple
 from ..errors import TransceiverError
 from ..zwave.constants import DATA_RATES_KBAUD, Region
 from ..zwave.frame import FrameView, ZWaveFrame, lenient_view
-from .clock import SimClock
 from .medium import RadioMedium, Reception
 
 #: Capture buffer depth; the oldest captures roll off, like a real dongle.
@@ -39,13 +38,12 @@ class CapturedFrame:
     because ``dataclass(slots=True)`` needs Python 3.10.
     """
 
-    __slots__ = ("raw", "frame", "rssi_dbm", "timestamp", "bit_errors")
+    __slots__ = ("raw", "frame", "rssi_dbm", "timestamp")
 
     raw: bytes
     frame: Optional[FrameView]
     rssi_dbm: float
     timestamp: float
-    bit_errors: int
 
     @property
     def decoded(self) -> bool:
@@ -58,12 +56,10 @@ class Transceiver:
     def __init__(
         self,
         medium: RadioMedium,
-        clock: SimClock,
         name: str = "dongle",
         position: Tuple[float, float] = (0.0, 0.0),
     ):
         self._medium = medium
-        self._clock = clock
         self._name = name
         self._position = position
         self._region: Optional[Region] = None
@@ -124,7 +120,7 @@ class Transceiver:
     def captures(self) -> List[CapturedFrame]:
         """Snapshot of the capture buffer (oldest first)."""
         return [
-            CapturedFrame(r.raw, lenient_view(r.raw), r.rssi_dbm, r.timestamp, r.bit_errors)
+            CapturedFrame(r.raw, lenient_view(r.raw), r.rssi_dbm, r.timestamp)
             for r in self._captures
         ]
 
@@ -177,19 +173,6 @@ class Transceiver:
         self._require_configured()
         self._injected += count
         return self._medium.transmit_unheard(self._name, listener, count)
-
-    def inject_and_wait(self, frame: ZWaveFrame, settle: float = 0.01) -> None:
-        """Inject and advance the clock past delivery + processing."""
-        airtime = self.inject(frame)
-        self._clock.advance(airtime + settle)
-
-    # -- positioning -------------------------------------------------------------------
-
-    def move_to(self, position: Tuple[float, float]) -> None:
-        """Relocate the dongle (e.g. the attacker approaching the house)."""
-        self._position = position
-        if self._attached:
-            self._medium.move(self._name, position)
 
     @property
     def position(self) -> Tuple[float, float]:

@@ -140,7 +140,6 @@ def build_sut(
     device: str = "D1",
     seed: int = 0,
     attacker_distance_m: float = 30.0,
-    with_slaves: bool = True,
     traffic: bool = True,
 ) -> SystemUnderTest:
     """Assemble one controller SUT with its network and attacker dongle.
@@ -216,15 +215,12 @@ def build_sut(
             name="smart switch",
         )
     )
-    if not with_slaves:
-        medium.detach(lock.name)
-        medium.detach(switch.name)
-    elif traffic:
+    if traffic:
         controller.start_polling([LOCK_NODE_ID, SWITCH_NODE_ID], interval=30.0)
         lock.start_reporting(interval=45.0)
         switch.start_reporting(interval=60.0)
     dongle = Transceiver(
-        medium, clock, name=f"{profile.idx}-dongle", position=(attacker_distance_m, 0.0)
+        medium, name=f"{profile.idx}-dongle", position=(attacker_distance_m, 0.0)
     )
     dongle.configure(Region.US, 100.0)
     return SystemUnderTest(

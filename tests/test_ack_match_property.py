@@ -140,7 +140,7 @@ def test_capture_ring_bytes_match_captures():
     rng = random.Random(7)
     clock = SimClock()
     medium = RadioMedium(clock, random.Random(1))
-    dongle = Transceiver(medium, clock, name="dongle", position=(0.0, 0.0))
+    dongle = Transceiver(medium, name="dongle", position=(0.0, 0.0))
     dongle.configure(const.Region.US, 100.0)
     medium.attach("tx", (5.0, 0.0), const.Region.US, lambda reception: None)
     for _ in range(200):

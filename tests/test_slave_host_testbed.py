@@ -209,12 +209,3 @@ class TestTestbed:
     def test_attacker_distance_configurable(self):
         sut = build_sut("D1", seed=1, attacker_distance_m=70.0, traffic=False)
         assert sut.dongle.position == (70.0, 0.0)
-
-    def test_without_slaves(self):
-        sut = build_sut("D1", seed=1, with_slaves=False)
-        sut.dongle.clear_captures()
-        sut.clock.advance(100.0)
-        slave_frames = [
-            c for c in sut.dongle.captures() if c.frame and c.frame.src in (2, 3)
-        ]
-        assert slave_frames == []
