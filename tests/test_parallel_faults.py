@@ -6,10 +6,13 @@ an unhandled exception, and never at the cost of the other shards'
 results.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import parallel
-from repro.core.campaign import Mode
+from repro.core.baseline import compare_units
+from repro.core.campaign import Mode, ablation_units
 from repro.core.parallel import (
     FAILURE_CRASH,
     FAILURE_EXCEPTION,
@@ -21,6 +24,7 @@ from repro.core.parallel import (
 )
 from repro.core.trials import merge_trials
 from repro.core.trials import trial_units
+from repro.faults.plan import FaultPlan, FaultSpec
 
 DURATION = 600.0  # 10 simulated minutes keeps each shard ~0.5 s wall
 
@@ -124,3 +128,44 @@ class TestWorkerResolution:
         outcomes = execute_units(good_units(), workers=workers)
         assert sizes == [2]
         assert [o.result for o in outcomes] == reference
+
+
+#: Builders of the three unit lists a fault plan reaches, four units each.
+UNIT_LISTS = {
+    "trials": lambda plan: trial_units("D1", Mode.FULL, 4, DURATION, 0, fault_plan=plan),
+    "ablation": lambda plan: ablation_units(
+        "D1", DURATION, 0, fault_plan=plan, scheduler="coverage"
+    ),
+    "compare": lambda plan: compare_units(("D1", "D2"), DURATION, 0, fault_plan=plan),
+}
+
+
+def _worker_plan(unit_index):
+    return FaultPlan(
+        name="worker", faults=(FaultSpec("worker", "raise", unit_index=unit_index),)
+    )
+
+
+class TestWorkerFaultAssignment:
+    """A worker fault targets a unit by its position in the job's unit
+    list, whatever kind of job or unit it is."""
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("job", sorted(UNIT_LISTS))
+    def test_token_lands_on_the_indexed_unit_only(self, job, index):
+        units = UNIT_LISTS[job](_worker_plan(index))
+        assert [u.fault for u in units] == [
+            "raise" if i == index else None for i in range(4)
+        ]
+        # The token is all the worker layer changes about a unit.
+        plain = UNIT_LISTS[job](None)
+        assert [replace(u, fault=None, fault_plan_json=None) for u in units] == plain
+
+    @pytest.mark.parametrize("job", sorted(UNIT_LISTS))
+    def test_untargeted_fault_hits_every_unit(self, job):
+        units = UNIT_LISTS[job](_worker_plan(-1))
+        assert [u.fault for u in units] == ["raise"] * 4
+
+    def test_no_plan_leaves_units_untouched(self):
+        units = good_units(3)
+        assert parallel.assign_worker_faults(units, None) is units
