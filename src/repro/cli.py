@@ -58,11 +58,11 @@ def _add_device(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _hours(text: str) -> float:
-    """``--hours`` type: a positive, finite number of simulated hours.
+def _positive_finite(text: str) -> float:
+    """Type of every simulated duration (``--hours``, ``--seconds``, ...).
 
-    A campaign runs until the simulated clock passes its duration, so NaN
-    or infinity would never end.
+    A run lasts until the simulated clock passes its duration, so NaN or
+    infinity would never end.
     """
     value = float(text)
     # The comparison is false for NaN; infinity fails the finite bound.
@@ -690,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="phase 3: run a fuzzing campaign")
     _add_common(fuzz)
-    fuzz.add_argument("--hours", type=_hours, default=1.0, help="simulated hours")
+    fuzz.add_argument("--hours", type=_positive_finite, default=1.0, help="simulated hours")
     fuzz.add_argument("--mode", choices=sorted(_MODES), default="full")
     fuzz.add_argument("--log", help="save the bug log (JSON lines) here")
     fuzz.add_argument("--json", help="save the machine-readable summary here")
@@ -702,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(--scheduler coverage adds a coverage-guided fourth arm)",
     )
     _add_common(ablation)
-    ablation.add_argument("--hours", type=_hours, default=1.0)
+    ablation.add_argument("--hours", type=_positive_finite, default=1.0)
     _add_workers(ablation)
     _add_metrics_out(ablation)
     _add_fault_plan(ablation)
@@ -711,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="Table V: ZCover vs VFuzz")
     compare.add_argument("--devices", default="D1,D2,D3,D4,D5")
-    compare.add_argument("--hours", type=_hours, default=6.0)
+    compare.add_argument("--hours", type=_positive_finite, default=6.0)
     compare.add_argument("--seed", type=int, default=0)
     _add_workers(compare)
     _add_metrics_out(compare)
@@ -726,12 +726,12 @@ def build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="render a paper figure")
     _add_common(figure)
     figure.add_argument("--which", type=int, default=5, choices=(5, 12))
-    figure.add_argument("--hours", type=_hours, default=1.0)
+    figure.add_argument("--hours", type=_positive_finite, default=1.0)
     figure.set_defaults(func=cmd_figure)
 
     sniff = sub.add_parser("sniff", help="capture and dissect network traffic")
     _add_common(sniff)
-    sniff.add_argument("--seconds", type=float, default=120.0)
+    sniff.add_argument("--seconds", type=_positive_finite, default=120.0)
     sniff.add_argument("--out", help="save the trace (JSON lines) here")
     sniff.add_argument("--limit", type=int, default=40, help="lines to print")
     sniff.set_defaults(func=cmd_sniff)
@@ -748,13 +748,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ids = sub.add_parser("ids", help="train the ZMAD-style IDS, replay attacks")
     _add_common(ids)
-    ids.add_argument("--train-seconds", type=float, default=7200.0)
+    ids.add_argument("--train-seconds", type=_positive_finite, default=7200.0)
     ids.set_defaults(func=cmd_ids)
 
     report = sub.add_parser("report", help="run a campaign and write a report")
     _add_common(report)
     report.add_argument("--mode", choices=sorted(_MODES), default="full")
-    report.add_argument("--hours", type=_hours, default=1.0)
+    report.add_argument("--hours", type=_positive_finite, default=1.0)
     report.add_argument("--out", help="markdown report path (default: stdout)")
     report.add_argument("--svg", help="also write the Figure 12 panel here")
     report.set_defaults(func=cmd_report)
@@ -763,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(trials)
     trials.add_argument("--mode", choices=sorted(_MODES), default="full")
     trials.add_argument("--trials", type=int, default=5)
-    trials.add_argument("--hours", type=_hours, default=1.0)
+    trials.add_argument("--hours", type=_positive_finite, default=1.0)
     _add_workers(trials)
     _add_metrics_out(trials)
     _add_fault_plan(trials)
@@ -783,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--mode", choices=sorted(_MODES), default="full")
     chaos.add_argument("--trials", type=int, default=2)
-    chaos.add_argument("--hours", type=_hours, default=0.25)
+    chaos.add_argument("--hours", type=_positive_finite, default=0.25)
     chaos.add_argument("--format", choices=("text", "json"), default="text")
     chaos.add_argument("--out", help="write the report here (default: stdout)")
     _add_workers(chaos)
@@ -820,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs = sub.add_parser("obs", help="observability: metrics + tracing spans")
     _add_common(obs)
     obs.add_argument("--mode", choices=sorted(_MODES), default="full")
-    obs.add_argument("--hours", type=_hours, default=1.0)
+    obs.add_argument("--hours", type=_positive_finite, default=1.0)
     obs.add_argument(
         "--in",
         dest="in_path",
@@ -920,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trial count (kind-specific stock default when omitted)",
     )
     submit.add_argument(
-        "--hours", type=_hours, default=1.0, help="simulated hours per campaign"
+        "--hours", type=_positive_finite, default=1.0, help="simulated hours per campaign"
     )
     _add_scheduler(submit)
     submit.add_argument(

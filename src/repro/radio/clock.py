@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -147,8 +148,10 @@ class SimClock:
         Locals are bound once because a fuzzing campaign spends most of
         its wall clock inside this loop.
         """
-        if deadline < self._now:
-            raise RadioError("cannot advance time backwards")
+        # One comparison also rejects NaN and infinity: a NaN deadline
+        # would freeze the clock, an infinite one never return.
+        if not self._now <= deadline < math.inf:
+            raise RadioError(f"cannot advance time from {self._now} to {deadline}")
         queue = self._queue
         cancelled = self._cancelled
         pop = heapq.heappop

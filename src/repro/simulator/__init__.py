@@ -7,7 +7,6 @@ trigger-predicate + effect models.
 
 from .controller import ControllerStats, TriggeredEvent, VirtualController
 from .host import HostKind, HostProgram, HostState
-from .battery import BatterySensor, WakeupQueue
 from .ota import FirmwareImage, FirmwareSender, OtaCapableSensor
 from .inclusion import (
     ExclusionCeremony,
@@ -15,11 +14,9 @@ from .inclusion import (
     InclusionResult,
     JoiningDevice,
     replicate_to_secondary,
-    SmartStartList,
     steal_s0_key_from_captures,
 )
 from .routing import MeshRepeater, RoutingHeader, make_routed_frame, unwrap_routed
-from .serialapi import PCControllerClient, SerialApiChip, SerialFrame, SerialLink, attach_pc_controller
 from .transport import S0Messaging, S2Messaging, TransportStats
 from .memory import MemoryChange, NodeRecord, NodeTable
 from .slave import VirtualBinarySwitch, VirtualDoorLock, VirtualSlave
@@ -51,25 +48,17 @@ from .vulnerabilities import (
 __all__ = [
     "build_sut",
     "CONTROLLER_IDS",
-    "attach_pc_controller",
-    "BatterySensor",
     "FirmwareImage",
     "FirmwareSender",
     "OtaCapableSensor",
     "ExclusionCeremony",
     "replicate_to_secondary",
-    "SmartStartList",
-    "WakeupQueue",
     "InclusionCeremony",
     "InclusionResult",
     "JoiningDevice",
     "make_routed_frame",
     "MeshRepeater",
-    "PCControllerClient",
     "RoutingHeader",
-    "SerialApiChip",
-    "SerialFrame",
-    "SerialLink",
     "unwrap_routed",
     "S0Messaging",
     "S2Messaging",

@@ -160,8 +160,8 @@ class VirtualController:
         #: Configuration parameter store (parameter number -> value).
         self.config_params: Dict[int, int] = {}
         #: Callbacks invoked with (src, payload) for every consumed device
-        #: report — the hook the Serial API adapter uses to surface
-        #: APPLICATION_COMMAND_HANDLER events to the host program.
+        #: report — the hook the OTA firmware driver
+        #: (:class:`repro.simulator.ota.FirmwareSender`) reads its replies from.
         self.apl_listeners: List = []
         #: Optional fault-injection hook (repro.faults.ControllerFaultInjector);
         #: consulted for an ACK delay when set.
@@ -621,7 +621,7 @@ class VirtualController:
         cmd = cls.command(payload.cmd) if (cls and payload.cmd is not None) else None
         if cls is not None and cmd is not None:
             # Surface every well-formed application command to the attached
-            # host adapters (Serial API callbacks, OTA drivers, ...).
+            # host adapters (the OTA firmware driver).
             for listener in self.apl_listeners:
                 listener(src, payload)
             if cmd.kind is CommandKind.GET:

@@ -332,50 +332,6 @@ class InclusionCeremony:
         return key
 
 
-class SmartStartList:
-    """SmartStart: pre-provisioned inclusion by DSK.
-
-    The installer scans each device's QR code (its DSK) into the
-    controller's provisioning list ahead of time; when the device later
-    announces itself (the SMART_START_JOIN prime), the controller includes
-    it over S2 *without* the interactive pin ceremony — the pin was
-    effectively entered at scan time.  Unknown devices announcing
-    themselves are ignored, which is the security point of the feature.
-    """
-
-    def __init__(self, ceremony: InclusionCeremony):
-        self._ceremony = ceremony
-        self._provisioned: dict = {}
-        self.ignored_announcements = 0
-
-    def provision(self, dsk_pin: int, label: str = "") -> None:
-        """Scan a device's QR code into the provisioning list."""
-        self._provisioned[dsk_pin] = label
-
-    @property
-    def provisioned_count(self) -> int:
-        return len(self._provisioned)
-
-    def is_provisioned(self, dsk_pin: int) -> bool:
-        return dsk_pin in self._provisioned
-
-    def announce(
-        self, device: JoiningDevice, device_endpoint: str
-    ) -> Optional[InclusionResult]:
-        """A device broadcasts its SmartStart prime; include it if listed."""
-        if device.dsk_pin not in self._provisioned:
-            self.ignored_announcements += 1
-            return None
-        result = self._ceremony.include(
-            device,
-            device_endpoint,
-            TransportMode.S2,
-            user_pin=device.dsk_pin,  # the pin was verified at scan time
-        )
-        del self._provisioned[device.dsk_pin]
-        return result
-
-
 class ExclusionCeremony:
     """Remove-node: the inverse ceremony."""
 

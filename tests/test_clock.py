@@ -32,6 +32,20 @@ class TestAdvancing:
         with pytest.raises(RadioError):
             clock.advance_to(0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("method", ["advance", "advance_to"])
+    def test_non_finite_rejected(self, method, value):
+        # A NaN deadline would leave `now` at NaN and no event would fire
+        # again; an infinite one would never return.
+        clock = SimClock()
+        fired = []
+        clock.schedule(1.0, lambda: fired.append(clock.now))
+        with pytest.raises(RadioError):
+            getattr(clock, method)(value)
+        assert clock.now == 0.0
+        clock.advance(2.0)
+        assert fired == [1.0]
+
 
 class TestScheduling:
     def test_event_fires_at_deadline(self):

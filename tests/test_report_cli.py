@@ -111,12 +111,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["scan", "--device", "D8"])
 
-    @pytest.mark.parametrize("hours", ["nan", "inf", "-inf", "0", "-1"])
-    def test_hours_must_be_positive_and_finite(self, hours, capsys):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [("fuzz", "--hours"), ("sniff", "--seconds"), ("ids", "--train-seconds")],
+    )
+    def test_duration_must_be_positive_and_finite(self, command, option, value, capsys):
+        # An infinite duration never returns; NaN freezes the simulated clock.
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["fuzz", "--hours", hours])
+            build_parser().parse_args([command, f"{option}={value}"])
         assert excinfo.value.code == 2
-        assert "--hours" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"zcover {command}: error: argument {option}: "
+            f"must be a positive finite number, got {value!r}"
+        )
 
     def test_scan_smoke(self, capsys):
         assert main(["scan", "--device", "D1"]) == 0

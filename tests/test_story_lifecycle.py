@@ -17,11 +17,15 @@ from repro.core.fingerprint import fingerprint
 from repro.core.discovery import discover_unknown_properties
 from repro.core.mutation import PositionSensitiveMutator
 from repro.simulator.inclusion import InclusionCeremony, JoiningDevice
-from repro.simulator.serialapi import attach_pc_controller
 from repro.simulator.testbed import LOCK_NODE_ID, SWITCH_NODE_ID, build_sut
 from repro.zwave.constants import Region, TransportMode
 from repro.zwave.nif import BasicDeviceClass, GenericDeviceClass, NodeInfo
 from repro.zwave.registry import load_full_registry
+
+
+def node_list(controller):
+    """The PC program's node list: the controller itself and every paired node."""
+    return sorted({controller.node_id, *controller.nvm.node_ids()})
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +49,7 @@ def story():
     chapters["inclusion"] = ceremony.include(sensor, "hall", TransportMode.S2)
 
     # Chapter 2: the homeowner's PC program sees the grown network.
-    pc = attach_pc_controller(sut.controller)
-    chapters["node_list_before"] = pc.node_list()
+    chapters["node_list_before"] = node_list(sut.controller)
 
     # Chapter 3: train the IDS on an hour of benign operation.
     ids = ZWaveIDS(sut.profile.home_id)
@@ -71,7 +74,7 @@ def story():
     chapters["triaged"] = triage.triage(chapters["fuzz"].bug_log)
 
     # Chapter 6: after the dust settles the network still works.
-    chapters["node_list_after"] = pc.node_list()
+    chapters["node_list_after"] = node_list(sut.controller)
     chapters["sut"] = sut
     return chapters
 

@@ -1,0 +1,270 @@
+#!/usr/bin/env python3
+"""Function-level reach profile: which functions of ``src/repro`` run at all.
+
+Runs every entry point a user or CI reaches — the ``zcover`` commands at
+short horizons, the CI-only ones (``perf --baseline``, ``lint --strict
+--check-manifest``, a ``flaky`` chaos plan), lint findings and a rejected
+spec, a real ``zcover serve`` with
+a trials and a sessions job submitted to it, every example and the paper
+benches — under ``sys.setprofile``/``threading.setprofile``, and prints
+per module how many of its functions were called.  Forked worker
+processes (the service's pool, ``--workers 2``) record their calls too.
+
+A module no function of which is called is reached only by its own tests.
+
+Usage::
+
+    python tools/reach_profile.py [--uncalled]
+
+``--uncalled`` also lists every function that never ran.  The run takes
+about 40 s on a 2-CPU x86-64 machine and writes only to a temporary
+directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import multiprocessing.util
+import os
+import runpy
+import signal
+import socket
+import sys
+import tempfile
+import threading
+import time
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repro"
+sys.path.insert(0, str(ROOT / "src"))
+
+#: Simulated hours for every campaign the profile runs.
+HOURS = "0.05"
+
+_CO_OPTIMIZED = 0x0001  # set on function code, not on module or class bodies
+
+
+def defined_functions() -> dict:
+    """Every named function under ``src/repro``: ``(file, line, name)`` -> qualname."""
+    functions = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if hasattr(c, "co_code"))
+            if code.co_flags & _CO_OPTIMIZED and not code.co_name.startswith("<"):
+                key = (code.co_filename, code.co_firstlineno, code.co_name)
+                functions[key] = getattr(code, "co_qualname", code.co_name)
+    return functions
+
+
+class Recorder:
+    """The code objects entered in this process (and, merged, its forks)."""
+
+    def __init__(self, spool: Path):
+        self.seen = set()
+        self.spool = spool
+
+    def __call__(self, frame, event, arg) -> None:
+        if event == "call":
+            self.seen.add(frame.f_code)
+
+    def install(self) -> None:
+        sys.setprofile(self)
+        threading.setprofile(self)
+        multiprocessing.util.register_after_fork(self, Recorder._in_child)
+
+    def _in_child(self) -> None:
+        # A forked pool worker: start afresh, and write what it ran to the
+        # spool when multiprocessing finalises the process.
+        self.seen = set()
+        sys.setprofile(self)
+        multiprocessing.util.Finalize(None, self._dump, exitpriority=100)
+
+    def _dump(self) -> None:
+        sys.setprofile(None)
+        with open(self.spool / f"{os.getpid()}.txt", "w", encoding="utf-8") as handle:
+            for key in self.keys():
+                handle.write("%s\t%d\t%s\n" % key)
+
+    def keys(self) -> set:
+        """The entered functions as ``(file, line, name)`` keys."""
+        return {(c.co_filename, c.co_firstlineno, c.co_name) for c in self.seen}
+
+    def merged_keys(self) -> set:
+        """This process's keys and every finished fork's."""
+        keys = self.keys()
+        for path in self.spool.glob("*.txt"):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                filename, lineno, name = line.split("\t")
+                keys.add((filename, int(lineno), name))
+        return keys
+
+
+def zcover(*argv: str) -> None:
+    """One in-process ``zcover`` run; its exit code does not matter here."""
+    from repro.cli import main
+
+    try:
+        main(list(argv))
+    except SystemExit:
+        pass
+
+
+def run_commands(work: Path) -> None:
+    """The ``zcover`` commands, the CI-only entry points included."""
+    bugs, trace, metrics = work / "bugs.jsonl", work / "trace.jsonl", work / "m.json"
+    zcover("scan")
+    zcover("discover", "--device", "D3")
+    zcover("fuzz", "--hours", HOURS, "--log", str(bugs), "--json", str(work / "f.json"))
+    zcover("fuzz", "--hours", HOURS, "--mode", "beta")
+    zcover("fuzz", "--hours", HOURS, "--mode", "gamma")
+    for which in ("2", "3", "5"):
+        zcover("table", "--which", which)
+    zcover("figure", "--which", "5")
+    zcover("figure", "--which", "12", "--hours", HOURS)
+    zcover("sniff", "--seconds", "120", "--out", str(trace))
+    zcover("replay", str(trace))
+    zcover("triage", "--log", str(bugs))
+    zcover("ids", "--train-seconds", "600")
+    zcover("report", "--hours", HOURS, "--out", str(work / "r.md"), "--svg", str(work / "r.svg"))
+    zcover("trials", "--trials", "2", "--hours", HOURS, "--metrics-out", str(metrics))
+    zcover("trials", "--trials", "2", "--hours", HOURS, "--workers", "2")
+    zcover("chaos", "--trials", "1", "--hours", HOURS, "--format", "json")
+    zcover("chaos", "--trials", "2", "--hours", HOURS, "--plan", "flaky")
+    zcover("sessions", "--trials", "4", "--json", str(work / "s.json"))
+    zcover("ablation", "--hours", HOURS, "--scheduler", "coverage")
+    zcover("compare", "--devices", "D1,D2", "--hours", HOURS)
+    zcover("obs", "--hours", HOURS, "--format", "prom")
+    zcover("obs", "--in", str(metrics))
+    zcover("perf", "--fast", "--repeats", "1", "--out", str(work / "perf.json"),
+           "--baseline", str(ROOT / "benchmarks" / "baselines" / "BENCH_core.json"))
+    zcover("lint", "--strict", "--format", "sarif", "--out", str(work / "lint.sarif"),
+           "--check-manifest", str(ROOT / "purity_manifest.json"))
+    zcover("submit", "--direct", "--kind", "compare", "--devices", "D1,D2", "--hours", HOURS,
+           "--out", str(work / "direct.json"))
+    # The paths a user with bad input reaches: lint findings, a rejected spec.
+    for fmt in ("text", "json"):
+        zcover("lint", "--root", str(ROOT / "tests" / "data" / "lint_fixture"), "--format", fmt)
+    zcover("compare", "--devices", "D9")
+
+
+def run_service(work: Path) -> None:
+    """A real ``zcover serve`` on this thread, fed by ``zcover submit``."""
+    from repro.serve.client import ServeClient, ServeClientError
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = str(probe.getsockname()[1])
+    failures = []
+
+    def client() -> None:
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                ServeClient(port=int(port)).healthz()
+                break
+            except ServeClientError as exc:
+                if time.monotonic() > deadline:
+                    failures.append(exc)
+                    return
+                time.sleep(0.1)
+        try:
+            for kind, extra in (("trials", ["--trials", "2"]), ("sessions", ["--flows", "s0,ota"])):
+                zcover("submit", "--port", port, "--kind", kind, "--hours", HOURS, *extra,
+                       "--wait", "--out", str(work / f"served-{kind}.json"))
+        except BaseException as exc:  # re-raised on the serving thread
+            failures.append(exc)
+        finally:
+            os.kill(os.getpid(), signal.SIGTERM)  # the service drains and returns
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    zcover("serve", "--port", port, "--workers", "1",
+           "--checkpoint", str(work / "serve.ckpt"))
+    thread.join()
+    if failures:
+        raise failures[0]
+
+
+def run_examples() -> None:
+    """Every script under ``examples/``; the paper reproduction at a short horizon."""
+    for script in sorted((ROOT / "examples").glob("*.py")):
+        argv = [str(script)] + (["0.25"] if script.stem == "reproduce_paper" else [])
+        saved, sys.argv = sys.argv, argv
+        try:
+            runpy.run_path(str(script), run_name="__main__")
+        finally:
+            sys.argv = saved
+
+
+def run_benches() -> None:
+    """The paper-table benches under ``benchmarks/``, timers off."""
+    import pytest
+
+    os.environ["ZCOVER_BENCH_HOURS"] = HOURS
+    pytest.main(["-q", "-p", "no:cacheprovider", "--benchmark-disable",
+                 str(ROOT / "benchmarks")])
+
+
+def report(functions: dict, called: set, uncalled: bool) -> str:
+    """The per-module table (and, with *uncalled*, the functions that never ran)."""
+    per_module = defaultdict(lambda: [0, 0])
+    missing = defaultdict(list)
+    for key, qualname in functions.items():
+        module = str(Path(key[0]).relative_to(PACKAGE))
+        per_module[module][0] += 1
+        if key in called:
+            per_module[module][1] += 1
+        else:
+            missing[module].append(qualname)
+    lines = [f"{'module':<34} {'functions':>9} {'called':>6} {'never':>5}"]
+    for module in sorted(per_module):
+        total, hit = per_module[module]
+        lines.append(f"{module:<34} {total:>9} {hit:>6} {total - hit:>5}")
+    total = len(functions)
+    hit = sum(h for _, h in per_module.values())
+    lines.append(f"{'total':<34} {total:>9} {hit:>6} {total - hit:>5}")
+    dead = sorted(m for m, (_, h) in per_module.items() if h == 0)
+    lines.append("modules with no function called: " + (", ".join(dead) or "none"))
+    if uncalled:
+        for module in sorted(missing):
+            lines.append(f"{module}: " + ", ".join(sorted(missing[module])))
+    return "\n".join(lines)
+
+
+def main() -> int:
+    """Run every entry point under the profiler and print the table."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--uncalled", action="store_true", help="list the functions never called")
+    args = parser.parse_args()
+    functions = defined_functions()
+    with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
+        work = Path(tmp)
+        spool = work / "spool"
+        spool.mkdir()
+        recorder = Recorder(spool)
+        cwd = os.getcwd()
+        os.chdir(work)  # reproduce_paper.py writes its figures here
+        recorder.install()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(sink):
+                run_commands(work)
+                run_service(work)
+                run_examples()
+                run_benches()
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+            os.chdir(cwd)
+        called = recorder.merged_keys()
+    print(report(functions, called, args.uncalled))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
