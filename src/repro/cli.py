@@ -64,7 +64,10 @@ def _positive_finite(text: str) -> float:
     A run lasts until the simulated clock passes its duration, so NaN or
     infinity would never end.
     """
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
     # The comparison is false for NaN; infinity fails the finite bound.
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")

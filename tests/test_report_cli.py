@@ -111,7 +111,7 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["scan", "--device", "D8"])
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1h"])
     @pytest.mark.parametrize(
         "command, option",
         [("fuzz", "--hours"), ("sniff", "--seconds"), ("ids", "--train-seconds")],
