@@ -137,15 +137,19 @@ def _job_spec(args: argparse.Namespace, fault_plan: Optional[str]) -> JobSpec:
 
 def _run_document(args: argparse.Namespace) -> dict:
     """Run the command's job here at ``--workers`` processes and return the
-    document the service would serve.  A stock fault-plan name rides in
-    the spec; a plan file is read here and passed beside it.  The spec is
-    checked as ``POST /jobs`` checks it before any unit runs."""
+    document the service would serve.  A fault-plan value that is not a
+    stock name but names an existing file is read here as a plan and
+    passed beside the spec; any other value rides in the spec, so a
+    misspelled stock name is refused as ``POST /jobs`` refuses it.  The
+    spec is checked as ``POST /jobs`` checks it before any unit runs."""
+    import os.path
+
     from .faults.plan import STOCK_PLANS, load_plan
     from .serve.protocol import validate_spec
     from .serve.results import direct_document
 
     ref, plan = getattr(args, "fault_plan", None), None
-    if ref and ref not in STOCK_PLANS:
+    if ref and ref not in STOCK_PLANS and os.path.isfile(ref):
         ref, plan = None, load_plan(ref)
     spec = _job_spec(args, ref or None)
     validate_spec(spec, plan)

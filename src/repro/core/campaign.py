@@ -35,7 +35,7 @@ from ..obs.metrics import (
 )
 from ..obs.tracing import Tracer, span, tracing_to
 from ..simulator.testbed import build_sut
-from ..wire import layout
+from ..wire import encode, layout
 from ..zwave.registry import SpecRegistry, load_full_registry, load_public_registry
 from .discovery import discover_unknown_properties
 from .fingerprint import fingerprint
@@ -232,7 +232,7 @@ class CampaignResult:
             else frames_per_bug(self.metrics),
             "degradation": None
             if self.degradation is None
-            else self.degradation.to_wire(),
+            else encode(self.degradation),
             "fingerprint": None
             if props is None
             else {

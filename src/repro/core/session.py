@@ -192,10 +192,11 @@ def _graph(
 
 
 #: The six modelled flows.  Frames follow the simulator's own encodings
-#: (`simulator/inclusion.py`, `security/s0.py`, `security/s2.py`,
-#: `simulator/ota.py`); payload bytes that the real exchanges derive from
-#: crypto are fixed representative values — the session layer fuzzes the
-#: *sequence*, not the cipher.
+#: (`simulator/inclusion.py`, `security/s0.py`, `security/s2.py`); payload
+#: bytes that the real exchanges derive from crypto are fixed
+#: representative values — the session layer fuzzes the *sequence*, not
+#: the cipher.  The exclusion, replication and OTA graphs are the only
+#: model of those ceremonies: the simulator runs none of them.
 FLOW_GRAPHS: Dict[str, FlowGraph] = {
     "inclusion": _graph(
         "inclusion",
@@ -313,9 +314,6 @@ class SessionOp:
     index2: int = 0
     byte_pos: int = 0
     xor: int = 0
-
-    def to_wire(self) -> list:
-        return encode(self)
 
 
 def apply_ops(flow: str, ops: Sequence[SessionOp]) -> Tuple[Event, ...]:
@@ -496,10 +494,6 @@ class SessionPlan:
             if weight <= 0:
                 raise CampaignError(f"session plan: weight for {kind!r} must be > 0")
 
-    def to_wire(self) -> dict:
-        """JSON-ready form; inverse of :func:`loads_session_plan`."""
-        return encode(self)
-
 
 def default_session_plan() -> SessionPlan:
     """The stock plan `zcover sessions` runs without ``--trials`` overrides."""
@@ -611,13 +605,13 @@ class SessionSchedule:
         return {
             "flow": self.flow,
             "seed": self.seed,
-            "plan": self.plan.to_wire(),
+            "plan": encode(self.plan),
             "trial_ops": [
-                [op.to_wire() for op in self.trial_ops(t)] for t in range(trials)
+                [encode(op) for op in self.trial_ops(t)] for t in range(trials)
             ],
             "labels": [self.trial_label(t) for t in range(trials)],
             "havoc_ops": [
-                [op.to_wire() for op in self.havoc_ops(t)] for t in range(trials)
+                [encode(op) for op in self.havoc_ops(t)] for t in range(trials)
             ],
         }
 

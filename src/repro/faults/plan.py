@@ -108,10 +108,6 @@ class FaultSpec:
         if self.magnitude < 0.0:
             raise FaultPlanError(f"magnitude {self.magnitude} must be >= 0")
 
-    def to_wire(self) -> dict:
-        """Plain-data form; defaulted fields are elided for stable docs."""
-        return encode(self)
-
 
 @layout(error=FaultPlanError, const=(("schema", SCHEMA), ("schema_version", SCHEMA_VERSION)))
 @dataclass(frozen=True)
@@ -129,9 +125,6 @@ class FaultPlan:
         """The specs of one layer, in plan order."""
         return tuple(spec for spec in self.faults if spec.layer == layer)
 
-    def to_wire(self) -> dict:
-        return encode(self)
-
 
 def _plan_from_data(data: object) -> FaultPlan:
     """Decode and validate a parsed plan document."""
@@ -144,7 +137,7 @@ def _plan_from_data(data: object) -> FaultPlan:
 
 def dumps_plan(plan: FaultPlan) -> str:
     """Canonical serialisation: sorted keys, indent 2, trailing newline."""
-    return json.dumps(plan.to_wire(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(encode(plan), sort_keys=True, indent=2) + "\n"
 
 
 def save_plan(plan: FaultPlan, path: str) -> None:
@@ -259,6 +252,3 @@ class DegradationRecord:
     at_s: float  # simulated time of the degradation
     faults_injected: int  # total injected faults up to that point
     detail: str = ""
-
-    def to_wire(self) -> dict:
-        return encode(self)

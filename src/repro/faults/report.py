@@ -10,6 +10,7 @@ acceptance gate (`zcover chaos ... --seed 0` twice, and with
 
 from __future__ import annotations
 
+from ..wire import encode
 from .plan import FaultPlan
 
 #: Document type marker, mirroring the obs/lint schema envelopes.
@@ -39,7 +40,7 @@ def build_chaos_document(summary, plan: FaultPlan, seed: int) -> dict:
             "seed": seed,
             "trials": summary.n_trials,
         },
-        "plan": plan.to_wire(),
+        "plan": encode(plan),
         "trials": trials,
         "failures": summary.failure_rows(),
         "metrics": summary.metrics_document(),

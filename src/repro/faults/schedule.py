@@ -29,6 +29,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..wire import encode
 from .plan import (
     LAYER_CAMPAIGN,
     LAYER_CONTROLLER,
@@ -139,7 +140,7 @@ class FaultSchedule:
         ack_rng = self.controller_rng()
         ack_head = [round(ack_rng.random(), 12) for _ in range(draws)]
         return {
-            "plan": self.plan.to_wire(),
+            "plan": encode(self.plan),
             "seed": self.seed,
             "medium_decision_head": medium_head,
             "controller_ack_head": ack_head,

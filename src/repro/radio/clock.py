@@ -13,7 +13,7 @@ import heapq
 import itertools
 import math
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from ..errors import RadioError
 
@@ -167,28 +167,4 @@ class SimClock:
             else:
                 fn(arg)
         self._now = deadline
-
-    def run_next(self) -> bool:
-        """Fire the single next event; ``False`` when the queue is empty."""
-        while self._queue:
-            fire_at, event_id, fn, arg = heapq.heappop(self._queue)
-            if event_id in self._cancelled:
-                self._cancelled.discard(event_id)
-                continue
-            self._now = max(self._now, fire_at)
-            if arg is _NO_ARG:
-                fn()
-            else:
-                fn(arg)
-            return True
-        return False
-
-    def drain(self, limit: Optional[int] = None) -> int:
-        """Fire events until the queue empties (or *limit* fire)."""
-        fired = 0
-        while self.run_next():
-            fired += 1
-            if limit is not None and fired >= limit:
-                break
-        return fired
 

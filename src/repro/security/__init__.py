@@ -6,7 +6,7 @@ of the paper (No Security / S0 / S2) on top of from-scratch primitives.
 
 from .aes import AES128
 from .ccm import Ccm, ccm_decrypt, ccm_encrypt
-from .cmac import aes_cmac, verify_cmac
+from .cmac import aes_cmac
 from .curve25519 import public_key, shared_secret, x25519
 from .kdf import ExpandedKeys, S0Keys, ckdf_expand, ckdf_temp_extract, s0_keys
 from .s0 import S0Context, S0Encapsulated, TEMP_KEY
@@ -39,6 +39,5 @@ __all__ = [
     "shared_secret",
     "SpanState",
     "TEMP_KEY",
-    "verify_cmac",
     "x25519",
 ]

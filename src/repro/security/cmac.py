@@ -7,7 +7,6 @@ function in :mod:`repro.security.kdf`.
 
 from __future__ import annotations
 
-from ..errors import CryptoError
 from .aes import AES128, BLOCK_SIZE, xor_bytes
 
 _RB = 0x87  # The GF(2^128) reduction constant of RFC 4493.
@@ -62,15 +61,3 @@ def aes_cmac(key: bytes, message: bytes) -> bytes:
     """Compute the 16-byte AES-CMAC tag of *message* under *key*."""
     return Cmac(key).tag(message)
 
-
-def verify_cmac(key: bytes, message: bytes, tag: bytes, tag_length: int = 16) -> bool:
-    """Constant-time-ish verification of a (possibly truncated) CMAC tag."""
-    if not 1 <= tag_length <= BLOCK_SIZE:
-        raise CryptoError(f"tag length {tag_length} out of range")
-    expected = aes_cmac(key, message)[:tag_length]
-    if len(tag) != tag_length:
-        return False
-    diff = 0
-    for a, b in zip(expected, tag):
-        diff |= a ^ b
-    return diff == 0

@@ -2,18 +2,19 @@
 
 Substitutes for the paper's nine real Table II devices (see DESIGN.md);
 the fifteen Table III zero-days are planted in the controller firmware as
-trigger-predicate + effect models.
+trigger-predicate + effect models.  The inclusion ceremony (no security,
+S0, S2) and mesh routing build the networks the examples attack;
+exclusion, replication and OTA have no simulator ceremony, and the
+session flow graphs (:data:`repro.core.session.FLOW_GRAPHS`) are their
+only model.
 """
 
 from .controller import ControllerStats, TriggeredEvent, VirtualController
 from .host import HostKind, HostProgram, HostState
-from .ota import FirmwareImage, FirmwareSender, OtaCapableSensor
 from .inclusion import (
-    ExclusionCeremony,
     InclusionCeremony,
     InclusionResult,
     JoiningDevice,
-    replicate_to_secondary,
     steal_s0_key_from_captures,
 )
 from .routing import MeshRepeater, RoutingHeader, make_routed_frame, unwrap_routed
@@ -48,11 +49,6 @@ from .vulnerabilities import (
 __all__ = [
     "build_sut",
     "CONTROLLER_IDS",
-    "FirmwareImage",
-    "FirmwareSender",
-    "OtaCapableSensor",
-    "ExclusionCeremony",
-    "replicate_to_secondary",
     "InclusionCeremony",
     "InclusionResult",
     "JoiningDevice",

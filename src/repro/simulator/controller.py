@@ -159,10 +159,6 @@ class VirtualController:
         self.associations: Dict[int, List[int]] = {1: []}
         #: Configuration parameter store (parameter number -> value).
         self.config_params: Dict[int, int] = {}
-        #: Callbacks invoked with (src, payload) for every consumed device
-        #: report — the hook the OTA firmware driver
-        #: (:class:`repro.simulator.ota.FirmwareSender`) reads its replies from.
-        self.apl_listeners: List = []
         #: Optional fault-injection hook (repro.faults.ControllerFaultInjector);
         #: consulted for an ACK delay when set.
         self.fault_injector = None
@@ -620,10 +616,6 @@ class VirtualController:
         cls = self._registry.get(payload.cmdcl)
         cmd = cls.command(payload.cmd) if (cls and payload.cmd is not None) else None
         if cls is not None and cmd is not None:
-            # Surface every well-formed application command to the attached
-            # host adapters (the OTA firmware driver).
-            for listener in self.apl_listeners:
-                listener(src, payload)
             if cmd.kind is CommandKind.GET:
                 response = self._report_cache.get(cls.id)
                 if cls.id not in self._report_cache:

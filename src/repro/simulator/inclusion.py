@@ -332,97 +332,6 @@ class InclusionCeremony:
         return key
 
 
-class ExclusionCeremony:
-    """Remove-node: the inverse ceremony."""
-
-    def __init__(
-        self,
-        controller: VirtualController,
-        medium: RadioMedium,
-        clock: SimClock,
-    ):
-        self._controller = controller
-        self._medium = medium
-        self._clock = clock
-
-    def exclude(self, device: JoiningDevice, device_endpoint: str) -> int:
-        """Remove *device* from the network; returns its former node id."""
-        if not device.included:
-            raise SimulatorError(f"{device.name} is not part of any network")
-        node_id = device.node_id
-        # Controller advertises exclusion mode; the device answers with its
-        # NIF; the controller confirms the reset.
-        presentation = ZWaveFrame(
-            home_id=self._controller.home_id,
-            src=self._controller.node_id,
-            dst=BROADCAST_NODE_ID,
-            payload=ApplicationPayload(0x01, 0x08, bytes([0x02])).encode(),
-            ack_request=False,
-        )
-        self._medium.transmit(self._controller.name, presentation.encode(), 100.0)
-        self._clock.advance(0.25)
-        nif = ZWaveFrame(
-            home_id=self._controller.home_id,
-            src=node_id,
-            dst=BROADCAST_NODE_ID,
-            payload=encode_nif_report(device.node_info).encode(),
-            ack_request=False,
-        )
-        self._medium.transmit(device_endpoint, nif.encode(), 100.0)
-        self._clock.advance(0.25)
-        if node_id in self._controller.nvm:
-            self._controller.nvm.remove(node_id)
-        device.home_id = None
-        device.node_id = None
-        device.network_key = None
-        device.granted_keys = 0
-        return node_id
-
-
-def replicate_to_secondary(
-    primary: VirtualController,
-    secondary: VirtualController,
-    medium: RadioMedium,
-    clock: SimClock,
-    secondary_node_id: int = 5,
-) -> int:
-    """Controller replication: copy the primary's node table to a secondary.
-
-    Real replication streams PROTOCOL_TRANSFER_NODE_INFO frames (class
-    0x01 command 0x09) for every record and ends with TRANSFER_END; the
-    frames cross the medium (sniffable) while the record contents are
-    copied controller-to-controller.  Returns the number of replicated
-    records.
-    """
-    transferred = 0
-    for seq, node_id in enumerate(primary.nvm.node_ids()):
-        record = primary.nvm.get(node_id)
-        frame = ZWaveFrame(
-            home_id=primary.home_id,
-            src=primary.node_id,
-            dst=secondary_node_id,
-            payload=ApplicationPayload(
-                0x01, 0x09, bytes([seq & 0xFF, node_id, 0x80 if record.listening else 0x00])
-            ).encode(),
-            ack_request=False,
-        )
-        medium.transmit(primary.name, frame.encode(), 100.0)
-        clock.advance(0.25)
-        if node_id not in secondary.nvm and node_id != secondary.nvm.own_node_id:
-            secondary.nvm.raw_write(record)
-            transferred += 1
-    end = ZWaveFrame(
-        home_id=primary.home_id,
-        src=primary.node_id,
-        dst=secondary_node_id,
-        payload=ApplicationPayload(0x01, 0x0B, bytes([0x00])).encode(),
-        ack_request=False,
-    )
-    medium.transmit(primary.name, end.encode(), 100.0)
-    clock.advance(0.25)
-    return transferred
-
-
 def steal_s0_key_from_captures(captures) -> Optional[bytes]:
     """The classic attack: recover the S0 network key from a sniffed
     inclusion.

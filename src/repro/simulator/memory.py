@@ -99,10 +99,6 @@ class NodeTable:
     # -- normal (firmware-sanctioned) operations ------------------------------
 
     @property
-    def own_node_id(self) -> int:
-        return self._own_node_id
-
-    @property
     def write_count(self) -> int:
         """Total mutations, sanctioned or not (NVM wear metric)."""
         return self._writes

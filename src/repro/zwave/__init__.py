@@ -31,7 +31,7 @@ from .constants import (
     Region,
     TransportMode,
 )
-from .frame import ZWaveFrame, make_nop, make_singlecast
+from .frame import ZWaveFrame, make_nop
 from .nif import (
     BasicDeviceClass,
     GenericDeviceClass,
@@ -71,7 +71,6 @@ __all__ = [
     "load_full_registry",
     "load_public_registry",
     "make_nop",
-    "make_singlecast",
     "MAX_APL_PAYLOAD_SIZE",
     "MAX_MAC_FRAME_SIZE",
     "NodeInfo",

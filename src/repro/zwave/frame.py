@@ -13,7 +13,7 @@ to show malformed frames instead of dropping them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import ChecksumError, FrameError, FrameTooLargeError
 from . import constants as const
@@ -228,19 +228,21 @@ class FrameView:
     """A zero-copy lazy view over raw MAC frame bytes.
 
     The sniffer-side twin of :meth:`ZWaveFrame.decode(verify=False)
-    <ZWaveFrame.decode>`: it exposes the same read-only field API but
-    performs **no** parsing up front — each field is decoded from the
-    underlying buffer only when a handler or oracle touches it.  The
-    capture path allocates one of these per sniffed frame, so the common
-    consumers (the scanners' ack and dst filters) read two or three bytes
-    instead of paying a full dataclass decode.
+    <ZWaveFrame.decode>`: it exposes the fields capture consumers read
+    (``home_id``, ``src``, ``dst``, ``is_ack``, ``payload``, ``cmdcl``,
+    ``cmd``), each equal to the lenient decode's, but performs **no**
+    parsing up front — each field is decoded from the underlying buffer
+    only when a handler or oracle touches it.  The capture path allocates
+    one of these per sniffed frame, so the common consumers (the scanners'
+    ack and dst filters) read two or three bytes instead of paying a full
+    dataclass decode.  A consumer that needs every header field decodes
+    ``raw`` itself.
 
     Lifetime rule: the view borrows ``raw`` — it never copies the buffer.
     ``raw`` is ``bytes`` everywhere in the tree (immutable), so views may
     be held indefinitely; if a caller ever constructs one over a mutable
     ``memoryview``/``bytearray``, the view is only valid until the buffer
-    mutates.  :meth:`to_frame` materialises an eager, owning
-    :class:`ZWaveFrame` when dataclass semantics are needed.
+    mutates.
 
     Construct through :func:`lenient_view`, which applies exactly the
     length checks under which the lenient decode would have failed.
@@ -267,55 +269,8 @@ class FrameView:
         return self.raw[const.DST_OFFSET]
 
     @property
-    def p1(self) -> int:
-        return self.raw[const.P1_OFFSET]
-
-    @property
-    def p2(self) -> int:
-        return self.raw[const.P2_OFFSET]
-
-    @property
-    def header_type(self) -> int:
-        return self.raw[const.P1_OFFSET] & 0x0F
-
-    @property
-    def ack_request(self) -> bool:
-        return bool(self.raw[const.P1_OFFSET] & const.P1_ACK_REQUEST_FLAG)
-
-    @property
-    def low_power(self) -> bool:
-        return bool(self.raw[const.P1_OFFSET] & const.P1_LOW_POWER_FLAG)
-
-    @property
-    def speed_modified(self) -> bool:
-        return bool(self.raw[const.P1_OFFSET] & const.P1_SPEED_MODIFIED_FLAG)
-
-    @property
-    def routed(self) -> bool:
-        return bool(self.raw[const.P1_OFFSET] & const.P1_ROUTED_FLAG)
-
-    @property
-    def sequence(self) -> int:
-        return self.raw[const.P2_OFFSET] & const.P2_SEQUENCE_MASK
-
-    @property
-    def checksum(self) -> int:
-        return self.raw[-1]
-
-    @property
-    def length(self) -> int:
-        # A decoded frame's ``length`` is computed from its payload, which
-        # the lenient parse slices out of the buffer — so it always equals
-        # the buffer size, whatever the (unverified) LEN field claims.
-        return len(self.raw)
-
-    @property
     def is_ack(self) -> bool:
         return (self.raw[const.P1_OFFSET] & 0x0F) == const.HeaderType.ACK
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.raw[const.DST_OFFSET] == const.BROADCAST_NODE_ID
 
     @property
     def payload(self) -> bytes:
@@ -336,19 +291,6 @@ class FrameView:
         if len(self.raw) <= const.APL_OFFSET + 2:
             return None
         return self.raw[const.APL_OFFSET + 1]
-
-    @property
-    def params(self) -> bytes:
-        return self.payload[2:]
-
-    # -- materialisation -------------------------------------------------------
-
-    def to_frame(self) -> ZWaveFrame:
-        """Eagerly decode into a full (owning) :class:`ZWaveFrame`."""
-        return ZWaveFrame.decode(self.raw, verify=False)
-
-    def __repr__(self) -> str:
-        return f"FrameView({self.raw.hex()})"
 
 
 def dissectable(raw: bytes) -> bool:
@@ -377,15 +319,6 @@ def is_raw_ack(raw: bytes, src: int, dst: int) -> bool:
         and raw[const.P1_OFFSET] & 0x0F == const.HeaderType.ACK
         and raw[const.SRC_OFFSET] == src
         and raw[const.DST_OFFSET] == dst
-    )
-
-
-def make_singlecast(
-    home_id: int, src: int, dst: int, payload: bytes, sequence: int = 0
-) -> ZWaveFrame:
-    """Convenience constructor for an ordinary data frame."""
-    return ZWaveFrame(
-        home_id=home_id, src=src, dst=dst, payload=payload, sequence=sequence
     )
 
 

@@ -59,6 +59,10 @@ CASES = {
         ["trials", "--trials", "1", "--hours", "0.01", "--fault-plan", "{input}"],
         '{"faults": 5}',
     ),
+    "trials-absent-plan-file": (
+        ["trials", "--trials", "1", "--hours", "0.01", "--fault-plan", "{input}.absent"],
+        "",
+    ),
     "lint-manifest-array": (
         ["lint", "--root", str(LINT_FIXTURE), "--out", os.devnull, "--check-manifest", "{input}"],
         "[]",
@@ -117,6 +121,27 @@ def test_chaos_plan_file_counts_as_its_plan(tmp_path):
     assert main(base + [str(tmp_path / "stock.json"), "--plan", "canonical"]) == 0
     assert main(base + [str(tmp_path / "file.json"), "--plan", str(plan)]) == 0
     assert (tmp_path / "file.json").read_bytes() == (tmp_path / "stock.json").read_bytes()
+
+
+def test_stock_plan_name_is_never_read_as_a_file(tmp_path, monkeypatch):
+    from repro.cli import main
+
+    (tmp_path / "lossy").write_text("not a plan")
+    monkeypatch.chdir(tmp_path)
+    assert main(["trials", "--trials", "1", "--hours", "0.01", "--fault-plan", "lossy"]) == 0
+
+
+def test_existing_file_named_like_no_stock_plan_is_read(tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+    from repro.faults.plan import lossy_link_plan, save_plan
+
+    save_plan(lossy_link_plan(), str(tmp_path / "lossey"))
+    monkeypatch.chdir(tmp_path)
+    base = ["trials", "--trials", "1", "--hours", "0.01", "--fault-plan"]
+    assert main(base + ["lossy"]) == 0
+    stock = capsys.readouterr().out
+    assert main(base + ["lossey"]) == 0
+    assert capsys.readouterr().out == stock
 
 
 def test_pooled_runs_leave_stderr_empty(tmp_path):

@@ -110,26 +110,6 @@ class TestScheduling:
         clock.advance(1.0)
         assert fired == [0.6]
 
-    def test_run_next(self):
-        clock = SimClock()
-        fired = []
-        clock.schedule(5.0, lambda: fired.append(1))
-        assert clock.run_next()
-        assert clock.now == 5.0
-        assert not clock.run_next()
-
-    def test_drain(self):
-        clock = SimClock()
-        for delay in (1.0, 2.0, 3.0):
-            clock.schedule(delay, lambda: None)
-        assert clock.drain() == 3
-
-    def test_drain_limit(self):
-        clock = SimClock()
-        for delay in (1.0, 2.0, 3.0):
-            clock.schedule(delay, lambda: None)
-        assert clock.drain(limit=2) == 2
-
     def test_pending_events(self):
         clock = SimClock()
         clock.schedule(1.0, lambda: None)

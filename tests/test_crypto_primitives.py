@@ -15,7 +15,7 @@ from repro.security.ccm import (
     ccm_decrypt,
     ccm_encrypt,
 )
-from repro.security.cmac import aes_cmac, verify_cmac
+from repro.security.cmac import aes_cmac
 from repro.security.curve25519 import public_key, shared_secret, x25519
 from repro.security.kdf import ckdf_expand, ckdf_temp_extract, s0_keys
 
@@ -56,21 +56,6 @@ class TestCmac:
         assert aes_cmac(RFC4493_KEY, msg) == bytes.fromhex(
             "51f0bebf7e3b9d92fc49741779363cfe"
         )
-
-    def test_verify_accepts_and_rejects(self):
-        tag = aes_cmac(RFC4493_KEY, b"msg")
-        assert verify_cmac(RFC4493_KEY, b"msg", tag)
-        assert not verify_cmac(RFC4493_KEY, b"msg", bytes(16))
-        assert not verify_cmac(RFC4493_KEY, b"other", tag)
-
-    def test_truncated_tag_verification(self):
-        tag = aes_cmac(RFC4493_KEY, b"msg")[:8]
-        assert verify_cmac(RFC4493_KEY, b"msg", tag, tag_length=8)
-        assert not verify_cmac(RFC4493_KEY, b"msg", tag[:4], tag_length=8)
-
-    def test_bad_tag_length_rejected(self):
-        with pytest.raises(CryptoError):
-            verify_cmac(RFC4493_KEY, b"msg", b"", tag_length=0)
 
     @given(st.binary(max_size=100))
     @settings(max_examples=20)

@@ -42,8 +42,9 @@ def _session_plan_text(**overrides):
     import json
 
     from repro.core.session import SessionPlan
+    from repro.wire import encode
 
-    wire = SessionPlan().to_wire()
+    wire = encode(SessionPlan())
     wire.update(overrides)
     return json.dumps(wire)
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.errors import ChecksumError, FrameError, FrameTooLargeError
 from repro.zwave import constants as const
 from repro.zwave.checksum import cs8
-from repro.zwave.frame import ZWaveFrame, make_nop, make_singlecast
+from repro.zwave.frame import ZWaveFrame, make_nop
 
 HOME = 0xE7DE3F3D
 
@@ -185,7 +185,7 @@ class TestFrameHelpers:
         nop = make_nop(HOME, 0x0F, 1)
         assert nop.payload == b"\x00"
 
-    def test_make_singlecast(self):
-        frame = make_singlecast(HOME, 3, 1, b"\x25\x02", sequence=2)
+    def test_singlecast_is_the_default_header(self):
+        frame = ZWaveFrame(home_id=HOME, src=3, dst=1, payload=b"\x25\x02", sequence=2)
         assert frame.header_type == const.HeaderType.SINGLECAST
         assert frame.sequence == 2

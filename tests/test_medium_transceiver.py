@@ -265,7 +265,7 @@ class TestUnheardExcept:
             else:
                 for _ in range(count):
                     medium.transmit("dongle", self.nop, 100.0)
-                clock.drain()
+                clock.advance(1.0)
                 kept = len(heard)
             return kept, medium.stats, medium._rng.getstate(), clock.schedule(0.0, int)
 

@@ -34,12 +34,15 @@ BASE = {
 
 #: The fields each kind's own command has an option for.
 OWN_OPTIONS = {
-    "trials": {"trials", "hours"},
-    "chaos": {"trials", "hours"},
+    "trials": {"trials", "hours", "fault_plan"},
+    "chaos": {"trials", "hours", "fault_plan"},
     "sessions": {"trials", "flows"},
-    "ablation": {"hours"},
-    "compare": {"hours", "devices"},
+    "ablation": {"hours", "fault_plan"},
+    "compare": {"hours", "devices", "fault_plan"},
 }
+
+#: Own-command options not spelled ``--<field>``.
+OWN_FLAGS = {("chaos", "fault_plan"): "--plan"}
 
 
 def _name(rng):
@@ -111,12 +114,12 @@ FIELDS = {
 CASES = [(kind, name) for kind in JOB_KINDS for name in FIELDS[kind]]
 
 
-def _options(name, value):
+def _options(name, value, flag=None):
     if value is None:
         return []
     if isinstance(value, tuple):
         value = ",".join(value) or ","
-    return [f"--{name.replace('_', '-')}", str(value)]
+    return [flag or f"--{name.replace('_', '-')}", str(value)]
 
 
 def _spec(kind, name, value):
@@ -158,10 +161,27 @@ def test_cli_rejects_like_post_jobs(client, capsys, kind, name):
         field, reason = _rejection(client, _spec(kind, name, value))
         assert field == name, (draw, value)
         base = [opt for key, val in BASE[kind].items() if key != name for opt in _options(key, val)]
-        commands = [["submit", "--direct", "--kind", kind, *base]]
-        if name in OWN_OPTIONS[kind]:
-            commands.append([kind])
-        for command in commands:
-            argv = command + _options(name, value)
+        argvs = [["submit", "--direct", "--kind", kind, *base, *_options(name, value)]]
+        # A chaos command without --plan runs the canonical plan, so only
+        # a drawn value can be made invalid through its own option.
+        if name in OWN_OPTIONS[kind] and value is not None:
+            argvs.append([kind, *_options(name, value, OWN_FLAGS.get((kind, name)))])
+        for argv in argvs:
             err = _cli_line(argv, capsys)
-            assert err == f"zcover {command[0]}: {field}: {reason}\n", (draw, argv)
+            assert err == f"zcover {argv[0]}: {field}: {reason}\n", (draw, argv)
+
+
+#: Each kind's own fault-plan option, and near misses of the stock names.
+OWN_PLAN_FLAG = {"trials": "--fault-plan", "chaos": "--plan", "ablation": "--fault-plan",
+                 "compare": "--fault-plan"}
+MISSPELLED = ("lossey", "flakey", "Canonical")
+
+
+@pytest.mark.parametrize("name", MISSPELLED)
+@pytest.mark.parametrize("kind", sorted(OWN_PLAN_FLAG))
+def test_misspelled_stock_plan_is_refused_like_post_jobs(client, capsys, kind, name):
+    field, reason = _rejection(client, _spec(kind, "fault_plan", name))
+    assert field == "fault_plan"
+    base = [opt for key, val in BASE[kind].items() if key != "fault_plan" for opt in _options(key, val)]
+    err = _cli_line([kind, *base, OWN_PLAN_FLAG[kind], name], capsys)
+    assert err == f"zcover {kind}: fault_plan: {reason}\n"

@@ -3,14 +3,20 @@
 
 Runs every entry point a user or CI reaches — the ``zcover`` commands at
 short horizons, the CI-only ones (``perf --baseline``, ``lint --strict
---check-manifest``, a ``flaky`` chaos plan), lint findings and a rejected
-spec, a real ``zcover serve`` with
-a trials and a sessions job submitted to it, every example and the paper
-benches — under ``sys.setprofile``/``threading.setprofile``, and prints
-per module how many of its functions were called.  Forked worker
-processes (the service's pool, ``--workers 2``) record their calls too.
+--check-manifest``, a ``flaky`` chaos plan), ``obs --trace-out``, a
+``lossy`` fault-plan run, lint findings and a rejected spec, a real
+``zcover serve`` with a trials and a sessions job submitted to it and
+every read route (``GET /jobs``, ``/jobs/<id>/progress``, ``/metrics``,
+``/healthz``) asked, ``run_sessions`` over all six flows, every example
+and the paper benches — under ``sys.setprofile``/``threading.setprofile``,
+and prints per module how many of its functions were called.  Forked
+worker processes (the service's pool, ``--workers 2``) record their calls
+too.
 
-A module no function of which is called is reached only by its own tests.
+A module no function of which is called is reached only by its own
+tests.  The run exits 1, naming each such module on stderr, unless the
+module is ``errors.py``: its one function, ``SpanValueError.__init__``,
+runs only on a caller's bug.
 
 Usage::
 
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import multiprocessing.util
 import os
 import runpy
@@ -34,6 +41,7 @@ import sys
 import tempfile
 import threading
 import time
+import urllib.request
 from collections import defaultdict
 from pathlib import Path
 
@@ -43,6 +51,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 #: Simulated hours for every campaign the profile runs.
 HOURS = "0.05"
+
+#: Modules that may have no function called: ``errors.py``'s one function
+#: is ``SpanValueError.__init__``, raised only on a caller's bug.
+MAY_BE_UNCALLED = frozenset({"errors.py"})
 
 _CO_OPTIMIZED = 0x0001  # set on function code, not on module or class bodies
 
@@ -133,12 +145,13 @@ def run_commands(work: Path) -> None:
     zcover("report", "--hours", HOURS, "--out", str(work / "r.md"), "--svg", str(work / "r.svg"))
     zcover("trials", "--trials", "2", "--hours", HOURS, "--metrics-out", str(metrics))
     zcover("trials", "--trials", "2", "--hours", HOURS, "--workers", "2")
+    zcover("trials", "--trials", "1", "--hours", HOURS, "--fault-plan", "lossy")
     zcover("chaos", "--trials", "1", "--hours", HOURS, "--format", "json")
     zcover("chaos", "--trials", "2", "--hours", HOURS, "--plan", "flaky")
     zcover("sessions", "--trials", "4", "--json", str(work / "s.json"))
     zcover("ablation", "--hours", HOURS, "--scheduler", "coverage")
     zcover("compare", "--devices", "D1,D2", "--hours", HOURS)
-    zcover("obs", "--hours", HOURS, "--format", "prom")
+    zcover("obs", "--hours", HOURS, "--format", "prom", "--trace-out", str(work / "spans.jsonl"))
     zcover("obs", "--in", str(metrics))
     zcover("perf", "--fast", "--repeats", "1", "--out", str(work / "perf.json"),
            "--baseline", str(ROOT / "benchmarks" / "baselines" / "BENCH_core.json"))
@@ -176,6 +189,13 @@ def run_service(work: Path) -> None:
             for kind, extra in (("trials", ["--trials", "2"]), ("sessions", ["--flows", "s0,ota"])):
                 zcover("submit", "--port", port, "--kind", kind, "--hours", HOURS, *extra,
                        "--wait", "--out", str(work / f"served-{kind}.json"))
+            # The read routes an operator polls (``/healthz`` is polled above).
+            base = f"http://127.0.0.1:{port}"
+            with urllib.request.urlopen(f"{base}/jobs") as response:
+                job_ids = [job["job_id"] for job in json.load(response)["jobs"]]
+            for job_id in job_ids:
+                ServeClient(port=int(port)).progress(job_id)
+            urllib.request.urlopen(f"{base}/metrics").close()
         except BaseException as exc:  # re-raised on the serving thread
             failures.append(exc)
         finally:
@@ -188,6 +208,13 @@ def run_service(work: Path) -> None:
     thread.join()
     if failures:
         raise failures[0]
+
+
+def run_library() -> None:
+    """The library entry perfbench's ``sessions`` workload times, all six flows."""
+    from repro.core.session import FLOWS, run_sessions
+
+    run_sessions("D1", flows=FLOWS)
 
 
 def run_examples() -> None:
@@ -228,12 +255,28 @@ def report(functions: dict, called: set, uncalled: bool) -> str:
     total = len(functions)
     hit = sum(h for _, h in per_module.values())
     lines.append(f"{'total':<34} {total:>9} {hit:>6} {total - hit:>5}")
-    dead = sorted(m for m, (_, h) in per_module.items() if h == 0)
+    dead = dead_modules(functions, called)
     lines.append("modules with no function called: " + (", ".join(dead) or "none"))
     if uncalled:
         for module in sorted(missing):
             lines.append(f"{module}: " + ", ".join(sorted(missing[module])))
     return "\n".join(lines)
+
+
+def dead_modules(functions: dict, called: set) -> list:
+    """The modules (relative to ``src/repro``) none of whose functions ran."""
+    reached = {key[0] for key in functions if key in called}
+    return sorted({str(Path(key[0]).relative_to(PACKAGE)) for key in functions
+                   if key[0] not in reached})
+
+
+def verdict(functions: dict, called: set) -> int:
+    """0, or 1 after naming each module only its own tests reach on stderr."""
+    dead = [m for m in dead_modules(functions, called) if m not in MAY_BE_UNCALLED]
+    if dead:
+        print("reach: no function called in " + ", ".join(dead), file=sys.stderr)
+        return 1
+    return 0
 
 
 def main() -> int:
@@ -255,6 +298,7 @@ def main() -> int:
                     contextlib.redirect_stderr(sink):
                 run_commands(work)
                 run_service(work)
+                run_library()
                 run_examples()
                 run_benches()
         finally:
@@ -263,7 +307,7 @@ def main() -> int:
             os.chdir(cwd)
         called = recorder.merged_keys()
     print(report(functions, called, args.uncalled))
-    return 0
+    return verdict(functions, called)
 
 
 if __name__ == "__main__":
