@@ -139,9 +139,11 @@ def _run_document(args: argparse.Namespace) -> dict:
     """Run the command's job here at ``--workers`` processes and return the
     document the service would serve.  A fault-plan value that is not a
     stock name but names an existing file is read here as a plan and
-    passed beside the spec; any other value rides in the spec, so a
-    misspelled stock name is refused as ``POST /jobs`` refuses it.  The
-    spec is checked as ``POST /jobs`` checks it before any unit runs."""
+    passed beside the spec; a value that looks like a path (a directory
+    separator, or a ``.json`` ending) but names no file is refused as a
+    missing file; any other value rides in the spec, so a misspelled
+    stock name is refused as ``POST /jobs`` refuses it.  The spec is
+    checked as ``POST /jobs`` checks it before any unit runs."""
     import os.path
 
     from .faults.plan import STOCK_PLANS, load_plan
@@ -149,8 +151,11 @@ def _run_document(args: argparse.Namespace) -> dict:
     from .serve.results import direct_document
 
     ref, plan = getattr(args, "fault_plan", None), None
-    if ref and ref not in STOCK_PLANS and os.path.isfile(ref):
-        ref, plan = None, load_plan(ref)
+    if ref and ref not in STOCK_PLANS:
+        if os.path.isfile(ref):
+            ref, plan = None, load_plan(ref)
+        elif ref.endswith(".json") or os.path.dirname(ref):
+            raise ReproError(f"no fault plan file {ref!r}")
     spec = _job_spec(args, ref or None)
     validate_spec(spec, plan)
     return direct_document(spec, workers=args.workers, fault_plan=plan)

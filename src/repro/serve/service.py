@@ -5,9 +5,22 @@ Pure stdlib: a hand-rolled HTTP/1.1 exchange over
 close``) — no web framework, matching the repo's no-new-dependencies
 rule.  The interesting machinery is behind the socket:
 
-* a single **runner task** drains the :class:`~repro.serve.jobs.JobQueue`
-  in ticket order, one job at a time, so execution order is a pure
-  function of arrival order;
+* a single **runner task** takes jobs off the
+  :class:`~repro.serve.jobs.JobQueue` in ticket order with a look-ahead
+  of one job (:data:`LOOKAHEAD_JOBS`): as soon as it picks a job it
+  submits that job's units to the pool, behind the units of the job
+  still settling ahead of it, so the worker has the next job's units to
+  run while the job ahead writes its document and ``done`` record.
+  Jobs still settle and finish strictly in ticket order — unit records,
+  then the document, then the ``done`` record — so execution order is a
+  pure function of arrival order;
+* a look-ahead job is never charged for the job ahead: if that job broke
+  the pool (a crash respawns it), the look-ahead job's attempts on the
+  dead executor are dropped and it goes back to ``queued`` and starts
+  again on the new pool before it settles.  The reverse is not covered:
+  with two or more workers, a look-ahead unit that crashes its worker
+  while the job ahead still has a unit running costs that unit an
+  attempt, as it would a unit of its own job;
 * each job's units run through the same attempt policy as the batch
   executor (:func:`~repro.core.parallel.unit_attempts`) on a persistent
   :class:`~repro.core.parallel.WorkerPool`, settled **in canonical index
@@ -17,10 +30,10 @@ rule.  The interesting machinery is behind the socket:
   (:mod:`repro.serve.checkpoint`) *before* it is observable as progress,
   so a SIGKILL can lose at most in-flight work, never completed work;
 * SIGTERM/SIGINT trigger a graceful drain: queued-but-unstarted units
-  are cancelled, in-flight units finish and are checkpointed, the
-  interrupted job collapses back to ``queued``, and the next service
-  pointed at the same checkpoint resumes mid-trial-set with
-  byte-identical output.
+  (the look-ahead job's too) are cancelled, in-flight units finish and
+  are checkpointed, the interrupted jobs collapse back to ``queued``,
+  and the next service pointed at the same checkpoint resumes
+  mid-trial-set with byte-identical output.
 
 Routes::
 
@@ -40,10 +53,12 @@ real sockets, and its ``stop(drain=False)`` simulates a hard kill.
 from __future__ import annotations
 
 import asyncio
+import collections
 import functools
 import json
 import threading
-from typing import Optional, Tuple
+from concurrent.futures import Future
+from typing import Deque, Generator, List, Optional, Tuple
 
 from ..core.parallel import UnitOutcome, WorkerPool, unit_attempts
 from ..core.resultio import jobspec_from_wire, jobstatus_to_wire
@@ -90,6 +105,11 @@ MAX_HEADER_LINES = 64
 #: Wall-clock seconds a client gets to deliver its whole request.
 REQUEST_READ_TIMEOUT_S = 10.0
 
+#: Jobs the runner starts behind the job still settling.  One keeps the
+#: pool busy across a job boundary; a deeper look-ahead only holds more
+#: units that a crash or a drain has to throw away.
+LOOKAHEAD_JOBS = 1
+
 _JSON = "application/json"
 
 
@@ -99,6 +119,25 @@ def _error_body(kind: str, **fields) -> str:
     for key in sorted(fields):
         payload[key] = fields[key]
     return json.dumps({"error": payload}, sort_keys=True)
+
+
+class _JobRun:
+    """A started job: its outcomes, its attempt policy and the future that
+    policy waits on next.
+
+    ``origin`` is the executor the units went to; ``error`` is an
+    exception the start raised, which fails the job when its turn to
+    settle comes.
+    """
+
+    def __init__(self, record: JobRecord, origin: object, started: float):
+        self.record = record
+        self.origin = origin
+        self.started = started
+        self.outcomes: List[UnitOutcome] = []
+        self.core: Optional[Generator] = None
+        self.future: Optional[Future] = None
+        self.error: Optional[Exception] = None
 
 
 class ZCoverService:
@@ -121,6 +160,11 @@ class ZCoverService:
         self._writer: Optional[CheckpointWriter] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._runner_task: Optional[asyncio.Task] = None
+        #: The task settling the oldest started job, and the jobs started
+        #: behind it, in ticket order.
+        self._settling: Optional[asyncio.Task] = None
+        self._lookahead: Deque[_JobRun] = collections.deque()
+        self._respawns_counted = 0
         self._wake: Optional[asyncio.Event] = None
         self._shutdown: Optional[asyncio.Event] = None
         self._draining = False
@@ -146,11 +190,12 @@ class ZCoverService:
         """Block until shutdown is requested, then tear everything down."""
         assert self._shutdown is not None
         await self._shutdown.wait()
-        if self._runner_task is not None:
-            try:
-                await self._runner_task
-            except asyncio.CancelledError:
-                pass
+        for task in (self._runner_task, self._settling):
+            if task is not None:
+                try:
+                    await task
+                except asyncio.CancelledError:
+                    pass
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -162,13 +207,15 @@ class ZCoverService:
     def request_shutdown(self) -> None:
         """Graceful drain: finish in-flight units, checkpoint, exit."""
         self._draining = True
+        self._cancel_lookahead()
         if self._wake is not None:
             self._wake.set()
         if self._shutdown is not None:
             self._shutdown.set()
 
     def abort(self) -> None:
-        """Simulated kill: cancel the runner mid-unit, no drain.
+        """Simulated kill: cancel the runner and the settling job mid-unit,
+        no drain.
 
         The checkpoint is still intact — appends are fsynced before
         progress is visible — which is exactly what the kill-and-resume
@@ -176,8 +223,9 @@ class ZCoverService:
         """
         self._aborted = True
         self._draining = True
-        if self._runner_task is not None:
-            self._runner_task.cancel()
+        for task in (self._runner_task, self._settling):
+            if task is not None:
+                task.cancel()
         if self._shutdown is not None:
             self._shutdown.set()
 
@@ -239,66 +287,149 @@ class ZCoverService:
     # -- the runner ------------------------------------------------------------
 
     async def _runner(self) -> None:
-        """Drain the queue in ticket order, one job at a time."""
-        assert self._wake is not None
-        while not self._draining:
-            record = self.queue.next_queued()
-            if record is None:
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=0.1)
-                except asyncio.TimeoutError:
-                    continue
-                self._wake.clear()
-                continue
-            record.advance(JOB_RUNNING)
-            self.collector.inc("serve.jobs.started")
-            started = wall_monotonic()
-            try:
-                await self._execute_job(record)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                self._finish(record, JOB_FAILED, f"{type(exc).__name__}: {exc}")
-            self.collector.record_span(
-                f"serve.job.{record.spec.kind}",
-                int((wall_monotonic() - started) * 1e6),
-            )
+        """Start jobs in ticket order, up to :data:`LOOKAHEAD_JOBS` behind
+        the one settling, and settle them one at a time in the same order.
 
-    async def _execute_job(self, record: JobRecord) -> None:
-        """Run one job through the shared attempt policy, checkpointing
-        each unit as it completes; a drain re-queues the job."""
-        outcomes = self._preloaded_outcomes(record)
-        record.units_total = len(outcomes)
-        record.units_done = 0
-        record.counters = {}
-        for outcome in outcomes:
-            if outcome.result is not None:
-                self._count_done(record, outcome)
+        A drain stops the starting; the jobs already started still settle,
+        so their in-flight units are checkpointed before the runner exits.
+        """
+        assert self._wake is not None
+        while True:
+            if self._settling is not None and self._settling.done():
+                self._settling = None
+            if self._settling is None and self._lookahead:
+                self._settling = self._settle_next()
+                continue
+            room = self._settling is None or len(self._lookahead) < LOOKAHEAD_JOBS
+            record = self.queue.next_queued() if room and not self._draining else None
+            if record is not None:
+                run = self._start_job(record, behind=self._settling is not None)
+                if self._settling is None:
+                    self._settling = asyncio.get_running_loop().create_task(self._settle(run))
+                else:
+                    self._lookahead.append(run)
+                continue
+            if self._draining and self._settling is None:
+                return
+            woken = asyncio.ensure_future(self._wake.wait())
+            waiters = [woken] if self._settling is None else [woken, self._settling]
+            try:
+                await asyncio.wait(waiters, timeout=0.1, return_when=asyncio.FIRST_COMPLETED)
+            finally:
+                woken.cancel()
+            self._wake.clear()
+
+    def _start_job(self, record: JobRecord, behind: bool) -> _JobRun:
+        """Mark *record* running and submit its units to the pool.
+
+        *behind* says a job ahead of it is still settling, so its units
+        queue behind that job's.
+        """
+        record.advance(JOB_RUNNING)
+        self.collector.inc("serve.jobs.started")
+        if behind:
+            self.collector.inc("serve.jobs.queued_ahead")
+        return self._submit_units(record, wall_monotonic())
+
+    def _submit_units(self, record: JobRecord, started: float) -> _JobRun:
+        """Submit a running job's first attempts through the shared attempt
+        policy; checkpoint-restored units count as done already."""
         assert self.pool is not None
-        respawns = self.pool.respawns
-        core = unit_attempts(
-            outcomes,
-            self.pool,
-            report=functools.partial(self._unit_settled, record),
-            draining=lambda: self._draining,
-            rehydrate=rehydrate_unit_result,
-        )
+        run = _JobRun(record, self.pool.executor, started)
         try:
-            future = next(core)
-            while True:
-                await asyncio.wait([asyncio.wrap_future(future)])
-                error = future.exception()
-                future = core.send((None, error) if error is not None else (future.result(), None))
+            run.outcomes = self._preloaded_outcomes(record)
+            record.units_total = len(run.outcomes)
+            record.units_done = 0
+            record.counters = {}
+            for outcome in run.outcomes:
+                if outcome.result is not None:
+                    self._count_done(record, outcome)
+            run.core = unit_attempts(
+                run.outcomes,
+                self.pool,
+                report=functools.partial(self._unit_settled, record),
+                draining=lambda: self._draining,
+                rehydrate=rehydrate_unit_result,
+            )
+            run.future = next(run.core)
         except StopIteration:
-            pass
-        if self.pool.respawns > respawns:
-            self.collector.inc("serve.pool.respawns", self.pool.respawns - respawns)
-        if any(o.result is None and o.failure is None for o in outcomes):
-            # Drained mid-job: completed units are checkpointed; the job
-            # re-queues so the next service life resumes where we stopped.
-            record.advance(JOB_QUEUED)
-            return
-        self._finish_with_document(record, outcomes)
+            pass  # nothing left to run
+        except Exception as exc:
+            run.error = exc
+        return run
+
+    def _settle_next(self) -> Optional[asyncio.Task]:
+        """Start settling the oldest look-ahead job, now that the job ahead
+        of it has finished.
+
+        If the job ahead broke the pool, this job's units went to an
+        executor that is gone: its attempts there are not its own, so it
+        goes back to ``queued`` and, unless draining, starts again on the
+        new pool.
+        """
+        assert self.pool is not None
+        run = self._lookahead.popleft()
+        if run.origin is not self.pool.executor:
+            if run.core is not None:
+                run.core.close()
+            run.record.advance(JOB_QUEUED)
+            self.collector.inc("serve.jobs.restarted")
+            if self._draining:
+                return None
+            run.record.advance(JOB_RUNNING)
+            run = self._submit_units(run.record, run.started)
+        return asyncio.get_running_loop().create_task(self._settle(run))
+
+    def _cancel_lookahead(self) -> None:
+        """Cancel the look-ahead jobs' queued units; in-flight ones finish
+        and settle in their turn."""
+        for run in self._lookahead:
+            if run.future is None:
+                continue
+            try:
+                run.future = run.core.throw(KeyboardInterrupt())
+            except StopIteration:
+                run.future = None
+
+    async def _settle(self, run: _JobRun) -> None:
+        """Settle a started job's units in index order, checkpointing each
+        as it completes, then finish the job; a drain re-queues it."""
+        record = run.record
+        try:
+            if run.error is not None:
+                raise run.error
+            future = run.future
+            while future is not None:
+                settled = asyncio.wrap_future(future)
+                await asyncio.wait([settled])
+                error = future.exception()
+                if error is not None:
+                    settled.exception()  # read here, so asyncio does not log it
+                try:
+                    future = run.core.send(
+                        (None, error) if error is not None else (future.result(), None)
+                    )
+                except StopIteration:
+                    future = None
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:
+            self._finish(record, JOB_FAILED, f"{type(exc).__name__}: {exc}")
+        else:
+            if any(o.result is None and o.failure is None for o in run.outcomes):
+                # Drained mid-job: completed units are checkpointed; the job
+                # re-queues so the next service life resumes where we stopped.
+                record.advance(JOB_QUEUED)
+            else:
+                self._finish_with_document(record, run.outcomes)
+        assert self.pool is not None
+        if self.pool.respawns > self._respawns_counted:
+            self.collector.inc("serve.pool.respawns", self.pool.respawns - self._respawns_counted)
+            self._respawns_counted = self.pool.respawns
+        self.collector.record_span(
+            f"serve.job.{record.spec.kind}",
+            int((wall_monotonic() - run.started) * 1e6),
+        )
 
     def _unit_settled(
         self, record: JobRecord, index: int, outcome: UnitOutcome, wire: Optional[dict]

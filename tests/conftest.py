@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -44,3 +45,22 @@ def sut():
 def quiet_sut():
     """A D1 SUT with no background traffic (deterministic frame counts)."""
     return build_sut("D1", seed=7, traffic=False)
+
+
+@pytest.fixture
+def hold_runner():
+    """Hold a ``ServiceThread``'s runner off the queue until a gate opens.
+
+    ``hold_runner(handle)`` returns the gate (a ``threading.Event``); jobs
+    submitted before it is set queue behind each other, so the runner
+    starts the second while the first is still settling.
+    """
+
+    def hold(handle):
+        queue = handle.service.queue
+        gate = threading.Event()
+        pick = queue.next_queued
+        queue.next_queued = lambda: pick() if gate.is_set() else None
+        return gate
+
+    return hold

@@ -90,6 +90,12 @@ def _cli(argv, cwd):
     )
 
 
+#: case id -> text its message must carry (``{input}`` as in CASES)
+MESSAGES = {
+    "trials-absent-plan-file": "no fault plan file '{input}.absent'",
+}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_bad_input_is_one_line_and_exit_2(case, tmp_path):
     argv, contents = CASES[case]
@@ -101,6 +107,7 @@ def test_bad_input_is_one_line_and_exit_2(case, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(f"zcover {argv[0]}: ")
+    assert MESSAGES.get(case, "").format(input=path) in lines[0]
 
 
 def test_removed_serve_retries_option_is_a_usage_error():

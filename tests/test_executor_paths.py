@@ -10,8 +10,9 @@ harness metrics, and byte-identical results for the healthy units.
 ``exit`` would kill the test process in-process, so it runs on the pool
 and the service only.
 
-The service's shared pool is respawned once per breakage, and the drain
-inside the policy is checked directly against hand-settled futures.
+The service's shared pool is respawned once per breakage, a job queued
+behind a crashing one is not charged for the crash, and the drain inside
+the policy is checked directly against hand-settled futures.
 """
 
 import json
@@ -39,7 +40,7 @@ from repro.core.trials import merge_trials
 from repro.obs.export import canonical_dumps
 from repro.serve.client import ServeClient
 from repro.serve.protocol import JOB_DONE, JobSpec
-from repro.serve.results import direct_document, dumps_result_document
+from repro.serve.results import direct_document, dumps_result_document, spec_units
 from repro.serve.service import ServiceThread
 from repro.wire import dumps_wire
 
@@ -175,6 +176,56 @@ class TestSharedPoolRespawn:
             assert json.loads(body.decode("utf-8"))["counters"]["serve.pool.respawns"] == 1
         finally:
             handle.stop(drain=True)
+
+
+class TestCrossJobCrash:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_job_behind_a_crash_is_restarted_not_charged(
+        self, monkeypatch, hold_runner, workers
+    ):
+        # Job A's one unit kills its worker while job B's units wait
+        # behind it on the same executor.  B starts again on the respawned
+        # pool, so its attempts, metrics and bytes are those of B alone.
+        crashing, healthy = (
+            JobSpec(kind="trials", device="D1", mode="full", seed=seed, trials=trials, hours=0.05)
+            for seed, trials in ((7, 1), (8, 2))
+        )
+        crash_units = [CampaignUnit(device="D1", duration=DURATION, seed=9999, fault="exit")]
+        captured = {}
+        document_from_outcomes = service_module.document_from_outcomes
+
+        def capture(spec, outcomes):
+            captured[spec] = list(outcomes)
+            return document_from_outcomes(spec, outcomes)
+
+        monkeypatch.setattr(
+            service_module,
+            "spec_units",
+            lambda spec: list(crash_units) if spec == crashing else spec_units(spec),
+        )
+        monkeypatch.setattr(service_module, "document_from_outcomes", capture)
+        handle = ServiceThread(workers=workers, port=0).start()
+        try:
+            gate = hold_runner(handle)
+            client = ServeClient(port=handle.port)
+            first, second = (client.submit(spec).job_id for spec in (crashing, healthy))
+            gate.set()
+            assert client.wait(first, timeout=WAIT_S).state == JOB_DONE
+            assert client.wait(second, timeout=WAIT_S).state == JOB_DONE
+            served = client.result_bytes(second)
+            _, body = client._request("GET", "/metrics")
+            counters = json.loads(body.decode("utf-8"))["counters"]
+        finally:
+            handle.stop(drain=True)
+        (crash,) = captured[crashing]
+        assert crash.failure.category == FAILURE_CRASH
+        alone = execute_units(spec_units(healthy), workers=workers)
+        assert fingerprint(captured[healthy]) == fingerprint(alone)
+        assert [o.attempts for o in captured[healthy]] == [1, 1]
+        assert served == dumps_result_document(direct_document(healthy)).encode("utf-8")
+        assert counters["serve.pool.respawns"] == 1
+        assert counters["serve.jobs.queued_ahead"] == 1
+        assert counters["serve.jobs.restarted"] == 1
 
 
 class _HeldPool:

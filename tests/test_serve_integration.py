@@ -27,6 +27,7 @@ import threading
 
 import pytest
 
+from repro.core.session import FLOWS
 from repro.radio.clock import wall_monotonic, wall_sleep
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import JOB_DONE, JobSpec
@@ -54,6 +55,10 @@ SPEC_RESUME = JobSpec(
 )
 SPEC_ABLATION = JobSpec(kind="ablation", device="D1", seed=0, hours=0.05, scheduler="coverage")
 SPEC_COMPARE = JobSpec(kind="compare", device="D1", devices=("D1", "D2"), seed=0, hours=0.05)
+SPEC_AHEAD, SPEC_BEHIND = (
+    JobSpec(kind="sessions", device=device, seed=seed, trials=4000, flows=FLOWS)
+    for device, seed in (("D1", 11), ("D2", 12))
+)
 
 WAIT_S = 300.0
 
@@ -418,6 +423,58 @@ class TestKillAndResume:
                 assert client.result_bytes(job_id) == oracle_bytes(spec), life
             finally:
                 handle.stop(drain=True)
+
+
+class TestLookaheadStop:
+    """Stop the service while a second job waits behind the first."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("drain", [True, False], ids=["drain", "kill"])
+    def test_stop_with_a_lookahead_job_then_resume(self, tmp_path, hold_runner, drain, workers):
+        """Both jobs resume to the oracle bytes, each finishes once, and the
+        second life runs exactly the units the log lacks."""
+        checkpoint = os.fspath(tmp_path / "lookahead.ckpt")
+        first = ServiceThread(workers=workers, port=0, checkpoint_path=checkpoint).start()
+        gate = hold_runner(first)
+        settle = first.service._unit_settled
+        stopped = threading.Event()
+
+        def settle_then_stop(record, index, outcome, wire):
+            settle(record, index, outcome, wire)
+            if not stopped.is_set():
+                stopped.set()  # on the service's loop: the first unit just settled
+                (first.service.request_shutdown if drain else first.service.abort)()
+
+        first.service._unit_settled = settle_then_stop
+        client = ServeClient(port=first.port)
+        job_ids = [client.submit(spec).job_id for spec in (SPEC_AHEAD, SPEC_BEHIND)]
+        gate.set()
+        assert stopped.wait(WAIT_S)
+        first.stop(drain=drain)
+        counters = first.service.collector.snapshot().counters
+        assert counters["serve.jobs.queued_ahead"] == 1
+        assert "serve.jobs.restarted" not in counters
+
+        def records(kind):
+            lines = [json.loads(line) for line in open(checkpoint, encoding="utf-8")]
+            return [entry["record"] for entry in lines if entry["record"]["kind"] == kind]
+
+        logged = [unit["job_id"] for unit in records("unit")]
+        assert job_ids[0] in logged
+        if drain:  # the job behind had queued units, and they were cancelled
+            assert logged.count(job_ids[1]) < len(FLOWS)
+
+        second = ServiceThread(workers=workers, port=0, checkpoint_path=checkpoint).start()
+        try:
+            resumed = ServeClient(port=second.port)
+            for job_id, spec in zip(job_ids, (SPEC_AHEAD, SPEC_BEHIND)):
+                assert resumed.wait(job_id, timeout=WAIT_S).state == JOB_DONE
+                assert resumed.result_bytes(job_id) == oracle_bytes(spec)
+            ran = second.service.collector.snapshot().counters.get("serve.units.completed", 0)
+        finally:
+            second.stop(drain=True)
+        assert ran == 2 * len(FLOWS) - len(logged)
+        assert sorted(done["job_id"] for done in records("done")) == sorted(job_ids)
 
 
 class TestCliDocumentPath:
