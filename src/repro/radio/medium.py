@@ -239,7 +239,7 @@ class RadioMedium:
                 self._clock.schedule_call(
                     airtime + offset,
                     self._deliver,
-                    (frame_bytes, records, airtime, rate_kbaud, offset),
+                    (frame_bytes, records, rate_kbaud),
                 )
         return airtime
 
@@ -351,14 +351,15 @@ class RadioMedium:
     # callback, so a callback earlier in the batch that powers a later
     # listener down still suppresses that delivery.  Callbacks never
     # advance the clock, so every record of the batch sees the same
-    # ``now`` and the timestamp (fire-time now + airtime + offset) is
-    # hoisted.  The address filter runs last, on the bytes actually
-    # delivered, and a filtered delivery still counts in ``deliveries``.
+    # ``now``, which is the reception's timestamp: the batch fires when
+    # the frame's last bit arrives (transmit time + airtime + offset).
+    # The address filter runs last, on the bytes actually delivered, and
+    # a filtered delivery still counts in ``deliveries``.
 
     def _deliver(self, batch: tuple) -> None:
         """Deliver one transmission: shared bytes, plan records."""
-        raw, records, airtime, rate_kbaud, offset = batch
-        timestamp = self._clock.now + airtime + offset
+        raw, records, rate_kbaud = batch
+        timestamp = self._clock.now
         key = _address_key(raw)
         for endpoint, rssi, _ in records:
             if not endpoint.enabled:

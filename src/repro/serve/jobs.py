@@ -6,7 +6,15 @@ at submission), so execution order is a pure function of arrival order —
 the queue-order determinism property the test suite pins.  Submission is
 idempotent: the job id is content-addressed
 (:func:`~repro.serve.protocol.job_id_for`), so re-POSTing an identical
-spec joins the existing job instead of queuing a duplicate run.
+spec joins the existing job instead of queuing a duplicate run.  The id
+is a CRC-32, so two different specs can share one; every id hit compares
+the specs, and a different spec is refused (:class:`JobIdCollision`)
+rather than handed the other job's record.
+
+The queued jobs are kept by ticket beside the full record map: a record
+tells its queue when it enters or leaves the ``queued`` state, so
+:meth:`JobQueue.next_queued` and :meth:`JobQueue.depth` cost what is
+waiting, not every job the service has ever accepted.
 
 The lock makes the queue safe to touch from the asyncio loop *and* from
 foreign threads (the black-box tests submit from the test thread while
@@ -29,6 +37,14 @@ from .protocol import (
 )
 
 
+class JobIdCollision(CampaignError):
+    """A spec's job id is already held by a different spec."""
+
+    def __init__(self, job_id: str):
+        super().__init__(f"job id {job_id} is already held by a different spec")
+        self.job_id = job_id
+
+
 class JobRecord:
     """Mutable service-side state of one job (shared, lock-protected)."""
 
@@ -42,10 +58,10 @@ class JobRecord:
         self.error = ""
         #: Merged obs counters of completed units (progress streaming).
         self.counters: Dict[str, int] = {}
-        #: The canonical result document text, once the job is done.
-        self.result_text: Optional[str] = None
         #: Checkpoint-restored units: index -> (attempts, wire result).
         self.preloaded: Dict[int, Tuple[int, dict]] = {}
+        #: The queue that keeps this record's ticket while it is queued.
+        self.queue: Optional["JobQueue"] = None
 
     def advance(self, target: str) -> None:
         """Move the state machine, rejecting illegal transitions loudly."""
@@ -53,7 +69,14 @@ class JobRecord:
             raise CampaignError(
                 f"job {self.job_id}: illegal transition {self.state} -> {target}"
             )
+        was_queued = self.state == JOB_QUEUED
         self.state = target
+        if self.queue is None or was_queued == (target == JOB_QUEUED):
+            return
+        if was_queued:
+            self.queue._dequeued(self)
+        else:
+            self.queue._requeued(self)
 
     def status(self) -> JobStatus:
         """A point-in-time :class:`JobStatus` snapshot of this record."""
@@ -76,8 +99,10 @@ class JobQueue:
 
     def __init__(self):
         self._lock = threading.Lock()
+        #: Every record, in arrival (ticket) order.
         self._jobs: Dict[str, JobRecord] = {}
-        self._order: List[str] = []
+        #: The queued records by ticket.
+        self._queued: Dict[int, JobRecord] = {}
         self._next_sequence = 0
 
     def submit(self, spec: JobSpec) -> Tuple[JobRecord, bool]:
@@ -85,17 +110,19 @@ class JobQueue:
 
         ``created`` is ``False`` when an identical spec was already
         submitted — the existing record (whatever its state) is returned,
-        which is what makes duplicate submission harmless.
+        which is what makes duplicate submission harmless.  A different
+        spec with the same job id raises :class:`JobIdCollision`.
         """
         job_id = job_id_for(spec)
         with self._lock:
             existing = self._jobs.get(job_id)
             if existing is not None:
+                if existing.spec != spec:
+                    raise JobIdCollision(job_id)
                 return existing, False
             record = JobRecord(spec, job_id, self._next_sequence)
             self._next_sequence += 1
-            self._jobs[job_id] = record
-            self._order.append(job_id)
+            self._register(record)
             return record, True
 
     def restore(self, record: JobRecord) -> None:
@@ -108,9 +135,25 @@ class JobQueue:
         with self._lock:
             if record.job_id in self._jobs:
                 return
-            self._jobs[record.job_id] = record
-            self._order.append(record.job_id)
+            self._register(record)
             self._next_sequence = max(self._next_sequence, record.sequence + 1)
+
+    def _register(self, record: JobRecord) -> None:
+        """Add *record* to the map and, if queued, to the ticket order."""
+        self._jobs[record.job_id] = record
+        record.queue = self
+        if record.state == JOB_QUEUED:
+            self._queued[record.sequence] = record
+
+    def _requeued(self, record: JobRecord) -> None:
+        """*record* re-entered ``queued``."""
+        with self._lock:
+            self._queued[record.sequence] = record
+
+    def _dequeued(self, record: JobRecord) -> None:
+        """*record* left ``queued``."""
+        with self._lock:
+            del self._queued[record.sequence]
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         """The record for *job_id*, or ``None``."""
@@ -120,19 +163,14 @@ class JobQueue:
     def next_queued(self) -> Optional[JobRecord]:
         """The oldest record still in the queued state, or ``None``."""
         with self._lock:
-            for job_id in self._order:
-                if self._jobs[job_id].state == JOB_QUEUED:
-                    return self._jobs[job_id]
-            return None
+            return self._queued[min(self._queued)] if self._queued else None
 
     def depth(self) -> int:
         """How many jobs are waiting (queued, not yet running)."""
         with self._lock:
-            return sum(
-                1 for job_id in self._order if self._jobs[job_id].state == JOB_QUEUED
-            )
+            return len(self._queued)
 
     def all_records(self) -> List[JobRecord]:
         """Every record, in sequence (arrival) order."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())

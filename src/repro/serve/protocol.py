@@ -53,7 +53,8 @@ JOB_STATES: Tuple[str, ...] = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED)
 VALID_TRANSITIONS: Dict[str, Tuple[str, ...]] = {
     JOB_QUEUED: (JOB_RUNNING,),
     JOB_RUNNING: (JOB_DONE, JOB_FAILED, JOB_QUEUED),
-    JOB_DONE: (),
+    # A done job whose stored result document is lost runs again.
+    JOB_DONE: (JOB_QUEUED,),
     JOB_FAILED: (),
 }
 

@@ -15,11 +15,15 @@ ordering and rng contracts the engine migration relied on:
 * **reference-model equivalence** (100 seeds) — the batched delivery of
   a clean-channel transmission matches an independent per-endpoint
   reimplementation of the retired legacy loop (same filter chain, same
-  draw order, same delivery order and timestamps).
+  draw order, same delivery order and timestamps);
+* **stamp is arrival time** (50 seeds) — under drop, delay and duplicate
+  injection, every reception's timestamp equals the clock's ``now`` when
+  its callback runs.
 """
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,6 +38,7 @@ from repro.zwave.constants import Region
 HEAP_SEEDS = 200
 RNG_SEEDS = 200
 MODEL_SEEDS = 100
+STAMP_SEEDS = 50
 
 FRAME = bytes(range(20))
 
@@ -181,14 +186,58 @@ def test_batched_delivery_matches_reference_model(seed):
             if model_rng.random() < loss_probability(rssi):
                 expected_losses += 1
                 continue
-            # Timestamp contract (preserved verbatim from the legacy
-            # closure): fire-time ``now`` + airtime, i.e. the batch fires
-            # one airtime after transmit and stamps one airtime later —
-            # bit-exact float association included.
-            expected_received.append((name, frame, (transmit_at + airtime) + airtime))
+            # Timestamp contract: the reception is stamped when the frame's
+            # last bit arrives, one airtime after transmit (no fault
+            # offset here) — bit-exact float association included.
+            expected_received.append((name, frame, transmit_at + airtime))
         clock.advance(0.05)
 
     assert counting.draws == model_rng.draws
     assert received == expected_received
     assert medium.stats["losses"] == expected_losses
     assert medium.stats["deliveries"] == len(expected_received)
+
+
+# -- property 4: the stamp is the arrival time -----------------------------------
+
+
+class SeededFaults:
+    """A fault injector drawing drop, delay and duplicate per transmission."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def on_transmit(self, sender, frame_bytes):
+        rng = self.rng
+        if rng.random() < 0.3:
+            return None
+        return SimpleNamespace(
+            drop=rng.random() < 0.2,
+            corrupt=None,
+            extra_delay=rng.choice((0.0, 0.001, 0.013, 0.25)),
+            duplicate=rng.random() < 0.4,
+        )
+
+
+@pytest.mark.parametrize("seed", range(STAMP_SEEDS))
+def test_every_stamp_is_the_clock_at_its_callback(seed):
+    clock = SimClock()
+    medium = RadioMedium(clock, rng=random.Random(seed))
+    medium.fault_injector = SeededFaults(seed)
+    stamps = []
+    topo_rng = random.Random(seed)
+    for index in range(topo_rng.randrange(2, 6)):
+        # Within 60 m of each other: most links deliver.
+        position = (topo_rng.uniform(0.0, 60.0), topo_rng.uniform(0.0, 10.0))
+        medium.attach(
+            f"ep{index}", position, Region.EU,
+            lambda r: stamps.append((r.timestamp, clock.now)),
+        )
+    senders = list(medium.endpoints())
+    script_rng = random.Random(seed + 1)
+    for step in range(30):
+        medium.transmit(script_rng.choice(senders), FRAME + bytes([step]), rate_kbaud=100.0)
+        clock.advance(script_rng.choice((0.0, 0.002, 0.05)))
+    clock.advance(1.0)
+    assert stamps
+    assert all(stamp == now for stamp, now in stamps)
