@@ -101,21 +101,9 @@ class ZWaveIDS:
     def __init__(self, home_id: int):
         self._model = TrafficModel(home_id=home_id)
         self._trained = False
-        self._alerts: List[Alert] = []
         self._arrivals: Dict[int, List[float]] = defaultdict(list)
         self._train_arrivals: List[float] = []
         self._live_last_cmdcl: Dict[int, int] = {}
-
-    @property
-    def model(self) -> TrafficModel:
-        return self._model
-
-    @property
-    def trained(self) -> bool:
-        return self._trained
-
-    def alerts(self) -> List[Alert]:
-        return list(self._alerts)
 
     # -- training ---------------------------------------------------------------
 
@@ -145,7 +133,7 @@ class ZWaveIDS:
     # -- detection -----------------------------------------------------------------
 
     def inspect(self, timestamp: float, frame: ZWaveFrame) -> List[Alert]:
-        """Score one frame; returns (and records) any alerts raised."""
+        """Score one frame; returns any alerts raised."""
         if not self._trained:
             raise RuntimeError("train the IDS before inspecting traffic")
         raised: List[Alert] = []
@@ -155,7 +143,6 @@ class ZWaveIDS:
                       f"home id 0x{frame.home_id:08X} is not this network")
             )
         if frame.is_ack:
-            self._alerts.extend(raised)
             return raised
         if frame.src not in self._model.known_senders:
             raised.append(
@@ -200,7 +187,6 @@ class ZWaveIDS:
                                   f"payload length {len(frame.payload)} outside [{lo}, {hi}]")
                         )
         raised.extend(self._rate_check(timestamp, frame))
-        self._alerts.extend(raised)
         return raised
 
     def _rate_check(self, timestamp: float, frame: ZWaveFrame) -> List[Alert]:

@@ -36,10 +36,6 @@ class TriagedBug:
     minimized_payload: Optional[bytes] = None
 
     @property
-    def stable(self) -> bool:
-        return self.stability == 1.0
-
-    @property
     def severity_rank(self) -> int:
         """Crude ranking: persistent impact outranks timed outages."""
         if self.finding.duration_s is None:

@@ -31,10 +31,6 @@ class BugRecord:
     def payload(self) -> bytes:
         return bytes.fromhex(self.payload_hex)
 
-    @property
-    def observed_kind(self) -> ObservedKind:
-        return ObservedKind(self.observed)
-
     @classmethod
     def from_payload(
         cls,
@@ -59,9 +55,6 @@ class BugLog:
     def __init__(self, records: Optional[List[BugRecord]] = None):
         self._records: List[BugRecord] = list(records or [])
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def __iter__(self) -> Iterator[BugRecord]:
         return iter(self._records)
 
@@ -71,9 +64,6 @@ class BugLog:
         if not isinstance(other, BugLog):
             return NotImplemented
         return self._records == other._records
-
-    def __repr__(self) -> str:
-        return f"BugLog({len(self._records)} records)"
 
     def add(self, record: BugRecord) -> None:
         self._records.append(record)

@@ -37,20 +37,12 @@ class ClusterResult:
     controller_relevant: Tuple[int, ...]
     unlisted_candidates: Tuple[int, ...]
 
-    @property
-    def candidate_count(self) -> int:
-        return len(self.unlisted_candidates)
-
 
 class SpecClusterer:
     """Cluster the public specification for controller-relevant classes."""
 
     def __init__(self, registry: Optional[SpecRegistry] = None):
         self._registry = registry or load_public_registry()
-
-    @property
-    def registry(self) -> SpecRegistry:
-        return self._registry
 
     def cluster(self, listed_cmdcls: Tuple[int, ...]) -> ClusterResult:
         """Spec classes a controller should support, minus the listed ones."""
@@ -78,10 +70,6 @@ class ValidationResult:
     probes: Tuple[ProbeOutcome, ...]
     confirmed_candidates: Tuple[int, ...]
     proprietary: Tuple[int, ...]
-
-    @property
-    def probe_count(self) -> int:
-        return len(self.probes)
 
 
 class ValidationTester:

@@ -123,14 +123,6 @@ class FuzzingEngine:
         )
         self._inject_dst = sut.controller.node_id
 
-    @property
-    def observer(self) -> SutObserver:
-        return self._observer
-
-    @property
-    def monitor(self) -> LivenessMonitor:
-        return self._monitor
-
     # -- the main loop (Algorithm 1) -------------------------------------------
 
     def run(self, streams: Iterable[Stream], duration: float) -> FuzzResult:

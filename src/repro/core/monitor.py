@@ -208,15 +208,6 @@ class SutObserver:
         # without re-snapshotting and re-diffing the whole table.
         self._clean_version: Optional[int] = None
 
-    @property
-    def golden(self) -> Snapshot:
-        return self._golden
-
-    def rebaseline(self) -> None:
-        """Accept the current NVM as the new golden state."""
-        self._golden = self._sut.controller.nvm.snapshot()
-        self._clean_version = None
-
     # -- detection --------------------------------------------------------------
 
     def check_memory(self) -> Tuple[Optional[ObservedKind], Tuple[MemoryChange, ...]]:

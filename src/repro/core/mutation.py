@@ -142,7 +142,6 @@ def _deterministic_prefix(registry: SpecRegistry, cmdcl: int) -> Iterator[TestCa
         "Algorithm 1 initial semi-valid packet",
     )
     if cls is None or not cls.commands:
-        yield from _unknown_class_sweep(cmdcl)
         return
     yield from _valid_builds(registry, cls)
     yield from _interleaved_variants(registry, cls)
@@ -277,26 +276,6 @@ def _invalid_cmd_sweep(cls: CommandClass) -> Iterator[TestCase]:
         )
 
 
-# -- unknown classes (validated but schema-less) -----------------------------------------------
-
-
-def _unknown_class_sweep(cmdcl: int) -> Iterator[TestCase]:
-    """Fuzz a class with no registry schema: sweep commands blindly."""
-    for cmd_id in range(0x01, 0x20):
-        yield TestCase(
-            ApplicationPayload(cmdcl, cmd_id, b""),
-            MutationOperator.RAND_INVALID,
-            1,
-            "schema-less command sweep (bare)",
-        )
-        yield TestCase(
-            ApplicationPayload(cmdcl, cmd_id, b"\x00\x00"),
-            MutationOperator.RAND_INVALID,
-            1,
-            "schema-less command sweep (2-byte body)",
-        )
-
-
 # -- the compiled stage 0-3 table ----------------------------------------------
 
 #: Counter names, built once: a case books ``mutation.generated`` plus the
@@ -378,10 +357,7 @@ class PositionSensitiveMutator:
             _book(field, operator)
             yield case
         cls = self._registry.get(cmdcl)
-        if cls is None or not cls.commands:
-            yield from self._unknown_class_tail(cmdcl)
-        else:
-            yield from self._random_tail(cls)
+        yield from self._random_tail(cmdcl, () if cls is None else cls.command_ids())
 
     def prefix_length(self, cmdcl: int) -> int:
         """How many deterministic (stage 0-3) cases *cmdcl* yields.
@@ -394,11 +370,11 @@ class PositionSensitiveMutator:
 
     # -- stage 4: endless random tail ---------------------------------------------------------
 
-    def _random_tail(self, cls: CommandClass) -> Iterator[TestCase]:
+    def _random_tail(self, cmdcl: int, command_ids: Tuple[int, ...]) -> Iterator[TestCase]:
         # Position-sensitive to the end: even the long-haul tail draws the
         # command byte from the defined identifiers or the bounded
-        # undefined-command neighbourhood, never from uniform garbage.
-        command_ids = cls.command_ids()
+        # undefined-command neighbourhood, never from uniform garbage.  A
+        # class with no schema has only the neighbourhood.
         while True:
             if command_ids and self._rng.random() < 0.8:
                 cmd_id = self._rng.choice(command_ids)
@@ -408,23 +384,10 @@ class PositionSensitiveMutator:
             params = bytes(self._rng.randrange(256) for _ in range(count))
             _book(_FIELD_COUNTERS[1], _RANDOM_COUNTER)
             yield TestCase(
-                ApplicationPayload(cls.id, cmd_id, params),
-                MutationOperator.RANDOM,
-                1,
-                "random tail",
-            )
-
-    def _unknown_class_tail(self, cmdcl: int) -> Iterator[TestCase]:
-        while True:
-            cmd_id = self._rng.randrange(256)
-            count = self._rng.randrange(0, 5)
-            params = bytes(self._rng.randrange(256) for _ in range(count))
-            _book(_FIELD_COUNTERS[1], _RANDOM_COUNTER)
-            yield TestCase(
                 ApplicationPayload(cmdcl, cmd_id, params),
                 MutationOperator.RANDOM,
                 1,
-                "schema-less random",
+                "random tail",
             )
 
 

@@ -23,7 +23,8 @@ the job service — drives it:
 * a drain (Ctrl-C, or the service's shutdown) cancels queued attempts,
   stops retrying and lets in-flight units finish and report.
 
-Units run in the caller's process when there is only one worker to use.
+Units run in the caller's process when there is only one worker to use,
+except a unit whose fault token may end that process.
 Worker processes return results in the :mod:`repro.wire` form (plain
 JSON-safe data), never live simulator objects, so nothing heavyweight —
 in particular no :class:`~repro.zwave.registry.SpecRegistry` — crosses a
@@ -49,7 +50,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 from ..errors import CampaignError
 from ..faults.plan import FaultPlan, loads_plan
 from ..faults.schedule import FaultSchedule
-from ..faults.worker import apply_worker_fault
+from ..faults.worker import WorkerFault, apply_worker_fault
 from ..simulator.testbed import build_sut
 from ..wire import decode, encode
 from .baseline import VFuzzBaseline, VFuzzResult
@@ -328,6 +329,11 @@ def _submit(pool: Optional[WorkerPool], unit: CampaignUnit) -> Future:
         return failed
 
 
+def _ends_process(unit: CampaignUnit) -> bool:
+    """Whether *unit*'s fault token may end the process that runs it."""
+    return bool(unit.fault) and WorkerFault.from_token(unit.fault).kind in ("exit", "exit-once")
+
+
 def _failure(unit: CampaignUnit, error: BaseException, attempts: int) -> UnitFailure:
     """Classify one failed attempt; the text is the exception's last line."""
     category = FAILURE_CRASH if isinstance(error, BrokenExecutor) else FAILURE_EXCEPTION
@@ -370,20 +376,28 @@ def unit_attempts(
     A crash of a first attempt respawns *pool* — once, and only while
     it is still the executor that attempt ran on; collateral crashes of
     the same breakage and crashes in isolated retries leave it alone.
+    Without *pool*, a unit whose fault token may end its process
+    (:func:`_ends_process`) runs each attempt in a
+    one-worker pool, as retries on a pool do, so a crash fails that unit
+    and not this process.
     """
     origin = pool.executor if pool is not None else None
     submitted: Dict[int, Future] = {}
+    solos: Dict[int, WorkerPool] = {}
     drained = False
     try:
         for index, outcome in enumerate(outcomes):
             if outcome.result is None:
                 outcome.attempts += 1
-                submitted[index] = _submit(pool, outcome.unit)
+                if pool is None and _ends_process(outcome.unit):
+                    solos[index] = WorkerPool(workers=1)
+                submitted[index] = _submit(solos.get(index, pool), outcome.unit)
     except KeyboardInterrupt:
         drained = True
     for index, future in submitted.items():
         outcome = outcomes[index]
-        solo: Optional[WorkerPool] = None
+        # The one-worker pool the attempt in flight runs on, if any.
+        solo: Optional[WorkerPool] = solos.get(index)
         while True:
             drained = drained or draining()
             if drained:
@@ -399,7 +413,7 @@ def unit_attempts(
             if solo is not None:
                 solo.drain()  # its one attempt has settled
             if error is None:
-                decoded = value if pool is None else rehydrate(outcome.unit, value)
+                decoded = value if pool is None and solo is None else rehydrate(outcome.unit, value)
                 outcome.result, outcome.failure = decoded, None
                 break
             outcome.failure = _failure(outcome.unit, error, outcome.attempts)
@@ -411,7 +425,7 @@ def unit_attempts(
                 break
             outcome.attempts += 1
             try:
-                if pool is None:
+                if pool is None and index not in solos:
                     future = _submit(None, outcome.unit)
                 else:
                     solo = WorkerPool(workers=1)
@@ -437,7 +451,8 @@ def execute_units(units: Sequence[CampaignUnit], workers: int = 1) -> List[UnitO
 
     *workers* resolves through :func:`resolve_workers` (``<= 0`` is one
     per core).  With at most one worker to use, or on a platform without
-    a process pool, units run in this process.  A failing unit gets
+    a process pool, units run in this process, except a unit whose fault
+    token may end it (see :func:`unit_attempts`).  A failing unit gets
     :data:`UNIT_RETRIES` more attempts before its failure is surfaced.
 
     A ``KeyboardInterrupt`` (Ctrl-C, or SIGTERM routed through a handler)

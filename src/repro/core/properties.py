@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
-from ..zwave.registry import SpecRegistry
-
 
 @dataclass
 class ControllerProperties:
@@ -25,11 +23,6 @@ class ControllerProperties:
     unlisted_candidates: Tuple[int, ...] = ()
     validated_unknown: Tuple[int, ...] = ()
     proprietary: Tuple[int, ...] = ()
-
-    @property
-    def fingerprinted(self) -> bool:
-        """Whether phase 1 produced enough to start phase 2."""
-        return self.home_id is not None and self.controller_node_id is not None
 
     @property
     def known_count(self) -> int:
@@ -51,7 +44,3 @@ class ControllerProperties:
     def all_cmdcls(self) -> Tuple[int, ...]:
         """Known plus unknown — the fuzzing candidate set (45 on the testbed)."""
         return tuple(sorted(set(self.listed_cmdcls) | set(self.unknown_cmdcls)))
-
-    def prioritized(self, registry: SpecRegistry) -> Tuple[int, ...]:
-        """The fuzzing queue ordered by command count (Section III-C1)."""
-        return registry.prioritize(self.all_cmdcls)

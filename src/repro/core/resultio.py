@@ -42,7 +42,6 @@ __all__ = [
     "jobstatus_to_wire",
     "session_from_wire",
     "session_to_wire",
-    "vfuzz_from_wire",
     "vfuzz_to_wire",
 ]
 
@@ -60,11 +59,6 @@ def campaign_from_wire(data: dict) -> CampaignResult:
 def vfuzz_to_wire(result: VFuzzResult) -> dict:
     """Reduce a Table V baseline run to plain data."""
     return encode(result)
-
-
-def vfuzz_from_wire(data: dict) -> VFuzzResult:
-    """Rebuild a :class:`VFuzzResult`, rejecting mismatched versions."""
-    return decode(VFuzzResult, data, "vfuzz result")
 
 
 def session_to_wire(result: SessionResult) -> dict:

@@ -147,10 +147,6 @@ class CoverageScheduler:
 
     # -- public state ----------------------------------------------------------
 
-    @property
-    def queue(self) -> Tuple[int, ...]:
-        return self._queue
-
     def trace(self) -> Tuple[Tuple[int, float, str], ...]:
         """Every decision so far as ``(cmdcl, window_s, reason)`` tuples."""
         return tuple(self._trace)
@@ -158,10 +154,6 @@ class CoverageScheduler:
     def corpus_payloads(self, cmdcl: int) -> Tuple[bytes, ...]:
         """The canonical (order-independent) corpus view for one class."""
         return canonical_corpus(self._corpus.get(cmdcl, ()))
-
-    def corpus_size(self) -> int:
-        """Total coverage-novel seed frames retained across all classes."""
-        return self._corpus_total
 
     # -- the energy model ------------------------------------------------------
 

@@ -275,11 +275,6 @@ FLOW_GRAPHS: Dict[str, FlowGraph] = {
 }
 
 
-def happy_path(flow: str) -> Tuple[Event, ...]:
-    """The unmutated frame sequence of *flow* (the oracle's clean trace)."""
-    return flow_graph(flow).happy
-
-
 def flow_graph(flow: str) -> FlowGraph:
     """The state graph for *flow*, or :class:`CampaignError` if unknown."""
     try:
@@ -395,14 +390,6 @@ DIRECTED_ATTACKS: Dict[str, Tuple[SessionOp, ...]] = {
     # OTA: drop a fragment; STATUS OK still arrives.
     "SV12": (SessionOp("drop", index=4),),
 }
-
-
-def directed_attack(vuln_id: str) -> Tuple[SessionOp, ...]:
-    """The directed mutation that reaches the planted bug *vuln_id*."""
-    try:
-        return DIRECTED_ATTACKS[vuln_id]
-    except KeyError:
-        raise CampaignError(f"no directed attack for {vuln_id!r}") from None
 
 
 def directed_corpus(flow: str) -> Tuple[Tuple[str, Tuple[SessionOp, ...]], ...]:
@@ -635,10 +622,6 @@ class SessionEvaluation(NamedTuple):
     findings: Tuple[Tuple[SessionVulnerability, int], ...]
     final_state: str
 
-    @property
-    def completed(self) -> bool:
-        return self.final_state == flow_graph(self.flow).terminal
-
 
 def evaluate_trace(flow: str, events: Sequence[Event]) -> SessionEvaluation:
     """Walk *events* through the flow graph and match the planted oracle.
@@ -720,10 +703,6 @@ class SessionResult:
     @property
     def found_vuln_ids(self) -> Tuple[str, ...]:
         return tuple(sorted({bug.vuln_id for bug in self.bugs}))
-
-    @property
-    def found_all_planted(self) -> bool:
-        return set(self.found_vuln_ids) >= set(planted_vuln_ids(self.flows))
 
     @property
     def total_trials(self) -> int:

@@ -216,8 +216,11 @@ def merge_trials(
     ``summary.failures`` without disturbing the surviving trials.
 
     The summary also carries a harness metrics snapshot (unit counts,
-    per-unit attempts, failure categories), keeping merged
-    ``--metrics-out`` documents byte-identical across worker counts.
+    per-unit attempts, failure categories).  Merged ``--metrics-out``
+    documents are byte-identical across worker counts unless a unit
+    crashes its worker: with two or more workers that crash also costs
+    the units sharing its executor an attempt, so the attempt counters
+    differ (ROADMAP item 12).
     """
     return TrialSummary(
         device=device,
@@ -252,7 +255,8 @@ def run_trials(
     ``workers > 1`` shards the trials across a process pool; the result is
     identical to the serial run (``tests/test_parallel_determinism.py``).
     Every worker count runs the same unit executor, so worker-layer
-    faults and retry accounting apply identically everywhere.
+    faults fail the same units everywhere; only a worker crash's retry
+    accounting differs (see :func:`merge_trials`).
 
     With *fault_plan* every trial runs under the plan's deterministic
     fault injection (:mod:`repro.faults`).

@@ -27,7 +27,6 @@ from .plan import (
     load_plan,
     loads_plan,
     lossy_link_plan,
-    save_plan,
     stock_plan,
 )
 from .report import build_chaos_document, render_chaos_text
@@ -58,6 +57,5 @@ __all__ = [
     "loads_plan",
     "lossy_link_plan",
     "render_chaos_text",
-    "save_plan",
     "stock_plan",
 ]

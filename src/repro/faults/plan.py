@@ -140,14 +140,8 @@ def dumps_plan(plan: FaultPlan) -> str:
     return json.dumps(encode(plan), sort_keys=True, indent=2) + "\n"
 
 
-def save_plan(plan: FaultPlan, path: str) -> None:
-    """Write *plan* to *path* in canonical form."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_plan(plan))
-
-
 def load_plan(path: str) -> FaultPlan:
-    """Read a plan file written by :func:`save_plan` (or by hand)."""
+    """Read a plan file (:func:`dumps_plan` writes the canonical form)."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)

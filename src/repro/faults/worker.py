@@ -6,8 +6,12 @@ structured :class:`WorkerFault` with a stable token form.  The token is
 what rides the picklable :class:`~repro.core.parallel.CampaignUnit`
 (plain strings keep the unit frozen, hashable and wire-clean); both the
 serial and the pooled execution paths apply it through
-:func:`apply_worker_fault`, so a plan's worker faults perturb a
-``--workers 1`` run exactly like a sharded one.
+:func:`apply_worker_fault`.  A unit whose token may end its process
+(``exit``, ``exit-once``) runs in a one-worker pool even at ``--workers 1``,
+so a crash fails that unit and not the run.  Outcomes, documents and
+failure lines are then the same at every worker count; the retry
+accounting is not, because with two or more workers a crash also costs
+the units sharing its executor an attempt (ROADMAP item 12).
 """
 
 from __future__ import annotations

@@ -93,8 +93,7 @@ class Analyzer:
     #: rule id -> one-line description (surfaced by ``zcover lint --rules``).
     rules: Dict[str, str] = {}
 
-    def analyze(self, sources: List[SourceFile]) -> List[LintFinding]:
-        raise NotImplementedError
+    # Each family defines ``analyze(sources) -> List[LintFinding]``.
 
 
 # -- inline suppressions -------------------------------------------------------

@@ -27,14 +27,13 @@ from ..findings import LintFinding
 from ..wiresafety import wire_vocabulary
 from . import purity, taint
 from .callgraph import CallGraph
-from .symbols import summarize_source, summarize_text
+from .symbols import summarize_source
 
 __all__ = [
     "CallGraph",
     "FlowAnalyzer",
     "DEFAULT_ENTRY_MODULES",
     "summarize_source",
-    "summarize_text",
 ]
 
 #: Modules whose public surface constitutes the campaign entry points the

@@ -497,7 +497,3 @@ def summarize_source(source: SourceFile) -> dict:
         "functions": functions,
     }
 
-
-def summarize_text(rel: str, text: str) -> dict:
-    """Summarize from raw text."""
-    return summarize_source(SourceFile.from_text(rel, text))

@@ -54,10 +54,6 @@ class LintReport:
         return sum(1 for f in self.findings if f.severity is Severity.ERROR)
 
     @property
-    def warnings(self) -> int:
-        return sum(1 for f in self.findings if f.severity is Severity.WARNING)
-
-    @property
     def exit_code(self) -> int:
         """Non-zero iff any ERROR-severity finding survived suppression."""
         return 1 if self.errors else 0

@@ -85,10 +85,6 @@ def _snapshot(doc: MetricsDocument) -> MetricsSnapshot:
     )
 
 
-def document_to_snapshot(doc: dict) -> MetricsSnapshot:
-    """Rebuild the snapshot from a document, validating envelope and layout."""
-    return _snapshot(decode(MetricsDocument, doc, "metrics document"))
-
 
 def canonical_dumps(doc: dict) -> str:
     """Canonical serialisation: sorted keys, indent 2, trailing newline.

@@ -76,16 +76,6 @@ class MetricsSnapshot:
     coverage: Dict[str, int] = field(default_factory=dict)
     spans: Dict[str, SpanStats] = field(default_factory=dict)
 
-    @property
-    def empty(self) -> bool:
-        return not (
-            self.counters
-            or self.gauges
-            or self.histograms
-            or self.coverage
-            or self.spans
-        )
-
 
 # -- coverage keys -------------------------------------------------------------
 
@@ -168,11 +158,6 @@ class MetricsCollector:
         key = coverage_key(cmdcl, cmd)
         self._coverage[key] = self._coverage.get(key, 0) + int(amount)
 
-    def cover_state(self, flow: str, state: str, mark: str, amount: int = 1) -> None:
-        """Mark one session-flow transition in the state×transition bitmap."""
-        key = state_coverage_key(flow, state, mark)
-        self._coverage[key] = self._coverage.get(key, 0) + int(amount)
-
     def cover_keys(self, keys: Iterable[str]) -> None:
         """Mark one processing of each prebuilt coverage key, in order."""
         coverage = self._coverage
@@ -244,13 +229,6 @@ class MetricsCollector:
             },
         )
 
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._coverage.clear()
-        self._spans.clear()
-
 
 # -- the active-collector stack ------------------------------------------------
 
@@ -276,12 +254,6 @@ def inc(name: str, amount: int = 1) -> None:
     """Increment a counter on the active collector (no-op when inactive)."""
     if _ACTIVE:
         _ACTIVE[-1].inc(name, amount)
-
-
-def gauge_max(name: str, value: float) -> None:
-    """Max-merge a gauge on the active collector (no-op when inactive)."""
-    if _ACTIVE:
-        _ACTIVE[-1].gauge_max(name, value)
 
 
 def observe(name: str, value: int) -> None:

@@ -76,15 +76,6 @@ class Tracer:
         self._total = 0
 
     @property
-    def capacity(self) -> int:
-        return self._ring.maxlen or 0
-
-    @property
-    def total_spans(self) -> int:
-        """Spans completed over the tracer's lifetime (including dropped)."""
-        return self._total
-
-    @property
     def dropped(self) -> int:
         """Spans evicted from the ring by newer ones."""
         return self._total - len(self._ring)

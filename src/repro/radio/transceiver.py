@@ -45,10 +45,6 @@ class CapturedFrame:
     rssi_dbm: float
     timestamp: float
 
-    @property
-    def decoded(self) -> bool:
-        return self.frame is not None
-
 
 class Transceiver:
     """A sniff/inject dongle attached to the simulated medium."""
@@ -95,14 +91,6 @@ class Transceiver:
     @property
     def configured(self) -> bool:
         return self._region is not None and self._rate_kbaud is not None
-
-    @property
-    def region(self) -> Optional[Region]:
-        return self._region
-
-    @property
-    def rate_kbaud(self) -> Optional[float]:
-        return self._rate_kbaud
 
     @property
     def frames_injected(self) -> int:

@@ -15,7 +15,6 @@ from .s2 import (
     S2Context,
     S2Encapsulated,
     SpanState,
-    generate_network_key,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "ckdf_expand",
     "ckdf_temp_extract",
     "ExpandedKeys",
-    "generate_network_key",
     "public_key",
     "S0Context",
     "S0Encapsulated",

@@ -98,10 +98,6 @@ class SpanState:
         self._mei_cmac = Cmac(personalization.tag(sender_entropy + receiver_entropy))
         self._counter = 0
 
-    @property
-    def counter(self) -> int:
-        return self._counter
-
     def next_nonce(self) -> bytes:
         """Draw the next 13-byte CCM nonce, advancing the state."""
         block = self._mei_cmac.tag(self._counter.to_bytes(4, "big"))
@@ -228,9 +224,3 @@ class S2Bootstrap:
         else:
             prk = ckdf_temp_extract(secret, peer_public, self.public)
         return prk
-
-
-def generate_network_key(rng: Optional[random.Random] = None) -> bytes:
-    """Generate a random 16-byte S2 network key."""
-    rng = rng or random.Random(0)
-    return bytes(rng.randrange(256) for _ in range(16))

@@ -13,7 +13,7 @@ Three record kinds:
 
 Records are appended with flush + fsync *before* the service reports the
 matching progress, so the log is always at least as advanced as any
-observable status.  :func:`load_checkpoint` stops at the first torn,
+observable status.  :func:`load_prefix` stops at the first torn,
 corrupt or malformed line (a crash mid-append leaves at most one),
 making the loaded prefix trustworthy without any repair step.  Each
 record is decoded once, against its kind's layout, and the loader keeps
@@ -200,11 +200,6 @@ def load_prefix(path: str) -> List[Tuple[Line, int]]:
     return lines
 
 
-def load_checkpoint(path: str) -> List[Line]:
-    """The decoded lines of :func:`load_prefix`, without their lengths."""
-    return [line for line, _ in load_prefix(path)]
-
-
 class CheckpointWriter:
     """Append-only writer; every append is flushed and fsynced.
 
@@ -278,12 +273,6 @@ class CheckpointWriter:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def __enter__(self) -> "CheckpointWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 def trusted_document(text: str, job_id: str, spec: JobSpec) -> bool:

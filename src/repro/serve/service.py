@@ -62,9 +62,10 @@ Routes::
 ``POST /jobs`` answers 409 ``job-id-collision`` to a spec whose job id
 another spec already holds.  A service holds an exclusive lock on its
 result store for its life, so two services never share a checkpoint.
-Forked pool workers close the listening sockets and the lock, so after
-a ``kill -9`` of the service alone the port and the checkpoint are
-free.
+Forked pool workers close the listening sockets, the checkpoint and the
+lock, so after a ``kill -9`` of the service alone the port and the
+checkpoint are free; and they exit within :data:`PARENT_POLL_S` seconds
+once the service is gone.
 
 :class:`ServiceThread` hosts the whole service on a background thread
 with an ephemeral port — the black-box test harness talks to it over
@@ -84,6 +85,7 @@ import socket
 import sys
 import tempfile
 import threading
+import time
 import weakref
 from concurrent.futures import Future
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
@@ -146,20 +148,40 @@ COMPACT_EVERY_JOBS = 64
 
 _JSON = "application/json"
 
-#: Every live service's listening sockets, and the descriptors holding
-#: their result stores' locks.  A forked process (a pool worker) closes
-#: them, so only the service itself holds the port and the lock.  Fork
-#: hooks are per process, so these registries are too.
+#: Seconds between a forked worker's checks that its service still runs.
+PARENT_POLL_S = 0.5
+
+#: Every live service's listening sockets, checkpoint writers, and the
+#: descriptors holding their result stores' locks.  A forked process (a
+#: pool worker) closes them, so only the service itself holds the port,
+#: the log and the lock.  Fork hooks are per process, so these
+#: registries are too.
 _LISTENERS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+_WRITERS: "weakref.WeakSet[CheckpointWriter]" = weakref.WeakSet()
 _LOCKS: Set[int] = set()
 
 
 def _close_inherited() -> None:
+    """In a process forked from a service: close what only the service may
+    hold, and exit once the service is gone."""
+    serving = bool(_LISTENERS or _WRITERS or _LOCKS)
     for listener in list(_LISTENERS):
         listener.close()
+    for writer in list(_WRITERS):
+        writer.close()  # every append is flushed, so closing writes nothing
     for descriptor in list(_LOCKS):
         os.close(descriptor)
     _LOCKS.clear()
+    if serving:
+        threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this process once *parent* has died: a SIGKILLed service's
+    pool workers would otherwise live on, reparented, holding memory."""
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
 
 
 if hasattr(os, "register_at_fork"):  # POSIX; elsewhere workers are not forked
@@ -405,6 +427,7 @@ class ZCoverService:
                     self.collector.inc("serve.jobs.resumed")
             self.queue.restore(record)
         self._writer = CheckpointWriter(self.checkpoint_path, prefix)
+        _WRITERS.add(self._writer)
         self._count_sizes()
         self._compact()
 

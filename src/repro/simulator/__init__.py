@@ -17,7 +17,7 @@ from .inclusion import (
     JoiningDevice,
     steal_s0_key_from_captures,
 )
-from .routing import MeshRepeater, RoutingHeader, make_routed_frame, unwrap_routed
+from .routing import MeshRepeater, RoutingHeader, make_routed_frame
 from .transport import S0Messaging, S2Messaging, TransportStats
 from .memory import MemoryChange, NodeRecord, NodeTable
 from .slave import VirtualBinarySwitch, VirtualDoorLock, VirtualSlave
@@ -42,7 +42,6 @@ from .vulnerabilities import (
     TriggerContext,
     Vulnerability,
     ZERO_DAYS,
-    match_zero_days,
     zero_day_by_id,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "make_routed_frame",
     "MeshRepeater",
     "RoutingHeader",
-    "unwrap_routed",
     "S0Messaging",
     "S2Messaging",
     "steal_s0_key_from_captures",
@@ -72,7 +70,6 @@ __all__ = [
     "LOCK_NODE_ID",
     "MAC_QUIRK_CATALOG",
     "MacQuirk",
-    "match_zero_days",
     "MemoryChange",
     "NodeRecord",
     "NodeTable",

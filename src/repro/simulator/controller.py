@@ -167,43 +167,8 @@ class VirtualController:
     # -- introspection the harness uses ------------------------------------------
 
     @property
-    def clock(self) -> SimClock:
-        return self._clock
-
-    @property
-    def listed_cmdcls(self) -> Tuple[int, ...]:
-        """What the NIF advertises — the *known* properties of Section III-B."""
-        return self._listed
-
-    @property
-    def supported_cmdcls(self) -> Tuple[int, ...]:
-        """What the firmware actually implements (ground truth)."""
-        return self._supported
-
-    @property
-    def s0(self) -> S0Context:
-        return self._s0
-
-    @property
-    def s2(self) -> S2Context:
-        return self._s2
-
-    @property
     def s2_messaging(self) -> S2Messaging:
         return self._s2m
-
-    @property
-    def s0_messaging(self) -> S0Messaging:
-        return self._s0m
-
-    def send_command(
-        self, dst: int, payload: ApplicationPayload, secure: bool = False
-    ) -> None:
-        """Host-initiated command toward a paired device (app/API path)."""
-        if secure:
-            self._s2m.send_secure(dst, payload)
-        else:
-            self._send(dst, payload)
 
     @property
     def hung(self) -> bool:
@@ -247,14 +212,6 @@ class VirtualController:
         self.stats.received += count
         obs.inc("controller.frames_rx", count)
         self.stats.dropped_while_hung += count
-
-    @property
-    def hang_remaining(self) -> float:
-        return max(0.0, self._hang_until - self._clock.now)
-
-    @property
-    def powered(self) -> bool:
-        return self._powered
 
     def events(self) -> List[TriggeredEvent]:
         return list(self._events)

@@ -45,8 +45,6 @@ class HostProgram:
         self.kind = kind
         self.name = name or kind.value
         self._state = HostState.RUNNING
-        self._crash_count = 0
-        self._dos_count = 0
         self._events: List[HostEvent] = []
 
     # -- state --------------------------------------------------------------
@@ -54,19 +52,6 @@ class HostProgram:
     @property
     def state(self) -> HostState:
         return self._state
-
-    @property
-    def responsive(self) -> bool:
-        """Whether the homeowner can still drive devices through it."""
-        return self._state is HostState.RUNNING
-
-    @property
-    def crash_count(self) -> int:
-        return self._crash_count
-
-    @property
-    def dos_count(self) -> int:
-        return self._dos_count
 
     def events(self) -> List[HostEvent]:
         return list(self._events)
@@ -76,14 +61,12 @@ class HostProgram:
     def crash(self, timestamp: float, detail: str = "") -> None:
         """The program dies (bug #06 style)."""
         self._state = HostState.CRASHED
-        self._crash_count += 1
         self._events.append(HostEvent(timestamp, "crash", detail))
 
     def deny_service(self, timestamp: float, detail: str = "") -> None:
         """The program wedges: alive but useless (bugs #05 / #13 style)."""
         if self._state is HostState.RUNNING:
             self._state = HostState.DENIED
-        self._dos_count += 1
         self._events.append(HostEvent(timestamp, "dos", detail))
 
     def notify(self, timestamp: float, detail: str) -> None:

@@ -89,19 +89,12 @@ class NodeTable:
     def __init__(self, own_node_id: int = 1):
         self._own_node_id = own_node_id
         self._records: Dict[int, NodeRecord] = {}
-        self._writes = 0
-        # Monotonic mutation counter for the memory oracle's fast path.
-        # Unlike ``_writes`` (the NVM wear metric, which deliberately
-        # excludes harness-side restores) this ticks on *every* content
-        # change, so "version unchanged" proves the table is untouched.
+        # Monotonic mutation counter for the memory oracle's fast path:
+        # it ticks on *every* content change, harness-side restores
+        # included, so "version unchanged" proves the table is untouched.
         self._version = 0
 
     # -- normal (firmware-sanctioned) operations ------------------------------
-
-    @property
-    def write_count(self) -> int:
-        """Total mutations, sanctioned or not (NVM wear metric)."""
-        return self._writes
 
     @property
     def version(self) -> int:
@@ -127,17 +120,7 @@ class NodeTable:
         if record.node_id in self._records:
             raise NodeMemoryError(f"node {record.node_id} already paired")
         self._records[record.node_id] = record
-        self._writes += 1
         self._version += 1
-
-    def remove(self, node_id: int) -> NodeRecord:
-        """Unpair a device; raises if absent."""
-        record = self._records.pop(node_id, None)
-        if record is None:
-            raise NodeMemoryError(f"node {node_id} is not paired")
-        self._writes += 1
-        self._version += 1
-        return record
 
     def update(self, node_id: int, **changes) -> NodeRecord:
         """Modify fields of an existing record."""
@@ -146,7 +129,6 @@ class NodeTable:
             raise NodeMemoryError(f"node {node_id} is not paired")
         updated = replace(record, **changes)
         self._records[node_id] = updated
-        self._writes += 1
         self._version += 1
         return updated
 
@@ -159,21 +141,18 @@ class NodeTable:
     def raw_write(self, record: NodeRecord) -> None:
         """Insert or overwrite a record with no duplicate/identity checks."""
         self._records[record.node_id] = record
-        self._writes += 1
         self._version += 1
 
     def raw_delete(self, node_id: int) -> bool:
         """Delete a record if present; never raises."""
         existed = self._records.pop(node_id, None) is not None
         if existed:
-            self._writes += 1
             self._version += 1
         return existed
 
     def raw_overwrite_all(self, records: List[NodeRecord]) -> None:
         """Replace the entire table (the Figure 11 database overwrite)."""
         self._records = {r.node_id: r for r in records}
-        self._writes += 1
         self._version += 1
 
     def raw_clear_wakeup(self, node_id: int) -> bool:
@@ -182,7 +161,6 @@ class NodeTable:
         if record is None or record.wakeup_interval is None:
             return False
         self._records[node_id] = replace(record, wakeup_interval=None)
-        self._writes += 1
         self._version += 1
         return True
 

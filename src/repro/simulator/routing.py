@@ -114,14 +114,6 @@ def make_routed_frame(
     )
 
 
-def unwrap_routed(frame: ZWaveFrame) -> Tuple[Optional[RoutingHeader], bytes]:
-    """Return (routing header, inner APL) — header ``None`` if not routed."""
-    if not frame.routed:
-        return None, frame.payload
-    header, inner = RoutingHeader.decode(frame.payload)
-    return header, inner
-
-
 class MeshRepeater:
     """An always-listening node that relays routed frames.
 

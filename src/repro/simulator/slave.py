@@ -19,20 +19,14 @@ from ..zwave import constants as const
 from ..zwave.application import ApplicationPayload
 from ..zwave.constants import Region
 from ..zwave.frame import ZWaveFrame
-from ..zwave.nif import (
-    BasicDeviceClass,
-    GenericDeviceClass,
-    NodeInfo,
-    encode_nif_report,
-    is_nif_request,
-)
 
 
 class VirtualSlave:
-    """Base class for simulated slave devices."""
+    """Base class for simulated slave devices.
 
-    GENERIC_CLASS = GenericDeviceClass.BINARY_SWITCH
-    LISTED_CMDCLS: Tuple[int, ...] = (0x20,)
+    A subclass defines ``report_payload()``, the status it reports, and
+    ``handle_command(frame, payload)``, what it does with a command.
+    """
 
     def __init__(
         self,
@@ -82,16 +76,6 @@ class VirtualSlave:
         """Transmit the device's current status to the controller."""
         self._send(self.controller_id, self.report_payload())
 
-    def report_payload(self) -> ApplicationPayload:
-        raise NotImplementedError
-
-    def node_info(self) -> NodeInfo:
-        return NodeInfo(
-            basic=BasicDeviceClass.SLAVE,
-            generic=self.GENERIC_CLASS,
-            listed_cmdcls=self.LISTED_CMDCLS,
-        )
-
     # -- frame plumbing ------------------------------------------------------------
 
     def _next_seq(self) -> int:
@@ -128,20 +112,11 @@ class VirtualSlave:
             payload = ApplicationPayload.decode(frame.payload)
         except FrameError:
             return
-        if is_nif_request(payload):
-            self._send(frame.src, encode_nif_report(self.node_info()))
-            return
         self.handle_command(frame, payload)
-
-    def handle_command(self, frame: ZWaveFrame, payload: ApplicationPayload) -> None:
-        raise NotImplementedError
 
 
 class VirtualBinarySwitch(VirtualSlave):
     """A legacy no-security smart switch (D9, GE ZW4201-style)."""
-
-    GENERIC_CLASS = GenericDeviceClass.BINARY_SWITCH
-    LISTED_CMDCLS = (0x20, 0x25, 0x27, 0x72, 0x86)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -161,9 +136,6 @@ class VirtualBinarySwitch(VirtualSlave):
 
 class VirtualDoorLock(VirtualSlave):
     """An S2 smart door lock (D8, Schlage BE469ZP-style)."""
-
-    GENERIC_CLASS = GenericDeviceClass.ENTRY_CONTROL
-    LISTED_CMDCLS = (0x20, 0x62, 0x63, 0x72, 0x80, 0x86, 0x9F)
 
     #: DOOR_LOCK operation-report mode bytes.
     MODE_UNSECURED = 0x00
@@ -185,14 +157,6 @@ class VirtualDoorLock(VirtualSlave):
         self._s2m = S2Messaging(
             self._s2, self.home_id, self.node_id, self._send, self._handle_inner
         )
-
-    @property
-    def s2(self) -> S2Context:
-        return self._s2
-
-    @property
-    def s2_messaging(self):
-        return self._s2m
 
     def report_payload(self) -> ApplicationPayload:
         mode = self.MODE_SECURED if self.locked else self.MODE_UNSECURED

@@ -114,14 +114,6 @@ class SystemUnderTest:
     rng: random.Random
     registry: SpecRegistry = field(default_factory=load_public_registry)
 
-    def settle(self, seconds: float = 0.05) -> None:
-        """Advance past in-flight frames."""
-        self.clock.advance(seconds)
-
-    def golden_snapshot(self):
-        """NVM state considered healthy (the memory-oracle baseline)."""
-        return self.controller.nvm.snapshot()
-
 
 @lru_cache(maxsize=None)
 def supported_cmdcls() -> Tuple[int, ...]:

@@ -186,7 +186,8 @@ class S2Messaging:
 
 
 class S0Messaging:
-    """The S0 nonce-request protocol bound to one node's :class:`S0Context`."""
+    """The S0 nonce-request protocol bound to one node's :class:`S0Context`:
+    the receiving side only, since no simulated node sends S0."""
 
     def __init__(
         self,
@@ -199,13 +200,7 @@ class S0Messaging:
         self._node_id = node_id
         self._send = send
         self._deliver = deliver
-        self._outbox: Dict[int, Deque[ApplicationPayload]] = {}
         self.stats = TransportStats()
-
-    def send_secure(self, dst: int, inner: ApplicationPayload) -> None:
-        """Queue *inner* and ask the peer for a nonce."""
-        self._outbox.setdefault(dst, deque()).append(inner)
-        self._send(dst, ApplicationPayload(0x98, s0mod.CMD_NONCE_GET, b""))
 
     def handle(self, src: int, payload: ApplicationPayload) -> bool:
         """Process an S0 transport payload; ``True`` when consumed."""
@@ -217,20 +212,7 @@ class S0Messaging:
             self.stats.handshakes += 1
             return True
         if payload.cmd == s0mod.CMD_NONCE_REPORT and len(payload.params) == s0mod.NONCE_SIZE:
-            outbox = self._outbox.get(src)
-            if outbox:
-                inner = outbox.popleft()
-                encap = self._ctx.encapsulate(
-                    inner.encode(), payload.params, src=self._node_id, dst=src
-                )
-                self._send(
-                    src,
-                    ApplicationPayload(
-                        0x98, s0mod.CMD_MESSAGE_ENCAPSULATION, encap.encode()
-                    ),
-                )
-                self.stats.sent_encapsulated += 1
-            return True
+            return True  # this node never sends S0, so no nonce was asked for
         if payload.cmd == s0mod.CMD_MESSAGE_ENCAPSULATION:
             try:
                 encap = S0Encapsulated.decode(payload.params)

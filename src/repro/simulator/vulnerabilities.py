@@ -110,11 +110,6 @@ class Vulnerability:
             return f"{int(self.duration_s // 60)} min"
         return f"{int(self.duration_s)} sec"
 
-    @property
-    def signature(self) -> Tuple:
-        """Stable identity used by crash triage to deduplicate findings."""
-        return (self.cmdcl, self.effect, self.duration_s)
-
 
 # ---------------------------------------------------------------------------
 # Predicates
@@ -328,11 +323,6 @@ def zero_day_by_id(bug_id: int) -> Vulnerability:
     raise KeyError(f"no zero-day with bug id {bug_id}")
 
 
-def match_zero_days(ctx: TriggerContext) -> List[Vulnerability]:
-    """All zero-days whose predicate fires on *ctx* (usually zero or one)."""
-    return [bug for bug in ZERO_DAYS if bug.triggered_by(ctx)]
-
-
 #: Bugs living in CMDCL 0x01 — unreachable without unknown-property
 #: discovery, which is exactly what the β ablation removes (Table VI).
 CMDCL_0X01_BUG_IDS = tuple(b.bug_id for b in ZERO_DAYS if b.cmdcl == 0x01)
@@ -388,11 +378,6 @@ def _q_broadcast_ack(raw: bytes) -> bool:
     return len(raw) >= 10 and raw[8] == 0xFF and bool(raw[5] & 0x40)
 
 
-def _q_zero_home_id(raw: bytes) -> bool:
-    """All-zero home id bypasses the network filter on old firmware."""
-    return len(raw) >= 10 and raw[0:4] == b"\x00\x00\x00\x00"
-
-
 def _q_null_dst(raw: bytes) -> bool:
     """Frames addressed to node 0 dereference a null routing-table entry
     (no legitimate sender ever addresses the uninitialised node id)."""
@@ -417,9 +402,6 @@ MAC_QUIRK_CATALOG: Dict[str, MacQuirk] = {
     ),
     "BROADCAST-ACK": MacQuirk(
         "BROADCAST-ACK", "ACK-request on broadcast starves the radio scheduler", 18.0, _q_broadcast_ack
-    ),
-    "ZERO-HOME": MacQuirk(
-        "ZERO-HOME", "all-zero home id bypasses the network filter", 12.0, _q_zero_home_id
     ),
     "NULL-DST": MacQuirk(
         "NULL-DST", "frames addressed to node 0 dereference a null route entry", 16.0, _q_null_dst
@@ -454,7 +436,7 @@ DEVICE_MAC_QUIRKS: Dict[str, Tuple[str, ...]] = {
 #
 # The ground-truth contract (ISSUE 8 / the paper's Table VI analogue):
 # every predicate is reachable by a short directed mutation of the happy
-# path (``repro.core.session.directed_attack``), and none fires on any
+# path (``repro.core.session.DIRECTED_ATTACKS``), and none fires on any
 # unmutated happy-path trace.
 
 # S0 command class 0x98.
@@ -500,9 +482,6 @@ class SessionFrame(NamedTuple):
     cmdcl: int
     cmd: int
     params: bytes
-
-    def sig(self) -> Tuple[int, int]:
-        return (self.cmdcl, self.cmd)
 
 
 SessionTrace = Tuple[SessionFrame, ...]

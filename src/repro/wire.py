@@ -69,15 +69,6 @@ class WireVersionError(WireError):
         super().__init__(f"{context}: {detail}")
 
 
-def require_wire_version(data: Any, context: str) -> None:
-    """Reject anything but an object carrying exactly our ``wire_version``."""
-    if type(data) is not dict:
-        raise WireError(f"{context}: expected a JSON object, got {_kind(data)}")
-    found = data.get("wire_version")
-    if found != WIRE_VERSION or type(found) is not int:
-        raise WireVersionError(found, WIRE_VERSION, context)
-
-
 def is_zero(value: Any) -> bool:
     """Elision predicate: leave the field out when it is zero."""
     return not value

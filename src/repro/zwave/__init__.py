@@ -12,7 +12,7 @@ from .application import (
     build_valid_payload,
     validate_payload,
 )
-from .checksum import crc16, cs8, verify_crc16, verify_cs8
+from .checksum import crc16, cs8
 from .cmdclass import (
     Cluster,
     Command,
@@ -46,7 +46,6 @@ from .registry import (
     SpecRegistry,
     load_full_registry,
     load_public_registry,
-    proprietary_class_ids,
 )
 
 __all__ = [
@@ -77,14 +76,11 @@ __all__ = [
     "Parameter",
     "ParamKind",
     "parse_nif_report",
-    "proprietary_class_ids",
     "Region",
     "SpecRegistry",
     "TransportMode",
     "Validity",
     "ValidationResult",
     "validate_payload",
-    "verify_crc16",
-    "verify_cs8",
     "ZWaveFrame",
 ]

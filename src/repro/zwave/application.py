@@ -68,17 +68,6 @@ class ApplicationPayload:
 
     # -- positional access (Figure 6) ---------------------------------------
 
-    def field_at(self, position: int) -> Optional[int]:
-        """Return the byte at hierarchy *position*, or ``None`` if absent."""
-        if position == POSITION_CMDCL:
-            return self.cmdcl
-        if position == POSITION_CMD:
-            return self.cmd
-        index = position - POSITION_FIRST_PARAM
-        if 0 <= index < len(self.params):
-            return self.params[index]
-        return None
-
     def _spawn(
         self, cmdcl: int, cmd: Optional[int], params: bytes, raw: bytes
     ) -> "ApplicationPayload":
@@ -140,17 +129,6 @@ class ApplicationPayload:
             return ApplicationPayload(self.cmdcl, self.cmd, params)
         raw = self.encode()[: POSITION_FIRST_PARAM + len(params)]
         return self._spawn(self.cmdcl, self.cmd, params, raw)
-
-    @property
-    def positions(self) -> Tuple[int, ...]:
-        """All populated hierarchy positions, in order."""
-        result: List[int] = [POSITION_CMDCL]
-        if self.cmd is not None:
-            result.append(POSITION_CMD)
-            result.extend(
-                POSITION_FIRST_PARAM + i for i in range(len(self.params))
-            )
-        return tuple(result)
 
 
 class Validity(Enum):

@@ -30,11 +30,6 @@ def cs8(data: bytes | bytearray | Iterable[int]) -> int:
     return acc
 
 
-def verify_cs8(data: bytes, checksum: int) -> bool:
-    """Return ``True`` when *checksum* matches the CS-8 of *data*."""
-    return cs8(data) == (checksum & 0xFF)
-
-
 def crc16(data: bytes | bytearray | Iterable[int]) -> int:
     """Return the CRC-16/AUG-CCITT checksum used by 100+-series chips.
 
@@ -50,8 +45,3 @@ def crc16(data: bytes | bytearray | Iterable[int]) -> int:
             else:
                 crc = (crc << 1) & 0xFFFF
     return crc
-
-
-def verify_crc16(data: bytes, checksum: int) -> bool:
-    """Return ``True`` when *checksum* matches the CRC-16 of *data*."""
-    return crc16(data) == (checksum & 0xFFFF)

@@ -154,11 +154,6 @@ class Command:
                 f"command {self.name!r} parameters must have unique ascending positions"
             )
 
-    @property
-    def min_payload_len(self) -> int:
-        """Minimum APL payload length: CMDCL + CMD + mandatory params."""
-        return 2 + len(self.params)
-
     def param_at(self, position: int) -> Optional[Parameter]:
         """Return the parameter occupying PARAM index *position*, if any."""
         for param in self.params:
@@ -205,11 +200,6 @@ class CommandClass:
     def command_ids(self) -> Tuple[int, ...]:
         """Return all command identifiers in ascending order."""
         return tuple(sorted(self._by_id))
-
-    @property
-    def controller_relevant(self) -> bool:
-        """Whether a controller is expected to implement this class."""
-        return self.cluster in CONTROLLER_CLUSTERS or self.cluster is Cluster.PROPRIETARY
 
 
 def make_get_set_report(

@@ -100,11 +100,6 @@ class ZWaveFrame:
         return self.payload[1] if len(self.payload) >= 2 else None
 
     @property
-    def params(self) -> bytes:
-        """The application-layer parameter bytes (may be empty)."""
-        return self.payload[2:]
-
-    @property
     def is_ack(self) -> bool:
         """Whether this is a MAC-level acknowledgement frame."""
         return (self.header_type & 0x0F) == const.HeaderType.ACK

@@ -89,14 +89,6 @@ class NodeInfo:
             cap |= CAP_SECURITY
         return cap
 
-    @property
-    def is_controller(self) -> bool:
-        """Whether the node self-describes as a (static) controller."""
-        return self.basic in (
-            BasicDeviceClass.CONTROLLER,
-            BasicDeviceClass.STATIC_CONTROLLER,
-        )
-
 
 def encode_nif_request() -> ApplicationPayload:
     """Build the NIF request payload (protocol frame, empty body)."""

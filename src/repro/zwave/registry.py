@@ -22,7 +22,6 @@ from .cmdclass import Cluster, Command, CommandClass, CONTROLLER_CLUSTERS
 from .spec_data import (
     PUBLIC_SPEC_CLASS_COUNT,
     build_all_classes,
-    build_proprietary_classes,
     build_public_spec,
 )
 
@@ -69,26 +68,7 @@ class SpecRegistry:
             )
         return cmd
 
-    def by_name(self, name: str) -> CommandClass:
-        """Return the class named *name* (exact match) or raise."""
-        for cls in self._classes.values():
-            if cls.name == name:
-                return cls
-        raise UnknownCommandClassError(f"no command class named {name!r}")
-
-    def class_ids(self) -> Tuple[int, ...]:
-        """Return all class identifiers in ascending order."""
-        return tuple(sorted(self._classes))
-
     # -- clustering (Section III-C1) ----------------------------------------
-
-    def public_classes(self) -> List[CommandClass]:
-        """Classes present in the public specification release."""
-        return [c for c in self if c.in_public_spec]
-
-    def cluster(self, cluster: Cluster) -> List[CommandClass]:
-        """All classes belonging to *cluster*."""
-        return [c for c in self if c.cluster is cluster]
 
     def controller_relevant_ids(self, include_proprietary: bool = False) -> Tuple[int, ...]:
         """Identifiers of classes a controller should support.
@@ -175,8 +155,3 @@ def load_full_registry() -> SpecRegistry:
     if _FULL_REGISTRY is None:
         _FULL_REGISTRY = SpecRegistry(build_all_classes().values())
     return _FULL_REGISTRY
-
-
-def proprietary_class_ids() -> Tuple[int, ...]:
-    """Identifiers of the classes absent from the public specification."""
-    return tuple(sorted(c.id for c in build_proprietary_classes()))

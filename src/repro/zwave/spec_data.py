@@ -48,11 +48,6 @@ def _p(name: str, position: int, **kwargs) -> Parameter:
     return Parameter(name, position, **kwargs)
 
 
-def _opaques(*names: str) -> Tuple[Parameter, ...]:
-    """Build a run of opaque parameters at consecutive positions."""
-    return tuple(Parameter(name, i) for i, name in enumerate(names))
-
-
 # ---------------------------------------------------------------------------
 # Detailed controller-relevant classes
 # ---------------------------------------------------------------------------

@@ -260,7 +260,7 @@ def _projection(capture):
         capture.raw,
         capture.rssi_dbm,
         capture.timestamp,
-        capture.decoded,
+        capture.frame is not None,
         None if frame is None else (frame.raw, frame.home_id, frame.dst),
     )
 

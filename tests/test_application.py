@@ -63,14 +63,6 @@ class TestPayloadCodec:
 
 
 class TestPositionalAccess:
-    def test_field_at_positions(self):
-        payload = ApplicationPayload(0x62, 0x01, b"\xff\x02")
-        assert payload.field_at(POSITION_CMDCL) == 0x62
-        assert payload.field_at(POSITION_CMD) == 0x01
-        assert payload.field_at(POSITION_FIRST_PARAM) == 0xFF
-        assert payload.field_at(POSITION_FIRST_PARAM + 1) == 0x02
-        assert payload.field_at(POSITION_FIRST_PARAM + 2) is None
-
     def test_replace_cmdcl(self):
         payload = ApplicationPayload(0x20, 0x01, b"\xff")
         assert payload.replace_at(POSITION_CMDCL, 0x25).cmdcl == 0x25
@@ -109,11 +101,6 @@ class TestPositionalAccess:
         assert payload.truncate_params(1).params == b"\x01"
         assert payload.truncate_params(0).params == b""
         assert payload.truncate_params(9).params == b"\x01\x02\x03"
-
-    def test_positions_enumeration(self):
-        payload = ApplicationPayload(0x62, 0x01, b"\x01\x02")
-        assert payload.positions == (0, 1, 2, 3)
-        assert ApplicationPayload(0x62).positions == (0,)
 
 
 class TestValidation:

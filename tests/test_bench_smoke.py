@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.obs.export import document_to_snapshot
+from repro.obs.export import MetricsDocument
 from repro.perf.document import (
     SCHEMA,
     SCHEMA_VERSION,
@@ -22,6 +22,7 @@ from repro.perf.document import (
     validate_document,
 )
 from repro.perf.workloads import WORKLOADS
+from repro.wire import decode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,4 +78,4 @@ class TestPerfCli:
         # Canonical serialization: stdout is byte-for-byte re-serializable.
         assert proc.stdout == dumps_document(doc)
         # The embedded metrics snapshot is itself a valid obs document.
-        document_to_snapshot(doc["metrics"])
+        decode(MetricsDocument, doc["metrics"], "metrics document")

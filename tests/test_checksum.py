@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.zwave.checksum import crc16, cs8, verify_crc16, verify_cs8
+from repro.zwave.checksum import crc16, cs8
 
 
 class TestCs8:
@@ -18,14 +18,6 @@ class TestCs8:
 
     def test_accepts_iterables(self):
         assert cs8([0x01, 0x02]) == cs8(b"\x01\x02")
-
-    def test_verify_accepts_correct_checksum(self):
-        data = b"hello zwave"
-        assert verify_cs8(data, cs8(data))
-
-    def test_verify_rejects_wrong_checksum(self):
-        data = b"hello zwave"
-        assert not verify_cs8(data, cs8(data) ^ 0x01)
 
     @given(st.binary(max_size=64))
     def test_result_is_byte(self, data):
@@ -57,11 +49,6 @@ class TestCrc16:
 
     def test_empty_input_is_init(self):
         assert crc16(b"") == 0x1D0F
-
-    def test_verify_roundtrip(self):
-        data = b"\x01\x02\x03\x04"
-        assert verify_crc16(data, crc16(data))
-        assert not verify_crc16(data, crc16(data) ^ 1)
 
     @given(st.binary(max_size=128))
     def test_result_is_16_bits(self, data):

@@ -120,10 +120,10 @@ def test_removed_serve_retries_option_is_a_usage_error():
 
 def test_chaos_plan_file_counts_as_its_plan(tmp_path):
     from repro.cli import main
-    from repro.faults.plan import canonical_mixed_plan, save_plan
+    from repro.faults.plan import canonical_mixed_plan, dumps_plan
 
     plan = tmp_path / "canonical.json"
-    save_plan(canonical_mixed_plan(), str(plan))
+    plan.write_text(dumps_plan(canonical_mixed_plan()), encoding="utf-8")
     base = ["chaos", "--trials", "1", "--hours", "0.01", "--format", "json", "--out"]
     assert main(base + [str(tmp_path / "stock.json"), "--plan", "canonical"]) == 0
     assert main(base + [str(tmp_path / "file.json"), "--plan", str(plan)]) == 0
@@ -140,9 +140,9 @@ def test_stock_plan_name_is_never_read_as_a_file(tmp_path, monkeypatch):
 
 def test_existing_file_named_like_no_stock_plan_is_read(tmp_path, monkeypatch, capsys):
     from repro.cli import main
-    from repro.faults.plan import lossy_link_plan, save_plan
+    from repro.faults.plan import dumps_plan, lossy_link_plan
 
-    save_plan(lossy_link_plan(), str(tmp_path / "lossey"))
+    (tmp_path / "lossey").write_text(dumps_plan(lossy_link_plan()), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     base = ["trials", "--trials", "1", "--hours", "0.01", "--fault-plan"]
     assert main(base + ["lossy"]) == 0

@@ -14,6 +14,7 @@ from repro.zwave.cmdclass import (
     ParamKind,
     make_get_set_report,
 )
+from repro.zwave.registry import SpecRegistry
 
 
 class TestParameter:
@@ -82,10 +83,6 @@ class TestCommand:
         with pytest.raises(ValueError):
             Command(256, "BAD")
 
-    def test_min_payload_len(self):
-        cmd = Command(1, "SET", params=(Parameter("v", 0),))
-        assert cmd.min_payload_len == 3
-
     def test_param_at(self):
         p0, p1 = Parameter("a", 0), Parameter("b", 1)
         cmd = Command(1, "X", params=(p0, p1))
@@ -107,10 +104,12 @@ class TestCommandClass:
         assert cls.command_count == 2
 
     def test_controller_relevance_by_cluster(self):
-        for cluster in CONTROLLER_CLUSTERS:
-            assert CommandClass(0x20, "X", cluster=cluster).controller_relevant
-        assert CommandClass(0x20, "X", cluster=Cluster.PROPRIETARY).controller_relevant
-        assert not CommandClass(0x20, "X", cluster=Cluster.SLAVE_ONLY).controller_relevant
+        classes = [CommandClass(0x20 + i, "X", cluster=cluster)
+                   for i, cluster in enumerate((*CONTROLLER_CLUSTERS, Cluster.PROPRIETARY, Cluster.SLAVE_ONLY))]
+        registry = SpecRegistry(classes)
+        relevant = tuple(0x20 + i for i in range(len(CONTROLLER_CLUSTERS)))
+        assert registry.controller_relevant_ids() == relevant
+        assert registry.controller_relevant_ids(include_proprietary=True) == relevant + (0x20 + len(CONTROLLER_CLUSTERS),)
 
     def test_id_range(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ class TestCoexistence:
             home_id=0x0BADCAFE,
             clock=sut.clock,
             medium=sut.medium,
-            listed_cmdcls=sut.controller.listed_cmdcls,
+            listed_cmdcls=sut.profile.listed_cmdcls,
             supported_cmdcls=supported_cmdcls(),
             position=(12.0, 0.0),
             node_id=1,

@@ -3,11 +3,11 @@
 
 from repro.simulator.host import HostState
 from repro.simulator.memory import NodeTable
-from repro.simulator.testbed import LOCK_NODE_ID, SWITCH_NODE_ID, build_sut
+from repro.simulator.testbed import LOCK_NODE_ID, SWITCH_NODE_ID, build_sut, supported_cmdcls
 from repro.zwave.application import ApplicationPayload
 from repro.zwave.checksum import cs8
 from repro.zwave.frame import ZWaveFrame, make_nop
-from repro.zwave.nif import encode_nif_request, parse_nif_report
+from repro.zwave.nif import BasicDeviceClass, encode_nif_request, parse_nif_report
 
 
 def inject(sut, payload, src=0x0F, dst=None, settle=0.1, **frame_kwargs):
@@ -78,19 +78,19 @@ class TestNif:
         reports = [r for r in reports if r is not None]
         assert len(reports) == 1
         info = reports[0]
-        assert info.is_controller
-        assert info.listed_cmdcls == quiet_sut.controller.listed_cmdcls
+        assert info.basic in (BasicDeviceClass.CONTROLLER, BasicDeviceClass.STATIC_CONTROLLER)
+        assert info.listed_cmdcls == tuple(sorted(quiet_sut.profile.listed_cmdcls))
         assert len(info.listed_cmdcls) == 17  # D1 lists 17 (Table IV)
 
     def test_listed_is_strict_subset_of_supported(self, quiet_sut):
-        listed = set(quiet_sut.controller.listed_cmdcls)
-        supported = set(quiet_sut.controller.supported_cmdcls)
+        listed = set(quiet_sut.profile.listed_cmdcls)
+        supported = set(supported_cmdcls())
         assert listed < supported
         assert len(supported) == 45
 
     def test_proprietary_classes_not_listed(self, quiet_sut):
-        assert 0x01 not in quiet_sut.controller.listed_cmdcls
-        assert 0x01 in quiet_sut.controller.supported_cmdcls
+        assert 0x01 not in quiet_sut.profile.listed_cmdcls
+        assert 0x01 in supported_cmdcls()
 
 
 class TestApplicationResponses:

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.buglog import BugLog
+from repro.core.parallel import CampaignUnit, rehydrate_unit_result
 from repro.core.resultio import (
     campaign_from_wire,
     jobspec_from_wire,
@@ -28,11 +29,15 @@ from repro.core.resultio import (
     jobstatus_to_wire,
     session_from_wire,
     session_to_wire,
-    vfuzz_from_wire,
     vfuzz_to_wire,
 )
 from repro.errors import ReproError
-from repro.wire import WireError, loads_wire
+from repro.wire import WireError, decode, loads_wire
+
+
+def vfuzz_from_wire(data):
+    """A vfuzz unit's wire result, decoded as the executor decodes it."""
+    return rehydrate_unit_result(CampaignUnit(kind="vfuzz"), data)
 
 DATA = Path(__file__).resolve().parent / "data"
 BENCH_BASELINE = DATA.parent.parent / "benchmarks" / "baselines" / "BENCH_core.json"
@@ -291,7 +296,7 @@ class TestDecoderFuzz:
     def test_wal_line(self, serve_golden, tmp_path):
         """Mutated records are re-wrapped with a valid CRC, so they reach
         the layout decode; a rejected record ends the trusted prefix."""
-        from repro.serve.checkpoint import encode_line, load_checkpoint, replay_checkpoint
+        from repro.serve.checkpoint import encode_line, load_prefix, replay_checkpoint
 
         lines = [json.loads(line) for line in serve_golden["checkpoint_lines"]]
         rng = random.Random(8)
@@ -301,7 +306,7 @@ class TestDecoderFuzz:
             record_case, rewrap = case
             text = encode_line(record_case) if rewrap else json.dumps(record_case)
             path.write_text(text + "\n")
-            records = load_checkpoint(str(path))
+            records = [line for line, _ in load_prefix(str(path))]
             replay_checkpoint(records)
             if not records:
                 raise WireError("rejected")  # counted as a clean rejection
@@ -409,10 +414,10 @@ def test_fault_spec_with_string_rate_is_a_plan_error():
 
 
 def test_metrics_document_that_is_an_array_is_an_export_error():
-    from repro.obs.export import ObsExportError, document_to_snapshot
+    from repro.obs.export import MetricsDocument, ObsExportError
 
     with pytest.raises(ObsExportError):
-        document_to_snapshot([])
+        decode(MetricsDocument, [], "metrics document")
 
 
 def test_campaign_with_unhashable_mode_is_a_wire_error(campaign_wires):
@@ -455,10 +460,10 @@ def test_bad_buglog_line_is_a_repro_error(tmp_path, line):
 
 
 def test_wal_record_without_sequence_ends_the_trusted_prefix(serve_golden, tmp_path):
-    from repro.serve.checkpoint import encode_line, load_checkpoint
+    from repro.serve.checkpoint import encode_line, load_prefix
 
     record = json.loads(serve_golden["checkpoint_lines"][0])["record"]
     del record["sequence"]
     path = tmp_path / "serve.ckpt"
     path.write_text(serve_golden["checkpoint_lines"][0] + "\n" + encode_line(record) + "\n")
-    assert len(load_checkpoint(str(path))) == 1
+    assert len(load_prefix(str(path))) == 1

@@ -13,11 +13,14 @@ from repro.core.fingerprint import (
     PassiveScanner,
     fingerprint,
 )
+from repro.core.mutation import prioritize_static
 from repro.core.properties import ControllerProperties
 from repro.radio.clock import SimClock
 from repro.radio.medium import RadioMedium
 from repro.radio.transceiver import Transceiver
+from repro.simulator.host import HostState
 from repro.simulator.testbed import LISTED_15, LISTED_17, build_sut
+from repro.zwave.nif import BasicDeviceClass
 
 
 class TestPassiveScanner:
@@ -53,8 +56,8 @@ class TestActiveScanner:
     def test_nif_interrogation(self, quiet_sut):
         scanner = ActiveScanner(quiet_sut.dongle, quiet_sut.clock)
         result = scanner.interrogate(quiet_sut.profile.home_id, 1)
-        assert result.listed_cmdcls == quiet_sut.controller.listed_cmdcls
-        assert result.node_info.is_controller
+        assert result.listed_cmdcls == tuple(sorted(quiet_sut.profile.listed_cmdcls))
+        assert result.node_info.basic in (BasicDeviceClass.CONTROLLER, BasicDeviceClass.STATIC_CONTROLLER)
         assert result.probes_sent == 1
 
     def test_unreachable_controller_raises(self, quiet_sut):
@@ -70,7 +73,7 @@ class TestFingerprintPipeline:
         sut = build_sut(device, seed=11)
         props = fingerprint(sut.dongle, sut.clock)
         assert props.known_count == expected
-        assert props.fingerprinted
+        assert props.home_id is not None and props.controller_node_id is not None
 
     def test_all_seven_controllers(self):
         for device in ("D1", "D2", "D3", "D4", "D5", "D6", "D7"):
@@ -83,11 +86,11 @@ class TestFingerprintPipeline:
 class TestClustering:
     def test_candidates_for_17_listing(self, public_registry):
         result = SpecClusterer(public_registry).cluster(LISTED_17)
-        assert result.candidate_count == 26  # Section III-C1
+        assert len(result.unlisted_candidates) == 26  # Section III-C1
 
     def test_candidates_for_15_listing(self, public_registry):
         result = SpecClusterer(public_registry).cluster(LISTED_15)
-        assert result.candidate_count == 28
+        assert len(result.unlisted_candidates) == 28
 
     def test_candidates_exclude_listed(self, public_registry):
         result = SpecClusterer(public_registry).cluster(LISTED_17)
@@ -116,7 +119,7 @@ class TestValidationTesting:
         for cmdcl in (0x01, 0x59, 0x5A, 0x73, 0x7A, 0x86, 0x9F):
             tester.probe(quiet_sut.profile.home_id, 1, cmdcl)
         assert not quiet_sut.controller.hung
-        assert quiet_sut.host.responsive
+        assert quiet_sut.host.state is HostState.RUNNING
         assert [e for e in quiet_sut.controller.events() if e.bug_id] == []
 
     def test_sweep_finds_proprietary_classes(self, quiet_sut, public_registry):
@@ -128,7 +131,7 @@ class TestValidationTesting:
         )
         assert result.proprietary == (0x01, 0x02)
         assert set(result.confirmed_candidates) == set(candidates)
-        assert result.probe_count == max(candidates) + 1
+        assert len(result.probes) == max(candidates) + 1
 
 
 class TestDiscoveryPipeline:
@@ -147,7 +150,7 @@ class TestDiscoveryPipeline:
         sut = build_sut("D1", seed=5)
         props = fingerprint(sut.dongle, sut.clock)
         props = discover_unknown_properties(sut.dongle, sut.clock, props)
-        queue = props.prioritized(full_registry)
+        queue = prioritize_static(full_registry, props.all_cmdcls)
         assert len(queue) == 45
         assert queue[0] == 0x34
         assert queue[1] == 0x01
@@ -170,5 +173,3 @@ class TestControllerProperties:
         )
         assert props.all_cmdcls == (0x01, 0x20, 0x34)
 
-    def test_not_fingerprinted_without_ids(self):
-        assert not ControllerProperties().fingerprinted

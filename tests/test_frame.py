@@ -47,13 +47,11 @@ class TestFrameLayout:
         frame = make_frame(payload=b"\x62\x01\xff\x00")
         assert frame.cmdcl == 0x62
         assert frame.cmd == 0x01
-        assert frame.params == b"\xff\x00"
 
     def test_empty_payload_accessors(self):
         frame = make_frame(payload=b"")
         assert frame.cmdcl is None
         assert frame.cmd is None
-        assert frame.params == b""
 
 
 class TestFrameValidation:

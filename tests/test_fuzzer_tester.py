@@ -14,6 +14,7 @@ from repro.core.mutation import PositionSensitiveMutator, RandomMutator
 from repro.core.tester import PacketTester
 from repro.errors import CampaignError
 from repro.core.monitor import ObservedKind
+from repro.simulator.host import HostState
 from repro.zwave.registry import load_full_registry
 
 
@@ -65,16 +66,17 @@ class TestEngineDetection:
         assert any(d.observed == "host_crash" for d in result.detections)
 
     def test_recovery_restores_sut(self, quiet_sut):
+        golden = quiet_sut.controller.nvm.snapshot()
         engine = engine_for(quiet_sut)
         engine.run(psm([0x01], window=120.0), 200.0)
         assert not quiet_sut.controller.hung
-        assert quiet_sut.host.responsive
-        assert quiet_sut.controller.nvm.snapshot() == engine.observer.golden
+        assert quiet_sut.host.state is HostState.RUNNING
+        assert quiet_sut.controller.nvm.snapshot() == golden
 
     def test_bug_log_matches_detections(self, quiet_sut):
         engine = engine_for(quiet_sut)
         result = engine.run(psm([0x5A, 0x7A]), 150.0)
-        assert len(result.bug_log) == len(result.detections)
+        assert len(result.bug_log.records()) == len(result.detections)
 
     def test_duplicate_findings_do_not_extend_window(self, quiet_sut):
         # 0x5A triggers on every bare command; without novelty gating the

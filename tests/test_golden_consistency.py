@@ -37,7 +37,7 @@ from repro.obs.metrics import merge_snapshots
 from repro.serve.checkpoint import record_crc
 from repro.serve.protocol import JobSpec
 from repro.serve.results import direct_document, dumps_result_document
-from repro.wire import WIRE_VERSION, dumps_wire, loads_wire, require_wire_version
+from repro.wire import WIRE_VERSION, dumps_wire, loads_wire
 
 DATA = Path(__file__).resolve().parent / "data"
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines" / "BENCH_core.json"
@@ -163,13 +163,12 @@ class TestExperimentDocumentPins:
 class TestWireVersions:
     def test_perf_golden_wires_carry_current_version(self, perf_golden):
         for device, wire_text in perf_golden["wire"].items():
-            wire = loads_wire(wire_text)
-            require_wire_version(wire, f"perf_golden wire {device}")
+            assert loads_wire(wire_text)["wire_version"] == WIRE_VERSION, device
 
     def test_serve_golden_wire_version(self, serve_golden):
         assert serve_golden["wire_version"] == WIRE_VERSION
         for spec in serve_golden["specs"]:
-            require_wire_version(spec["wire"], f"serve_golden spec {spec['job_id']}")
+            assert spec["wire"]["wire_version"] == WIRE_VERSION, spec["job_id"]
 
 
 class TestInternalCrossChecks:

@@ -12,8 +12,7 @@ def frame(src=2, dst=1, payload=b"\x62\x03\xff\x00", home=HOME, **kw):
     return ZWaveFrame(home_id=home, src=src, dst=dst, payload=payload, **kw)
 
 
-def trained_ids():
-    ids = ZWaveIDS(HOME)
+def benign_traffic():
     benign = []
     t = 0.0
     for _ in range(20):
@@ -21,29 +20,34 @@ def trained_ids():
         benign.append((t + 1.0, frame(src=2, dst=1, payload=b"\x62\x03\xff\x00")))
         benign.append((t + 2.0, frame(src=3, dst=1, payload=b"\x25\x03\x00")))
         t += 30.0
-    ids.train(benign)
+    return benign
+
+
+def trained_ids():
+    ids = ZWaveIDS(HOME)
+    ids.train(benign_traffic())
     return ids
+
+
+def trained_model():
+    return ZWaveIDS(HOME).train(benign_traffic())
 
 
 class TestTraining:
     def test_model_learns_senders_and_classes(self):
-        ids = trained_ids()
-        assert ids.trained
-        assert ids.model.known_senders == {1, 2, 3}
-        assert ids.model.known_cmdcls == {0x20, 0x62, 0x25}
+        model = trained_model()
+        assert model.known_senders == {1, 2, 3}
+        assert model.known_cmdcls == {0x20, 0x62, 0x25}
 
     def test_model_learns_length_bounds(self):
-        ids = trained_ids()
-        assert ids.model.length_bounds[0x62] == (4, 4)
+        assert trained_model().length_bounds[0x62] == (4, 4)
 
     def test_model_learns_peak_rate(self):
-        ids = trained_ids()
-        assert ids.model.max_rate_per_minute >= 3
+        assert trained_model().max_rate_per_minute >= 3
 
     def test_foreign_frames_ignored_in_training(self):
-        ids = ZWaveIDS(HOME)
-        ids.train([(0.0, frame(home=0x12345678))])
-        assert ids.model.known_senders == set()
+        model = ZWaveIDS(HOME).train([(0.0, frame(home=0x12345678))])
+        assert model.known_senders == set()
 
     def test_inspect_before_training_raises(self):
         ids = ZWaveIDS(HOME)
@@ -126,11 +130,10 @@ class TestDetection:
         assert AlertKind.SEQUENCE_ANOMALY not in {a.kind for a in alerts}
 
     def test_model_learns_transitions(self):
-        ids = trained_ids()
-        assert (2, 0x62, 0x62) in ids.model.transitions
+        assert (2, 0x62, 0x62) in trained_model().transitions
 
-    def test_alert_history_accumulates(self):
+    def test_unknown_sender_alerts_on_every_frame(self):
         ids = trained_ids()
-        ids.inspect(700.0, frame(src=0x0F, payload=b"\x20\x02"))
-        ids.inspect(701.0, frame(src=0x0F, payload=b"\x20\x02"))
-        assert len(ids.alerts()) >= 2
+        for timestamp in (700.0, 701.0):
+            alerts = ids.inspect(timestamp, frame(src=0x0F, payload=b"\x20\x02"))
+            assert AlertKind.UNKNOWN_SENDER in {a.kind for a in alerts}

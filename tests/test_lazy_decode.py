@@ -157,7 +157,7 @@ class TestDecodeCountRegression:
         # Touching lazy fields stays decode-free; only the slave that the
         # frame addressed may have paid a strict decode.
         for capture in captures:
-            assert capture.decoded
+            assert capture.frame is not None
             assert capture.frame.cmdcl == 0x20 and capture.frame.dst == 250
         slave_decodes = len(counting) - baseline
         assert slave_decodes <= 20  # never one per *capture* on top

@@ -11,7 +11,7 @@ from repro.lint.base import SourceFile, collect_sources
 from repro.lint.flow import FlowAnalyzer
 from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.purity import diff_manifests
-from repro.lint.flow.symbols import summarize_text
+from repro.lint.flow.symbols import summarize_source
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -391,7 +391,7 @@ class TestCallGraph:
                 "b.py": "def f():\n    return 1\n",
             }
         )
-        graph = CallGraph({s.rel: summarize_text(s.rel, s.text) for s in sources})
+        graph = CallGraph({s.rel: summarize_source(s) for s in sources})
         assert graph.edges["a.py::g"][0][0] == "b.py::f"
         assert graph.redges["b.py::f"][0][0] == "a.py::g"
 
@@ -411,7 +411,7 @@ class TestCallGraph:
                 ),
             }
         )
-        graph = CallGraph({s.rel: summarize_text(s.rel, s.text) for s in sources})
+        graph = CallGraph({s.rel: summarize_source(s) for s in sources})
         callees = {c for c, _, _ in graph.edges["a.py::g"]}
         assert "b.py::Engine.step" in callees
 
@@ -428,7 +428,7 @@ class TestCallGraph:
                 ),
             }
         )
-        graph = CallGraph({s.rel: summarize_text(s.rel, s.text) for s in sources})
+        graph = CallGraph({s.rel: summarize_source(s) for s in sources})
         callees = {c for c, _, _ in graph.edges["a.py::Child.run"]}
         assert "a.py::Base.step" in callees
 

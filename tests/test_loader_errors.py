@@ -101,19 +101,25 @@ class TestMetricsDocument:
         [("spans", {"a": 5}), ("counters", {"a": "5"}), ("histograms", []), ("meta", None)],
     )
     def test_mistyped_sections_are_rejected(self, section, value):
-        from repro.obs.export import ObsExportError, document_to_snapshot, snapshot_to_document
+        from repro.obs.export import (
+            MetricsDocument,
+            ObsExportError,
+            snapshot_to_document,
+        )
         from repro.obs.metrics import MetricsSnapshot
+        from repro.wire import decode
 
         doc = snapshot_to_document(MetricsSnapshot(), meta={"kind": "test"})
         doc[section] = value
         with pytest.raises(ObsExportError, match=f"metrics document: {section}"):
-            document_to_snapshot(doc)
+            decode(MetricsDocument, doc, "metrics document")
 
     def test_non_object_document_is_rejected(self):
-        from repro.obs.export import ObsExportError, document_to_snapshot
+        from repro.obs.export import MetricsDocument, ObsExportError
+        from repro.wire import decode
 
         with pytest.raises(ObsExportError, match="expected a JSON object, got list"):
-            document_to_snapshot([])
+            decode(MetricsDocument, [], "metrics document")
 
 
 # -- the write-ahead checkpoint ------------------------------------------------
@@ -147,7 +153,7 @@ BAD_RECORDS = {
 class TestCheckpointLayout:
     @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
     def test_bad_record_ends_the_trusted_prefix(self, case, tmp_path):
-        from repro.serve.checkpoint import DoneLine, encode_line, load_checkpoint
+        from repro.serve.checkpoint import DoneLine, encode_line, load_prefix
         from repro.wire import encode
 
         good = DoneLine("job-0000abcd", "done", "")
@@ -155,7 +161,7 @@ class TestCheckpointLayout:
         good_line = encode_line(encode(good))
         lines = [good_line, encode_line(BAD_RECORDS[case]()), good_line]
         path.write_text("".join(line + "\n" for line in lines))
-        assert load_checkpoint(str(path)) == [good]
+        assert [line for line, _ in load_prefix(str(path))] == [good]
 
     @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
     def test_service_starts_without_the_bad_job(self, case, tmp_path):

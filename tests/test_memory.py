@@ -43,17 +43,6 @@ class TestSanctionedOperations:
         with pytest.raises(NodeMemoryError):
             table.add(record(2))
 
-    def test_remove(self):
-        table = NodeTable()
-        table.add(record(2))
-        removed = table.remove(2)
-        assert removed.node_id == 2
-        assert 2 not in table
-
-    def test_remove_missing_rejected(self):
-        with pytest.raises(NodeMemoryError):
-            NodeTable().remove(9)
-
     def test_update(self):
         table = NodeTable()
         table.add(record(2, wakeup_interval=3600))
@@ -70,13 +59,6 @@ class TestSanctionedOperations:
         for nid in (7, 2, 5):
             table.add(record(nid))
         assert table.node_ids() == (2, 5, 7)
-
-    def test_write_count_tracks_mutations(self):
-        table = NodeTable()
-        table.add(record(2))
-        table.update(2, name="x")
-        table.remove(2)
-        assert table.write_count == 3
 
 
 class TestRawOperations:
@@ -116,7 +98,7 @@ class TestSnapshots:
         table = NodeTable()
         table.add(record(2))
         snap = table.snapshot()
-        table.remove(2)
+        table.raw_delete(2)
         assert len(snap) == 1
 
     def test_restore(self):

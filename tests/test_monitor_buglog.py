@@ -128,13 +128,6 @@ class TestSutObserver:
         assert quiet_sut.clock.now == pytest.approx(before + 2.0)
         assert not quiet_sut.controller.hung
 
-    def test_rebaseline(self, quiet_sut):
-        observer = SutObserver(quiet_sut)
-        attack(quiet_sut, bytes([0x01, 0x0D, LOCK_NODE_ID, 0x03]))
-        observer.rebaseline()
-        kind, _ = observer.check_memory()
-        assert kind is None
-
 
 class TestBugLog:
     def make_record(self, i=0, payload=b"\x5a\x01"):
@@ -148,7 +141,7 @@ class TestBugLog:
         assert record.cmdcl == 0x5A
         assert record.cmd == 0x01
         assert record.payload == b"\x5a\x01"
-        assert record.observed_kind is ObservedKind.HANG
+        assert record.observed == ObservedKind.HANG.value
 
     def test_short_payload_fields(self):
         record = BugRecord.from_payload(0.0, 1, b"\x5a", ObservedKind.HANG)
@@ -159,7 +152,7 @@ class TestBugLog:
         for i in range(5):
             log.add(self.make_record(i))
         log.add(self.make_record(9, payload=b"\x59\x03\x00\x01"))
-        assert len(log) == 6
+        assert len(log.records()) == 6
         assert len(log.coarse_groups()) == 2
 
     def test_first_record(self):
@@ -184,4 +177,4 @@ class TestBugLog:
         log = BugLog([self.make_record()])
         log.save(path)
         path.write_text(path.read_text() + "\n\n")
-        assert len(BugLog.load(path)) == 1
+        assert len(BugLog.load(path).records()) == 1

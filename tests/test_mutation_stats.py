@@ -41,12 +41,11 @@ EXPECTED_BASIC_MIX = {
     MutationOperator.RANDOM: 25_000,
 }
 
-#: Same for an unknown class (0xEE): the deterministic bare/2-byte sweep
-#: then the rng loop.
+#: Same for a class with no schema (0xEE), first 96 cases: the seed case,
+#: then the rng tail over the undefined-command neighbourhood.
 EXPECTED_UNKNOWN_MIX = {
     MutationOperator.SEED: 1_000,
-    MutationOperator.RAND_INVALID: 62_000,
-    MutationOperator.RANDOM: 33_000,
+    MutationOperator.RANDOM: 95_000,
 }
 
 #: chi-square critical values at p≈0.001.
@@ -148,7 +147,7 @@ class TestRngTail:
 class TestPrioritisation:
     def test_order_invariant_under_shuffles(self, registry):
         """1000 seeded input shuffles map to one prioritised order."""
-        ids = list(registry.class_ids())
+        ids = [c.id for c in registry]
         baseline = tuple(registry.prioritize(ids))
         orders = set()
         for seed in SEEDS:
@@ -159,5 +158,5 @@ class TestPrioritisation:
 
     def test_order_prefix_pinned(self, registry):
         """The densest classes lead, exactly as the pre-rewrite order."""
-        order = registry.prioritize(list(registry.class_ids()))
+        order = registry.prioritize([c.id for c in registry])
         assert list(order[:6]) == [0x34, 0x01, 0x67, 0x63, 0x9F, 0x98]

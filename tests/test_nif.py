@@ -62,10 +62,6 @@ class TestReport:
         assert not info.capability & 0x40
         assert info.capability & 0x10
 
-    def test_is_controller(self):
-        assert controller_info().is_controller
-        assert not NodeInfo(basic=BasicDeviceClass.SLAVE, generic=0x10).is_controller
-
     def test_rejects_out_of_range_classes(self):
         with pytest.raises(FrameError):
             NodeInfo(basic=300, generic=0x10)

@@ -14,7 +14,6 @@ from repro.obs.export import (
     SCHEMA_VERSION,
     MetricsDocument,
     ObsExportError,
-    document_to_snapshot,
     dumps_document,
     load_document,
     render_prometheus,
@@ -52,16 +51,15 @@ class TestDocument:
 
     def test_roundtrip(self):
         doc = _sample_document()
-        snap = document_to_snapshot(doc)
-        assert snapshot_to_document(snap, meta={"kind": "test"}) == doc
+        assert encode(decode(MetricsDocument, doc, "metrics document")) == doc
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ObsExportError):
-            document_to_snapshot({"schema": "other", "schema_version": 1})
+            decode(MetricsDocument, {"schema": "other", "schema_version": 1}, "metrics document")
         doc = _sample_document()
         doc["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(ObsExportError):
-            document_to_snapshot(doc)
+            decode(MetricsDocument, doc, "metrics document")
 
     def test_dumps_is_canonical(self):
         text = dumps_document(_sample_document())

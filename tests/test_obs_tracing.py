@@ -42,20 +42,23 @@ class TestTracer:
                 raise ValueError("x")
         except ValueError:
             pass
-        assert tracer.total_spans == 1
+        assert len(tracer.records()) == 1
 
     def test_ring_is_bounded_and_counts_drops(self):
         tracer = Tracer(SimClock(), capacity=3)
         for i in range(5):
             with tracer.span(f"s{i}"):
                 pass
-        assert tracer.capacity == 3
-        assert tracer.total_spans == 5
         assert tracer.dropped == 2
         assert [r.name for r in tracer.records()] == ["s2", "s3", "s4"]
 
     def test_default_capacity(self):
-        assert Tracer(SimClock()).capacity == DEFAULT_CAPACITY
+        tracer = Tracer(SimClock())
+        for _ in range(DEFAULT_CAPACITY + 1):
+            with tracer.span("s"):
+                pass
+        assert len(tracer.records()) == DEFAULT_CAPACITY
+        assert tracer.dropped == 1
 
     def test_clock_bound_lazily(self):
         tracer = Tracer()  # run_campaign binds the testbed clock later
@@ -85,7 +88,7 @@ class TestTracer:
         tracer = Tracer(SimClock())
         with tracer.span("lonely"):
             pass
-        assert tracer.total_spans == 1
+        assert len(tracer.records()) == 1
 
 
 class TestModuleSpan:

@@ -95,11 +95,47 @@ class TestWorkerDeath:
         assert [o.result for o in outcomes[:2]] == reference
 
     def test_serial_fallback_never_forks(self, reference):
-        # workers=1 must not even create a pool — an "exit" fault there
-        # would kill the test process itself, so only assert the healthy
-        # path produces identical results in-process.
+        # workers=1 runs healthy units in this process, with results
+        # identical to a pooled run's.
         outcomes = execute_units(good_units(), workers=1)
         assert [o.result for o in outcomes] == reference
+
+
+class TestCrashAtOneWorker:
+    CRASH_PLAN = {
+        "schema": "zcover-fault-plan",
+        "schema_version": 1,
+        "name": "crash3",
+        "faults": [{"layer": "worker", "kind": "crash", "unit_index": 3}],
+    }
+
+    def test_crashing_unit_fails_alone_at_every_worker_count(self, tmp_path):
+        """At one worker the crashing unit runs in its own process, so the
+        run reports it as a failed unit, as a sharded run does, instead of
+        dying with it."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        plan = tmp_path / "crash3.json"
+        plan.write_text(json.dumps(self.CRASH_PLAN))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        runs = {}
+        for workers in ("1", "2"):
+            runs[workers] = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "trials", "--device", "D1", "--trials", "4",
+                 "--hours", "0.02", "--fault-plan", str(plan), "--workers", workers],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+        one = runs["1"]
+        assert one.returncode == 1, one.stderr
+        failed = [line for line in one.stdout.splitlines() if line.startswith("FAILED")]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            "FAILED zcover:D1:FULL:seed=3000 after 2 attempt(s) [worker-crash]: "
+        )
+        assert one.stdout == runs["2"].stdout
 
 
 class TestWorkerResolution:

@@ -14,14 +14,19 @@ import pytest
 
 from repro.core.baseline import VFuzzBaseline
 from repro.core.campaign import Mode, run_campaign
+from repro.core.parallel import CampaignUnit, rehydrate_unit_result
 from repro.core.resultio import (
     campaign_from_wire,
     campaign_to_wire,
-    vfuzz_from_wire,
     vfuzz_to_wire,
 )
 from repro.simulator.testbed import build_sut
 from repro.wire import WIRE_VERSION, WireError, dumps_wire, loads_wire
+
+
+def vfuzz_from_wire(data):
+    """A vfuzz unit's wire result, decoded as the executor decodes it."""
+    return rehydrate_unit_result(CampaignUnit(kind="vfuzz"), data)
 
 DURATION = 600.0
 

@@ -7,7 +7,6 @@ from repro.simulator.routing import (
     MeshRepeater,
     RoutingHeader,
     make_routed_frame,
-    unwrap_routed,
 )
 from repro.simulator.testbed import LOCK_NODE_ID, build_sut
 from repro.zwave.frame import ZWaveFrame
@@ -45,12 +44,6 @@ class TestRoutingHeader:
             RoutingHeader.decode(b"\x80\x09\x05")  # count 9 > max
         with pytest.raises(FrameError):
             RoutingHeader.decode(b"\x80\x02\x05")  # truncated repeater list
-
-    def test_unwrap_plain_frame(self):
-        frame = ZWaveFrame(home_id=1, src=2, dst=1, payload=b"\x20\x02")
-        header, inner = unwrap_routed(frame)
-        assert header is None
-        assert inner == b"\x20\x02"
 
 
 class TestMeshRelay:

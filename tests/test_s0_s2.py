@@ -11,7 +11,6 @@ from repro.security.s2 import (
     S2Context,
     S2Encapsulated,
     SpanState,
-    generate_network_key,
 )
 from repro.security.kdf import ckdf_expand
 from repro.simulator.transport import S0Messaging, S2Messaging, TransportStats
@@ -135,7 +134,7 @@ class TestSpan:
         keys = ckdf_expand(KEY)
         span = SpanState(keys.personalization, b"a" * 16, b"b" * 16)
         peeked = span.peek_nonce()
-        assert span.counter == 0
+        assert span.peek_nonce() == peeked
         assert span.next_nonce() == peeked
 
     def test_bad_entropy_size_rejected(self):
@@ -220,11 +219,6 @@ class TestS2Bootstrap:
     def test_dsk_pin_is_16_bits(self):
         boot = S2Bootstrap(random.Random(3))
         assert 0 <= boot.dsk_pin <= 0xFFFF
-
-    def test_network_key_generation(self):
-        key = generate_network_key(random.Random(4))
-        assert len(key) == 16
-        assert key != generate_network_key(random.Random(5))
 
 
 class TestSpanDesyncRecovery:

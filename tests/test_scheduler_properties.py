@@ -101,21 +101,23 @@ class TestSchedulerPurity:
     def test_probe_sweep_covers_the_whole_queue_first(self, registry, mutator):
         """Phase 1 probes every class once, in static priority order."""
         sched = _scheduler(registry, mutator, MetricsCollector(), 0)
-        decisions = [sched.next_decision() for _ in range(len(sched.queue))]
-        assert tuple(d.cmdcl for d in decisions) == sched.queue
+        queue = prioritize_static(registry, QUEUE_CMDCLS)
+        decisions = [sched.next_decision() for _ in range(len(queue))]
+        assert tuple(d.cmdcl for d in decisions) == queue
         assert all(d.reason == REASON_PROBE for d in decisions)
         assert all(d.window_s == 60.0 * PROBE_FACTOR for d in decisions)
 
     def test_energy_vector_never_uses_container_order(self, registry, mutator):
         """Tied scores break on static queue position, an explicit key."""
         sched = _scheduler(registry, mutator, MetricsCollector(), 0)
+        queue = prioritize_static(registry, QUEUE_CMDCLS)
         scores = sched.energy_vector()
-        assert set(scores) == set(sched.queue)
-        for _ in range(len(sched.queue)):
+        assert set(scores) == set(queue)
+        for _ in range(len(queue)):
             sched.next_decision()  # drain the probe sweep
         best = sched.next_decision()
-        tied = [c for c in sched.queue if scores[c] == scores[best.cmdcl]]
-        assert best.cmdcl == min(tied, key=lambda c: sched.queue.index(c))
+        tied = [c for c in queue if scores[c] == scores[best.cmdcl]]
+        assert best.cmdcl == min(tied, key=lambda c: queue.index(c))
 
 
 class TestCorpusOrderIndependence:
@@ -144,14 +146,16 @@ class TestCorpusOrderIndependence:
             TestCase(ApplicationPayload(0x5A, cmd, bytes([cmd])), MutationOperator.SEED, 1)
             for cmd in range(1, 7)
         ]
-        left = _scheduler(registry, mutator, MetricsCollector(), 0)
-        right = _scheduler(registry, mutator, MetricsCollector(), 0)
+        left_metrics, right_metrics = MetricsCollector(), MetricsCollector()
+        left = _scheduler(registry, mutator, left_metrics, 0)
+        right = _scheduler(registry, mutator, right_metrics, 0)
         for case in cases:
             left._remember(0x5A, case)
         for case in reversed(cases):
             right._remember(0x5A, case)
         assert left.corpus_payloads(0x5A) == right.corpus_payloads(0x5A)
-        assert left.corpus_size() == right.corpus_size()
+        sizes = [m.snapshot().gauges["scheduler.corpus_size"] for m in (left_metrics, right_metrics)]
+        assert sizes[0] == sizes[1] == len(cases)
 
 
 def _synthetic_result(seed):

@@ -700,6 +700,40 @@ class TestResultStore:
         assert not os.path.exists(private)
 
 
+def _children(parent):
+    """The pids whose parent is *parent*, read from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # not a process, or gone
+        if int(stat.rpartition(")")[2].split()[1]) == parent:
+            children.append(int(entry))
+    return children
+
+
+def _open_files(pid):
+    """Where *pid*'s descriptors point, read from ``/proc``."""
+    links = []
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            links.append(os.readlink(f"/proc/{pid}/fd/{fd}"))
+        except OSError:
+            pass  # closed meanwhile
+    return links
+
+
+def _alive(pid):
+    """Whether *pid* still runs: a zombie nobody reaped has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 class TestListenerOwnership:
     def test_pool_workers_do_not_hold_the_listening_socket(self, service, client):
         """A forked worker closes the listener and the result store's
@@ -735,6 +769,44 @@ class TestListenerOwnership:
             assert inode not in sockets(pid), pid
             assert lock not in sockets(pid), pid
 
+    def test_a_killed_service_takes_its_workers_down(self, tmp_path):
+        """A forked worker closes the checkpoint log, and exits once a
+        ``kill -9`` has taken its service away."""
+        import signal
+        import subprocess
+        import sys
+
+        if not sys.platform.startswith("linux"):
+            pytest.skip("reads /proc")
+        checkpoint = os.fspath(tmp_path / "serve.ckpt")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--workers", "1",
+             "--checkpoint", checkpoint],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+        )
+        workers = []
+        try:
+            port = int(proc.stdout.readline().rsplit(":", 1)[1])
+            client = ServeClient(port=port)
+            job_id = client.submit(SPEC_TRIALS).job_id
+            assert client.wait(job_id, timeout=WAIT_S).state == JOB_DONE
+            workers = _children(proc.pid)
+            assert workers
+            for pid in workers:
+                assert os.path.realpath(checkpoint) not in _open_files(pid), pid
+            proc.kill()
+            proc.wait(timeout=WAIT_S)
+            deadline = wall_monotonic() + 5.0
+            while any(_alive(pid) for pid in workers) and wall_monotonic() < deadline:
+                wall_sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            proc.kill()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     @pytest.mark.parametrize("same_port", [True, False], ids=["same-port", "other-port"])
     def test_second_service_on_a_live_checkpoint_leaves_it_alone(self, tmp_path, same_port):
         """A second service on a live one's checkpoint fails before it
@@ -744,7 +816,7 @@ class TestListenerOwnership:
         import asyncio
 
         from repro.errors import ReproError
-        from repro.serve.checkpoint import load_checkpoint
+        from repro.serve.checkpoint import load_prefix
         from repro.serve.service import ZCoverService
 
         checkpoint = os.fspath(tmp_path / "serve.ckpt")
@@ -766,7 +838,7 @@ class TestListenerOwnership:
             # The live service still logs where the next life will look.
             second_job = client.submit(SPEC_SESSIONS).job_id
             assert client.wait(second_job, timeout=WAIT_S).state == JOB_DONE
-            assert second_job in {line.job_id for line in load_checkpoint(checkpoint)}
+            assert second_job in {line.job_id for line, _ in load_prefix(checkpoint)}
             assert client.result_bytes(job_id) == oracle_bytes(SPEC_TRIALS)
         finally:
             handle.stop(drain=True)

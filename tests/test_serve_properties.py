@@ -38,10 +38,12 @@ import json
 import os
 import random
 import threading
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 
+from repro.core.parallel import CampaignUnit, rehydrate_unit_result
 from repro.core.resultio import (
     campaign_from_wire,
     jobspec_from_wire,
@@ -49,7 +51,6 @@ from repro.core.resultio import (
     jobstatus_from_wire,
     jobstatus_to_wire,
     session_from_wire,
-    vfuzz_from_wire,
 )
 from repro.core.session import FLOWS
 from repro.serve.checkpoint import (
@@ -61,7 +62,6 @@ from repro.serve.checkpoint import (
     done_record,
     encode_line,
     job_record,
-    load_checkpoint,
     load_prefix,
     replay_checkpoint,
     trusted_document,
@@ -84,6 +84,12 @@ from repro.serve.protocol import (
 )
 from repro.simulator.testbed import CONTROLLER_IDS
 from repro.wire import WIRE_VERSION, WireVersionError, dumps_wire, encode
+
+
+def vfuzz_from_wire(data):
+    """A vfuzz unit's wire result, decoded as the executor decodes it."""
+    return rehydrate_unit_result(CampaignUnit(kind="vfuzz"), data)
+
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "serve_golden.json"
 SCHEMA = "zcover.serve-golden/v1"
@@ -504,7 +510,7 @@ def checkpoint_records(rng):
 
 def loaded_records(path):
     """The loaded prefix of a checkpoint file, re-encoded as records."""
-    return [encode(line) for line in load_checkpoint(str(path))]
+    return [encode(line) for line, _ in load_prefix(str(path))]
 
 
 class TestCheckpoint:
@@ -555,7 +561,7 @@ class TestCheckpoint:
         assert loaded_records(path) == records[:1]
 
     def test_missing_file_is_an_empty_checkpoint(self, tmp_path):
-        assert load_checkpoint(str(tmp_path / "absent.ckpt")) == []
+        assert load_prefix(str(tmp_path / "absent.ckpt")) == []
 
     def test_replay_folds_units_last_wins(self):
         lines = [
@@ -644,7 +650,7 @@ class TestCompaction:
         path.write_text(
             "".join(encode_line(r) + "\n" for r in compaction_log(random.Random(19)))
         )
-        with CheckpointWriter(str(path), load_prefix(str(path))) as writer:
+        with closing(CheckpointWriter(str(path), load_prefix(str(path)))) as writer:
             assert writer.compact(lambda job_id: True)
         assert steps == ["replace", ("sync", str(tmp_path))]
 
@@ -652,10 +658,10 @@ class TestCompaction:
         path = tmp_path / "clean.ckpt"
         text = encode_line(job_record("job-00000002", 0, JobSpec())) + "\n"
         path.write_text(text)
-        with CheckpointWriter(str(path), load_prefix(str(path))) as writer:
+        with closing(CheckpointWriter(str(path), load_prefix(str(path)))) as writer:
             assert not writer.compact(lambda job_id: True)
         assert path.read_text() == text
-        with CheckpointWriter(str(tmp_path / "absent.ckpt")) as writer:
+        with closing(CheckpointWriter(str(tmp_path / "absent.ckpt"))) as writer:
             assert not writer.compact(lambda job_id: True)
         assert (tmp_path / "absent.ckpt").read_bytes() == b""
 
@@ -678,7 +684,7 @@ class TestCompaction:
         last = encode_line(records[-1])
         path.write_text("".join(encode_line(r) + "\n" for r in records[:-1]) + last)
         assert loaded_records(path) == records[:-1]
-        with CheckpointWriter(str(path), load_prefix(str(path))) as writer:
+        with closing(CheckpointWriter(str(path), load_prefix(str(path)))) as writer:
             assert writer.torn
             assert writer.size == path.stat().st_size - len(last)
 

@@ -33,7 +33,7 @@ from repro.core.session import (
     apply_ops,
     evaluate_trace,
 )
-from repro.obs.metrics import MetricsCollector, collecting
+from repro.obs.metrics import MetricsCollector, collecting, state_coverage_key
 from repro.simulator.vulnerabilities import SessionFrame, match_session_vulns
 from repro.wire import decode, encode
 
@@ -68,7 +68,7 @@ def reference_walk(flow, events, collector):
         else:
             mark = "?"
         transitions.append((state, mark))
-        collector.cover_state(flow, state, mark)
+        collector.cover_keys([state_coverage_key(flow, state, mark)])
         collector.cover(cmdcl, cmd)
         if on_path:
             state = on_path[0].dst
@@ -180,7 +180,7 @@ def test_schedule_descriptions_are_pinned(name):
 def test_session_frame_keeps_its_record_shape():
     assert SessionFrame._fields == ("state", "sender", "cmdcl", "cmd", "params")
     frame = SessionFrame("idle", "ctrl", 0x98, 0x04, b"\x00")
-    assert frame.sig() == (0x98, 0x04)
+    assert (frame.cmdcl, frame.cmd) == (0x98, 0x04)
     assert frame == SessionFrame(
         state="idle", sender="ctrl", cmdcl=0x98, cmd=0x04, params=b"\x00"
     )

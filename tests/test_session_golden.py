@@ -103,7 +103,6 @@ class TestGolden:
         planted = set(planted_vuln_ids())
         for device in DEVICES:
             result = results[device]
-            assert result.found_all_planted
             assert set(result.found_vuln_ids) == planted
 
     def test_sharded_run_matches_the_golden_pin(self, results):

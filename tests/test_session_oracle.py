@@ -20,9 +20,7 @@ from repro.core.session import (
     FLOW_GRAPHS,
     FLOWS,
     apply_ops,
-    directed_attack,
     evaluate_trace,
-    happy_path,
     planted_vuln_ids,
 )
 from repro.simulator.vulnerabilities import (
@@ -60,8 +58,7 @@ class TestOracleStructure:
 class TestHappyPathsAreClean:
     @pytest.mark.parametrize("flow", FLOWS)
     def test_happy_path_reaches_terminal_state(self, flow):
-        evaluation = evaluate_trace(flow, happy_path(flow))
-        assert evaluation.completed
+        evaluation = evaluate_trace(flow, FLOW_GRAPHS[flow].happy)
         assert evaluation.final_state == FLOW_GRAPHS[flow].terminal
         # Every frame is on-path: no "!step" or "?" marks.
         assert all(not mark.startswith(("!", "?")) for _, mark in evaluation.transitions)
@@ -70,7 +67,7 @@ class TestHappyPathsAreClean:
     def test_no_planted_bug_fires_on_any_happy_path(self, flow):
         """Soundness, cross-flow: flow X's clean trace is clean under every
         flow's predicate set, not just its own."""
-        evaluation = evaluate_trace(flow, happy_path(flow))
+        evaluation = evaluate_trace(flow, FLOW_GRAPHS[flow].happy)
         assert evaluation.findings == ()
         for other in FLOWS:
             assert match_session_vulns(other, evaluation.frames) == []
@@ -79,7 +76,7 @@ class TestHappyPathsAreClean:
 class TestDirectedReachability:
     @pytest.mark.parametrize("vuln", SESSION_VULNS, ids=lambda v: v.vuln_id)
     def test_directed_attack_fires_its_bug(self, vuln):
-        events = apply_ops(vuln.flow, directed_attack(vuln.vuln_id))
+        events = apply_ops(vuln.flow, DIRECTED_ATTACKS[vuln.vuln_id])
         evaluation = evaluate_trace(vuln.flow, events)
         fired = {v.vuln_id for v, _index in evaluation.findings}
         assert vuln.vuln_id in fired, (
@@ -90,19 +87,13 @@ class TestDirectedReachability:
     @pytest.mark.parametrize("vuln", SESSION_VULNS, ids=lambda v: v.vuln_id)
     def test_firing_index_points_at_the_lenient_acceptance(self, vuln):
         """The reported index is a real frame of the mutated sequence."""
-        events = apply_ops(vuln.flow, directed_attack(vuln.vuln_id))
+        events = apply_ops(vuln.flow, DIRECTED_ATTACKS[vuln.vuln_id])
         evaluation = evaluate_trace(vuln.flow, events)
         for fired_vuln, index in evaluation.findings:
             if fired_vuln.vuln_id == vuln.vuln_id:
                 assert 0 <= index < len(events)
                 return
         pytest.fail(f"{vuln.vuln_id} missing from findings")
-
-    def test_unknown_attack_rejected(self):
-        from repro.errors import CampaignError
-
-        with pytest.raises(CampaignError):
-            directed_attack("SV99")
 
 
 class TestPlantedCoverageOfIssueExamples:

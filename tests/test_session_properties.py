@@ -187,7 +187,7 @@ def _state_snapshot(seed: int):
     collector = MetricsCollector()
     for _ in range(rng.randrange(1, 12)):
         flow = rng.choice(FLOWS)
-        collector.cover_state(flow, f"s{rng.randrange(4)}", f"m{rng.randrange(4)}")
+        collector.cover_keys([state_coverage_key(flow, f"s{rng.randrange(4)}", f"m{rng.randrange(4)}")])
     for _ in range(rng.randrange(0, 6)):
         collector.cover(rng.randrange(256), rng.randrange(256))
     return collector.snapshot()

@@ -1,12 +1,16 @@
-"""Invalid-spec parity: the CLI and ``POST /jobs`` reject a spec alike.
+"""Spec parity between the paths a job can take.
 
-For every job kind and every spec field the command line can set, seeded
-invalid values are drawn.  Each draw goes three ways: as the spec itself
-to a served ``POST /jobs``, as options to the kind's own command (where
-that command has the option), and as options to ``zcover submit
---direct``.  Both commands must exit 2 before any unit runs, with the one
-stderr line ``zcover <command>: <field>: <reason>`` whose field and reason
-are those of the 400 body.
+Invalid specs: for every job kind and every spec field the command line
+can set, seeded invalid values are drawn.  Each draw goes three ways: as
+the spec itself to a served ``POST /jobs``, as options to the kind's own
+command (where that command has the option), and as options to ``zcover
+submit --direct``.  Both commands must exit 2 before any unit runs, with
+the one stderr line ``zcover <command>: <field>: <reason>`` whose field
+and reason are those of the 400 body.
+
+Valid specs: seeded specs of all five kinds, drawn from a stream of their
+own, give the same document bytes in process at one and at two workers
+and from the service, posted back to back.
 """
 
 import random
@@ -17,7 +21,8 @@ import pytest
 from repro.cli import main
 from repro.core.session import FLOWS
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.protocol import JOB_KINDS, MAX_HOURS, MAX_TRIALS, JobSpec
+from repro.serve.protocol import JOB_DONE, JOB_KINDS, MAX_HOURS, MAX_TRIALS, JobSpec, validate_spec
+from repro.serve.results import direct_document, dumps_result_document
 from repro.serve.service import ServiceThread
 from repro.simulator.testbed import CONTROLLER_IDS
 
@@ -185,3 +190,52 @@ def test_misspelled_stock_plan_is_refused_like_post_jobs(client, capsys, kind, n
     base = [opt for key, val in BASE[kind].items() if key != "fault_plan" for opt in _options(key, val)]
     err = _cli_line([kind, *base, OWN_PLAN_FLAG[kind], name], capsys)
     assert err == f"zcover {kind}: fault_plan: {reason}\n"
+
+
+# -- valid specs -------------------------------------------------------------------
+
+#: Valid specs drawn per kind; each runs three ways.
+VALID_DRAWS = 4
+
+#: The longest campaign a drawn spec runs, in simulated hours.
+VALID_MAX_HOURS = 0.02
+
+
+def _valid_spec(kind, rng):
+    """A seeded valid spec of *kind*: short, but varied in every field the
+    kind takes."""
+    fields = {
+        "kind": kind,
+        "seed": rng.randrange(10**6),
+        "hours": round(rng.uniform(0.005, VALID_MAX_HOURS), 3),
+        "scheduler": rng.choice(("static", "coverage")),
+    }
+    if kind in ("trials", "chaos"):
+        fields["device"] = rng.choice(CONTROLLER_IDS)
+        fields["mode"] = rng.choice(("full", "beta", "gamma"))
+        fields["trials"] = rng.randint(1, 2)
+        plans = ("canonical", "lossy", "flaky")
+        fields["fault_plan"] = rng.choice(plans if kind == "chaos" else (None,) + plans)
+    elif kind == "sessions":
+        fields["device"] = rng.choice(CONTROLLER_IDS)
+        fields["trials"] = rng.randint(1, 3)
+        fields["flows"] = tuple(rng.sample(FLOWS, rng.randint(1, 2)))
+    elif kind == "ablation":
+        fields["device"] = rng.choice(CONTROLLER_IDS)
+    else:
+        devices = tuple(sorted(rng.sample(CONTROLLER_IDS, 2)))
+        fields.update(devices=devices, device=devices[0])
+    spec = JobSpec(**fields)
+    validate_spec(spec)
+    return spec
+
+
+def test_valid_specs_give_the_same_bytes_on_every_path(client):
+    rng = random.Random("valid-spec-parity")
+    specs = [_valid_spec(kind, rng) for kind in JOB_KINDS for _ in range(VALID_DRAWS)]
+    job_ids = [client.submit(spec).job_id for spec in specs]  # back to back
+    for spec, job_id in zip(specs, job_ids):
+        serial = dumps_result_document(direct_document(spec, workers=1))
+        assert dumps_result_document(direct_document(spec, workers=2)) == serial, spec
+        assert client.wait(job_id, timeout=600).state == JOB_DONE, spec
+        assert client.result_bytes(job_id).decode("utf-8") == serial, spec

@@ -4,11 +4,8 @@ import pytest
 
 from repro.errors import UnknownCommandClassError, UnknownCommandError
 from repro.zwave.cmdclass import Cluster
-from repro.zwave.registry import (
-    SpecRegistry,
-    proprietary_class_ids,
-)
-from repro.zwave.spec_data import PUBLIC_SPEC_CLASS_COUNT
+from repro.zwave.registry import SpecRegistry
+from repro.zwave.spec_data import PUBLIC_SPEC_CLASS_COUNT, build_proprietary_classes
 
 
 class TestPaperNumbers:
@@ -21,7 +18,7 @@ class TestPaperNumbers:
         assert len(full_registry) == len(public_registry) + 2
 
     def test_proprietary_ids_are_0x01_and_0x02(self):
-        assert proprietary_class_ids() == (0x01, 0x02)
+        assert tuple(sorted(c.id for c in build_proprietary_classes())) == (0x01, 0x02)
 
     def test_proprietary_absent_from_public_spec(self, public_registry):
         assert 0x01 not in public_registry
@@ -79,19 +76,10 @@ class TestLookups:
         with pytest.raises(UnknownCommandError):
             full_registry.command(0x20, 0x99)
 
-    def test_by_name(self, full_registry):
-        assert full_registry.by_name("BASIC").id == 0x20
-        with pytest.raises(UnknownCommandClassError):
-            full_registry.by_name("NOPE")
-
     def test_contains_and_iter_sorted(self, public_registry):
         assert 0x20 in public_registry
         ids = [c.id for c in public_registry]
         assert ids == sorted(ids)
-
-    def test_class_ids_sorted(self, public_registry):
-        ids = public_registry.class_ids()
-        assert ids == tuple(sorted(ids))
 
     def test_duplicate_rejected(self, public_registry):
         cls = public_registry.require(0x20)
@@ -99,7 +87,7 @@ class TestLookups:
             SpecRegistry([cls, cls])
 
     def test_cluster_query(self, public_registry):
-        slave = public_registry.cluster(Cluster.SLAVE_ONLY)
+        slave = [c for c in public_registry if c.cluster is Cluster.SLAVE_ONLY]
         assert all(c.cluster is Cluster.SLAVE_ONLY for c in slave)
         assert len(slave) == 79
 

@@ -38,15 +38,6 @@ class NodeTableMachine(RuleBasedStateMachine):
             self.table.add(record)
             self.model[node_id] = record
 
-    @rule(node_id=node_ids)
-    def sanctioned_remove(self, node_id):
-        if node_id in self.model:
-            self.table.remove(node_id)
-            del self.model[node_id]
-        else:
-            with pytest.raises(NodeMemoryError):
-                self.table.remove(node_id)
-
     @rule(node_id=node_ids, basic=st.integers(min_value=1, max_value=4))
     def raw_write(self, node_id, basic):
         record = NodeRecord(node_id=node_id, basic=basic)

@@ -15,7 +15,8 @@ from repro.analysis.triage import CrashTriage
 from repro.core.fuzzer import FuzzerConfig, FuzzingEngine, psm_streams
 from repro.core.fingerprint import fingerprint
 from repro.core.discovery import discover_unknown_properties
-from repro.core.mutation import PositionSensitiveMutator
+from repro.core.mutation import PositionSensitiveMutator, prioritize_static
+from repro.simulator.host import HostState
 from repro.simulator.inclusion import InclusionCeremony, JoiningDevice
 from repro.simulator.testbed import LOCK_NODE_ID, SWITCH_NODE_ID, build_sut
 from repro.zwave.constants import Region, TransportMode
@@ -66,7 +67,7 @@ def story():
     chapters["props"] = props
     engine = FuzzingEngine(sut, FuzzerConfig())
     mutator = PositionSensitiveMutator(load_full_registry(), random.Random(3))
-    queue = props.prioritized(load_full_registry())
+    queue = prioritize_static(load_full_registry(), props.all_cmdcls)
     chapters["fuzz"] = engine.run(psm_streams(queue, mutator, 60.0, True), 600.0)
 
     # Chapter 5: triage the bug log into verified findings.
@@ -98,7 +99,7 @@ class TestStory:
             if t.finding.match_table3()
         }
         assert {5, 12} <= bug_ids  # the early CMDCL 0x01 findings
-        assert all(t.stable for t in story["triaged"])
+        assert all(t.stability == 1.0 for t in story["triaged"])
 
     def test_ids_flags_the_attack_traffic(self, story):
         from repro.zwave.frame import ZWaveFrame
@@ -114,5 +115,5 @@ class TestStory:
         # The engine's repair loop restored the node table after every
         # memory-tampering detection.
         assert story["node_list_after"] == story["node_list_before"]
-        assert story["sut"].host.responsive
+        assert story["sut"].host.state is HostState.RUNNING
         assert not story["sut"].controller.hung

@@ -69,7 +69,7 @@ class TestCrashTriage:
 
     def test_deterministic_sut_is_fully_stable(self):
         triaged = CrashTriage("D1", seed=0, minimize=False).triage(self.make_log())
-        assert all(t.stable for t in triaged)
+        assert all(t.stability == 1.0 for t in triaged)
 
     def test_persistent_impact_ranks_first(self):
         triaged = CrashTriage("D1", seed=0, minimize=False).triage(self.make_log())
