@@ -63,6 +63,14 @@ class TestPayloadCodec:
 
 
 class TestPositionalAccess:
+    def test_field_at_positions(self):
+        raw = ApplicationPayload(0x62, 0x01, b"\xff\x02").encode()
+        assert raw[POSITION_CMDCL] == 0x62
+        assert raw[POSITION_CMD] == 0x01
+        assert raw[POSITION_FIRST_PARAM] == 0xFF
+        assert raw[POSITION_FIRST_PARAM + 1] == 0x02
+        assert len(raw) == POSITION_FIRST_PARAM + 2
+
     def test_replace_cmdcl(self):
         payload = ApplicationPayload(0x20, 0x01, b"\xff")
         assert payload.replace_at(POSITION_CMDCL, 0x25).cmdcl == 0x25
@@ -101,6 +109,12 @@ class TestPositionalAccess:
         assert payload.truncate_params(1).params == b"\x01"
         assert payload.truncate_params(0).params == b""
         assert payload.truncate_params(9).params == b"\x01\x02\x03"
+
+    def test_positions_enumeration(self):
+        payload = ApplicationPayload(0x62, 0x01, b"\x01\x02")
+        assert len(payload) == 4
+        assert [payload.replace_at(p, 0xAA).encode()[p] for p in range(len(payload))] == [0xAA] * 4
+        assert len(ApplicationPayload(0x62)) == 1
 
 
 class TestValidation:

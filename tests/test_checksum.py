@@ -1,8 +1,11 @@
 """Unit and property tests for the CS-8 and CRC-16 integrity checks."""
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import ChecksumError
 from repro.zwave.checksum import crc16, cs8
+from repro.zwave.frame import ZWaveFrame
 
 
 class TestCs8:
@@ -18,6 +21,17 @@ class TestCs8:
 
     def test_accepts_iterables(self):
         assert cs8([0x01, 0x02]) == cs8(b"\x01\x02")
+
+    def test_verify_accepts_correct_checksum(self):
+        raw = ZWaveFrame(home_id=0xC0FFEE01, src=2, dst=1, payload=b"hello zwave").encode()
+        assert raw[-1] == cs8(raw[:-1])
+        assert ZWaveFrame.decode(raw).payload == b"hello zwave"
+
+    def test_verify_rejects_wrong_checksum(self):
+        raw = bytearray(ZWaveFrame(home_id=0xC0FFEE01, src=2, dst=1, payload=b"hello zwave").encode())
+        raw[-1] ^= 0x01
+        with pytest.raises(ChecksumError):
+            ZWaveFrame.decode(bytes(raw))
 
     @given(st.binary(max_size=64))
     def test_result_is_byte(self, data):
@@ -49,6 +63,13 @@ class TestCrc16:
 
     def test_empty_input_is_init(self):
         assert crc16(b"") == 0x1D0F
+
+    def test_verify_roundtrip(self):
+        # The CRC_16_ENCAP trailer: big-endian CRC over CMDCL..inner.
+        covered = b"\x56\x01\x20\x02"
+        trailer = crc16(covered).to_bytes(2, "big")
+        assert crc16(covered) == int.from_bytes(trailer, "big")
+        assert crc16(covered[:-1] + b"\x03") != int.from_bytes(trailer, "big")
 
     @given(st.binary(max_size=128))
     def test_result_is_16_bits(self, data):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.zwave.application import ApplicationPayload, Validity, validate_payload
 from repro.zwave.cmdclass import (
     Cluster,
     Command,
@@ -82,6 +83,15 @@ class TestCommand:
     def test_id_range(self):
         with pytest.raises(ValueError):
             Command(256, "BAD")
+
+    def test_min_payload_len(self):
+        cmd = Command(1, "SET", params=(Parameter("v", 0),))
+        registry = SpecRegistry([CommandClass(0x20, "X", commands=(cmd,))])
+        short = validate_payload(ApplicationPayload(0x20, 0x01), registry)
+        assert short.validity is Validity.SEMI_VALID
+        full = ApplicationPayload(0x20, 0x01, b"\x00")
+        assert len(full) == 3
+        assert validate_payload(full, registry).validity is Validity.VALID
 
     def test_param_at(self):
         p0, p1 = Parameter("a", 0), Parameter("b", 1)

@@ -173,3 +173,7 @@ class TestControllerProperties:
         )
         assert props.all_cmdcls == (0x01, 0x20, 0x34)
 
+    def test_not_fingerprinted_without_ids(self):
+        props = ControllerProperties()
+        assert props.home_id is None and props.controller_node_id is None
+

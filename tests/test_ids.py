@@ -132,7 +132,7 @@ class TestDetection:
     def test_model_learns_transitions(self):
         assert (2, 0x62, 0x62) in trained_model().transitions
 
-    def test_unknown_sender_alerts_on_every_frame(self):
+    def test_alert_history_accumulates(self):
         ids = trained_ids()
         for timestamp in (700.0, 701.0):
             alerts = ids.inspect(timestamp, frame(src=0x0F, payload=b"\x20\x02"))

@@ -1,6 +1,10 @@
 """Tests for the lock's access-control notifications (class 0x71)."""
 
 
+from repro.simulator.testbed import LOCK_NODE_ID
+from repro.zwave.application import ApplicationPayload
+
+
 def host_events(sut):
     return [e.detail for e in sut.host.events() if e.kind == "notify"]
 
@@ -28,7 +32,15 @@ class TestManualOperation:
         assert len(notifications) == 2
 
 
-class TestEncapsulation:
+class TestRemoteOperation:
+    def test_remote_unlock_emits_notification(self, quiet_sut):
+        quiet_sut.controller.s2_messaging.send_secure(
+            LOCK_NODE_ID, ApplicationPayload(0x62, 0x01, b"\x00")
+        )
+        quiet_sut.clock.advance(2.0)
+        assert not quiet_sut.lock.locked
+        assert any("NOTIFICATION" in detail for detail in host_events(quiet_sut))
+
     def test_notification_travels_encapsulated(self, quiet_sut):
         quiet_sut.dongle.clear_captures()
         quiet_sut.lock.operate_manually(locked=False)

@@ -43,6 +43,19 @@ class TestSanctionedOperations:
         with pytest.raises(NodeMemoryError):
             table.add(record(2))
 
+    def test_remove(self):
+        table = NodeTable()
+        table.add(record(2))
+        assert table.raw_delete(2)
+        assert 2 not in table
+
+    def test_remove_missing_rejected(self):
+        table = NodeTable()
+        assert not table.raw_delete(9)
+        assert table.version == 0
+        with pytest.raises(NodeMemoryError):
+            table.update(9, name="x")
+
     def test_update(self):
         table = NodeTable()
         table.add(record(2, wakeup_interval=3600))
@@ -59,6 +72,13 @@ class TestSanctionedOperations:
         for nid in (7, 2, 5):
             table.add(record(nid))
         assert table.node_ids() == (2, 5, 7)
+
+    def test_write_count_tracks_mutations(self):
+        table = NodeTable()
+        table.add(record(2))
+        table.update(2, name="x")
+        table.raw_delete(2)
+        assert table.version == 3
 
 
 class TestRawOperations:

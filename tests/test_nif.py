@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import FrameError
+from repro.simulator.memory import NodeRecord
 from repro.zwave.application import ApplicationPayload
 from repro.zwave.nif import (
     BasicDeviceClass,
@@ -61,6 +62,11 @@ class TestReport:
         assert info.capability & 0x80
         assert not info.capability & 0x40
         assert info.capability & 0x10
+
+    def test_is_controller(self):
+        assert NodeRecord(node_id=5, basic=controller_info().basic).is_controller
+        slave = NodeInfo(basic=BasicDeviceClass.SLAVE, generic=0x10)
+        assert not NodeRecord(node_id=5, basic=slave.basic).is_controller
 
     def test_rejects_out_of_range_classes(self):
         with pytest.raises(FrameError):

@@ -45,6 +45,12 @@ class TestRoutingHeader:
         with pytest.raises(FrameError):
             RoutingHeader.decode(b"\x80\x02\x05")  # truncated repeater list
 
+    def test_unwrap_plain_frame(self):
+        frame = ZWaveFrame(home_id=1, src=2, dst=1, payload=b"\x20\x02")
+        decoded = ZWaveFrame.decode(frame.encode())
+        assert not decoded.routed
+        assert decoded.payload == b"\x20\x02"
+
 
 class TestMeshRelay:
     def build(self, attacker_distance=120.0, repeater_distance=60.0):

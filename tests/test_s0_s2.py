@@ -220,6 +220,12 @@ class TestS2Bootstrap:
         boot = S2Bootstrap(random.Random(3))
         assert 0 <= boot.dsk_pin <= 0xFFFF
 
+    def test_network_key_generation(self):
+        key = S2Bootstrap(random.Random(4)).public
+        assert len(key) == 32
+        assert key == S2Bootstrap(random.Random(4)).public
+        assert key != S2Bootstrap(random.Random(5)).public
+
 
 class TestSpanDesyncRecovery:
     """How the S2 SPAN machinery behaves *around* a desynchronisation —

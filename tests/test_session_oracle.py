@@ -20,6 +20,7 @@ from repro.core.session import (
     FLOW_GRAPHS,
     FLOWS,
     apply_ops,
+    directed_corpus,
     evaluate_trace,
     planted_vuln_ids,
 )
@@ -94,6 +95,11 @@ class TestDirectedReachability:
                 assert 0 <= index < len(events)
                 return
         pytest.fail(f"{vuln.vuln_id} missing from findings")
+
+    def test_unknown_attack_rejected(self):
+        corpus_ids = {vuln_id for flow in FLOWS for vuln_id, _ops in directed_corpus(flow)}
+        assert corpus_ids == set(DIRECTED_ATTACKS)
+        assert "SV99" not in corpus_ids
 
 
 class TestPlantedCoverageOfIssueExamples:

@@ -76,10 +76,20 @@ class TestLookups:
         with pytest.raises(UnknownCommandError):
             full_registry.command(0x20, 0x99)
 
+    def test_by_name(self, full_registry):
+        by_name = {c.name: c for c in full_registry}
+        assert len(by_name) == len(full_registry)
+        assert full_registry.require(by_name["BASIC"].id).id == 0x20
+        assert "NOPE" not in by_name
+
     def test_contains_and_iter_sorted(self, public_registry):
         assert 0x20 in public_registry
         ids = [c.id for c in public_registry]
         assert ids == sorted(ids)
+
+    def test_class_ids_sorted(self, public_registry):
+        ids = public_registry.controller_relevant_ids(include_proprietary=True)
+        assert ids == tuple(sorted(ids))
 
     def test_duplicate_rejected(self, public_registry):
         cls = public_registry.require(0x20)
