@@ -123,6 +123,10 @@ class FuzzingEngine:
         )
         self._inject_dst = sut.controller.node_id
 
+    @property
+    def monitor(self) -> LivenessMonitor:
+        return self._monitor
+
     # -- the main loop (Algorithm 1) -------------------------------------------
 
     def run(self, streams: Iterable[Stream], duration: float) -> FuzzResult:

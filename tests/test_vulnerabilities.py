@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.tester import _KIND_TO_EFFECT, VerifiedFinding
 from repro.simulator.vulnerabilities import (
     CMDCL_0X01_BUG_IDS,
     DEVICE_MAC_QUIRKS,
@@ -15,11 +16,6 @@ from repro.zwave.checksum import cs8
 from repro.zwave.frame import ZWaveFrame
 
 SUPPORTED = tuple(range(0x20, 0xA0))  # superset for predicate checks
-
-
-def match_zero_days(ctx):
-    """Every zero-day whose predicate fires on *ctx*."""
-    return [bug for bug in ZERO_DAYS if bug.triggered_by(ctx)]
 
 
 def ctx(cmdcl, cmd, params=b"", encapsulated=False, supported=SUPPORTED):
@@ -67,8 +63,16 @@ class TestTableIIIDatabase:
             zero_day_by_id(99)
 
     def test_signatures_unique(self):
-        signatures = [(b.cmdcl, b.effect, b.duration_s) for b in ZERO_DAYS]
-        assert len(set(signatures)) == len(signatures)
+        """The tester's verified signature picks out each zero-day alone."""
+        for bug in ZERO_DAYS:
+            finding = VerifiedFinding(
+                payload_hex="",
+                cmdcl=bug.cmdcl,
+                cmd=None,
+                kind=next(k for k, e in _KIND_TO_EFFECT.items() if e is bug.effect),
+                duration_s=bug.duration_s,
+            )
+            assert finding.match_table3() is bug
 
 
 class TestMemoryTamperPredicates:
@@ -79,73 +83,76 @@ class TestMemoryTamperPredicates:
         [(0x00, 12), (0x01, 1), (0x02, 2), (0x03, 3), (0x04, 4)],
     )
     def test_operation_selects_bug(self, operation, bug_id):
-        matched = match_zero_days(ctx(0x01, 0x0D, bytes([0x02, operation])))
+        probe = ctx(0x01, 0x0D, bytes([0x02, operation]))
+        matched = [b for b in ZERO_DAYS if b.triggered_by(probe)]
         assert [b.bug_id for b in matched] == [bug_id]
 
     def test_requires_operation_parameter(self):
-        assert match_zero_days(ctx(0x01, 0x0D, b"\x02")) == []
-        assert match_zero_days(ctx(0x01, 0x0D, b"")) == []
+        assert not any(b.triggered_by(ctx(0x01, 0x0D, b"\x02")) for b in ZERO_DAYS)
+        assert not any(b.triggered_by(ctx(0x01, 0x0D, b"")) for b in ZERO_DAYS)
 
     def test_unknown_operation_is_safe(self):
-        assert match_zero_days(ctx(0x01, 0x0D, b"\x02\x09")) == []
+        assert not any(b.triggered_by(ctx(0x01, 0x0D, b"\x02\x09")) for b in ZERO_DAYS)
 
 
 class TestHostBugPredicates:
     def test_bug5_any_app_update(self):
-        assert [b.bug_id for b in match_zero_days(ctx(0x01, 0x02))] == [5]
-        assert [b.bug_id for b in match_zero_days(ctx(0x01, 0x02, b"\x01\x02"))] == [5]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x01, 0x02))] == [5]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x01, 0x02, b"\x01\x02"))] == [5]
 
     def test_bug6_truncated_nonce_get(self):
-        assert [b.bug_id for b in match_zero_days(ctx(0x9F, 0x01))] == [6]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x9F, 0x01))] == [6]
 
     def test_bug6_valid_nonce_get_is_safe(self):
-        assert match_zero_days(ctx(0x9F, 0x01, b"\x07")) == []
+        assert not any(b.triggered_by(ctx(0x9F, 0x01, b"\x07")) for b in ZERO_DAYS)
 
     def test_bug13_truncated_test_node_set(self):
-        assert [b.bug_id for b in match_zero_days(ctx(0x73, 0x04, b"\x01\x05"))] == [13]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x73, 0x04, b"\x01\x05"))] == [13]
 
     def test_bug13_complete_payload_is_safe(self):
-        assert match_zero_days(ctx(0x73, 0x04, b"\x01\x05\x00\x0a")) == []
+        assert not any(b.triggered_by(ctx(0x73, 0x04, b"\x01\x05\x00\x0a")) for b in ZERO_DAYS)
 
 
 class TestHangPredicates:
     def test_bug7_bare_commands(self):
-        assert [b.bug_id for b in match_zero_days(ctx(0x5A, 0x01))] == [7]
-        assert [b.bug_id for b in match_zero_days(ctx(0x5A, 0x42))] == [7]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x5A, 0x01))] == [7]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x5A, 0x42))] == [7]
 
     def test_bug7_needs_empty_params(self):
-        assert match_zero_days(ctx(0x5A, 0x01, b"\x00")) == []
+        assert not any(b.triggered_by(ctx(0x5A, 0x01, b"\x00")) for b in ZERO_DAYS)
 
     def test_bug8_bug11_parity_split(self):
-        assert [b.bug_id for b in match_zero_days(ctx(0x59, 0x03, b"\x00\x01"))] == [8]
-        assert [b.bug_id for b in match_zero_days(ctx(0x59, 0x05, b"\x00\x01"))] == [11]
-        assert [b.bug_id for b in match_zero_days(ctx(0x59, 0x09, b"\x00\x01"))] == [8]
-        assert [b.bug_id for b in match_zero_days(ctx(0x59, 0x0A, b"\x00\x01"))] == [11]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x59, 0x03, b"\x00\x01"))] == [8]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x59, 0x05, b"\x00\x01"))] == [11]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x59, 0x09, b"\x00\x01"))] == [8]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x59, 0x0A, b"\x00\x01"))] == [11]
 
     def test_bug8_bug11_need_body(self):
-        assert match_zero_days(ctx(0x59, 0x03, b"\x00")) == []
-        assert match_zero_days(ctx(0x59, 0x05)) == []
+        assert not any(b.triggered_by(ctx(0x59, 0x03, b"\x00")) for b in ZERO_DAYS)
+        assert not any(b.triggered_by(ctx(0x59, 0x05)) for b in ZERO_DAYS)
 
     def test_bug9_bug15_split(self):
-        assert [b.bug_id for b in match_zero_days(ctx(0x7A, 0x01))] == [9]
-        assert [b.bug_id for b in match_zero_days(ctx(0x7A, 0x03, b"\x00\x01"))] == [15]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x7A, 0x01))] == [9]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x7A, 0x03, b"\x00\x01"))] == [15]
 
     def test_bug9_needs_empty_body(self):
-        assert match_zero_days(ctx(0x7A, 0x01, b"\x00")) == []
+        assert not any(b.triggered_by(ctx(0x7A, 0x01, b"\x00")) for b in ZERO_DAYS)
 
     def test_bug10_unsupported_class_lookup(self):
-        matched = match_zero_days(ctx(0x86, 0x13, b"\x01", supported=(0x20, 0x86)))
+        probe = ctx(0x86, 0x13, b"\x01", supported=(0x20, 0x86))
+        matched = [b for b in ZERO_DAYS if b.triggered_by(probe)]
         assert [b.bug_id for b in matched] == [10]
 
     def test_bug10_supported_class_is_safe(self):
-        assert match_zero_days(ctx(0x86, 0x13, b"\x20", supported=(0x20, 0x86))) == []
+        probe = ctx(0x86, 0x13, b"\x20", supported=(0x20, 0x86))
+        assert not any(b.triggered_by(probe) for b in ZERO_DAYS)
 
     def test_bug14_oversized_node_mask(self):
-        assert [b.bug_id for b in match_zero_days(ctx(0x01, 0x04, b"\xff"))] == [14]
-        assert [b.bug_id for b in match_zero_days(ctx(0x01, 0x04, b"\x1e"))] == [14]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x01, 0x04, b"\xff"))] == [14]
+        assert [b.bug_id for b in ZERO_DAYS if b.triggered_by(ctx(0x01, 0x04, b"\x1e"))] == [14]
 
     def test_bug14_legal_mask_is_safe(self):
-        assert match_zero_days(ctx(0x01, 0x04, b"\x1d")) == []
+        assert not any(b.triggered_by(ctx(0x01, 0x04, b"\x1d")) for b in ZERO_DAYS)
 
 
 class TestPredicateDisjointness:
@@ -157,7 +164,7 @@ class TestPredicateDisjointness:
                 for params in (b"", b"\x00", b"\x00\x00", b"\xff\x04\x00"):
                     probes.append(ctx(cmdcl, cmd, params))
         for probe in probes:
-            assert len(match_zero_days(probe)) <= 1
+            assert sum(b.triggered_by(probe) for b in ZERO_DAYS) <= 1
 
     def test_cmd_none_never_triggers(self):
         for bug in ZERO_DAYS:
