@@ -90,6 +90,10 @@ class FuzzResult:
         return len(self.cmds_used)
 
 
+#: What the oracles see after nearly every packet; frozen, so one instance
+#: serves them all.
+_RESPONSIVE = Observation(responsive=True)
+
 #: A unit of work: a labelled test-case stream with an optional C_T window.
 Stream = Tuple[int, Iterator[TestCase], Optional[float]]
 
@@ -234,7 +238,7 @@ class FuzzingEngine:
             return Observation(responsive=True, kind=host_kind)
         if not self._monitor.ping() and not self._monitor.ping():
             return Observation(responsive=False, kind=ObservedKind.HANG)
-        return Observation(responsive=True)
+        return _RESPONSIVE
 
     def _record(
         self,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..errors import RadioError
 from ..zwave import constants as const
@@ -51,17 +51,13 @@ def loss_probability(rssi_dbm: float) -> float:
     return (PERFECT_LINK_DBM - rssi_dbm) / (PERFECT_LINK_DBM - SENSITIVITY_DBM)
 
 
-@dataclass
-class Reception:
+class Reception(NamedTuple):
     """What an endpoint's receive callback is handed.
 
-    Slotted because one is allocated per kept delivery — the single
-    hottest allocation site in a fuzzing campaign.  The slots are declared
-    by hand (``dataclass(slots=True)`` needs Python 3.10), which is also
-    why no field has a default.
+    A named tuple: one is allocated per kept delivery, the hottest
+    allocation site in a fuzzing campaign, and :meth:`RadioMedium._deliver`
+    builds it with ``tuple.__new__``, in C.
     """
-
-    __slots__ = ("raw", "rssi_dbm", "timestamp", "rate_kbaud")
 
     raw: bytes
     rssi_dbm: float
@@ -361,6 +357,7 @@ class RadioMedium:
         raw, records, rate_kbaud = batch
         timestamp = self._clock.now
         key = _address_key(raw)
+        new_reception = tuple.__new__  # skips the named tuple's Python-level __new__
         for endpoint, rssi, _ in records:
             if not endpoint.enabled:
                 continue
@@ -368,4 +365,6 @@ class RadioMedium:
             accepts = endpoint.accepts
             if accepts is not None and key not in accepts:
                 continue
-            endpoint.callback(Reception(raw, rssi, timestamp, rate_kbaud))
+            endpoint.callback(
+                new_reception(Reception, (raw, rssi, timestamp, rate_kbaud))
+            )

@@ -15,8 +15,7 @@ moves.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, NamedTuple, Optional, Tuple
 
 from ..errors import TransceiverError
 from ..zwave.constants import DATA_RATES_KBAUD, Region
@@ -27,18 +26,15 @@ from .medium import RadioMedium, Reception
 CAPTURE_BUFFER_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class CapturedFrame:
+class CapturedFrame(NamedTuple):
     """One sniffed frame with its radio metadata.
 
     ``frame`` is a zero-copy :class:`~repro.zwave.frame.FrameView` over
     ``raw`` (``None`` when the buffer is not dissectable): fields decode
     lazily on first touch, so captures that are only length-filtered or
-    ack-scanned never pay for a full parse.  Slots are declared by hand
-    because ``dataclass(slots=True)`` needs Python 3.10.
+    ack-scanned never pay for a full parse.  A named tuple, built with
+    ``tuple.__new__`` when the capture ring is read.
     """
-
-    __slots__ = ("raw", "frame", "rssi_dbm", "timestamp")
 
     raw: bytes
     frame: Optional[FrameView]
@@ -107,9 +103,10 @@ class Transceiver:
 
     def captures(self) -> List[CapturedFrame]:
         """Snapshot of the capture buffer (oldest first)."""
+        new_capture = tuple.__new__  # skips the named tuple's Python-level __new__
         return [
-            CapturedFrame(r.raw, lenient_view(r.raw), r.rssi_dbm, r.timestamp)
-            for r in self._captures
+            new_capture(CapturedFrame, (raw, lenient_view(raw), rssi_dbm, timestamp))
+            for raw, rssi_dbm, timestamp, _ in self._captures
         ]
 
     def capture_bytes(self) -> List[bytes]:

@@ -54,6 +54,8 @@ from .vulnerabilities import (
 )
 
 
+_new = object.__new__
+
 #: APPLICATION_BUSY (try again later) — the constant answer to supported
 #: commands without a GET semantic; shared so its encoding memoises once.
 _BUSY_PAYLOAD = ApplicationPayload(0x22, 0x01, bytes([0x00, 0x01]))
@@ -408,13 +410,14 @@ class VirtualController:
         self, src: int, payload: ApplicationPayload, encapsulated: bool, depth: int = 0
     ) -> None:
         self._mark_coverage(payload)
-        ctx = TriggerContext(
-            cmdcl=payload.cmdcl,
-            cmd=payload.cmd,
-            params=payload.params,
-            encapsulated=encapsulated,
-            supported_cmdcls=self._supported,
-        )
+        # In range by construction: no __post_init__, a validated payload.
+        ctx = _new(TriggerContext)
+        fields = ctx.__dict__
+        fields["cmdcl"] = payload.cmdcl
+        fields["cmd"] = payload.cmd
+        fields["params"] = payload.params
+        fields["encapsulated"] = encapsulated
+        fields["supported_cmdcls"] = self._supported
         for bug in self._zero_days_by_cmdcl.get(payload.cmdcl, ()):
             if bug.triggered_by(ctx):
                 self._apply_effect(bug, ctx, src, payload)

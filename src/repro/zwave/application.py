@@ -23,6 +23,8 @@ POSITION_CMDCL = 0
 POSITION_CMD = 1
 POSITION_FIRST_PARAM = 2
 
+_new = object.__new__
+
 
 @dataclass(frozen=True)
 class ApplicationPayload:
@@ -63,8 +65,20 @@ class ApplicationPayload:
         """Parse raw APL bytes (at least the CMDCL byte must be present)."""
         if not raw:
             raise FrameError("empty application payload")
-        cmd = raw[1] if len(raw) >= 2 else None
-        return cls(cmdcl=raw[0], cmd=cmd, params=bytes(raw[2:]))
+        # The one check ``__post_init__`` makes that the buffer does not
+        # settle by itself: the decoded payload is exactly len(raw) long.
+        if len(raw) > MAX_APL_PAYLOAD_SIZE:
+            raise FrameError(
+                f"payload of {len(raw)} bytes exceeds the {MAX_APL_PAYLOAD_SIZE}-byte APL maximum"
+            )
+        # In range by construction: cmdcl and cmd are single bytes.  Keys go
+        # in declaration order, keeping the shared-key dict (see _built).
+        payload = _new(cls)
+        fields = payload.__dict__
+        fields["cmdcl"] = raw[0]
+        fields["cmd"] = raw[1] if len(raw) >= 2 else None
+        fields["params"] = bytes(raw[2:])
+        return payload
 
     # -- positional access (Figure 6) ---------------------------------------
 

@@ -145,17 +145,19 @@ class TestFrameDecode:
 
 
 class TestFrameHelpers:
-    def test_reply_swaps_addresses(self):
+    def test_ack_swaps_addresses(self):
         frame = make_frame(src=2, dst=1)
-        reply = frame.reply(b"\x20\x03\x00")
-        assert reply.src == 1
-        assert reply.dst == 2
-        assert reply.home_id == frame.home_id
+        ack = frame.ack()
+        assert ack.src == 1
+        assert ack.dst == 2
+        assert ack.home_id == frame.home_id
+        assert ack.sequence == frame.sequence
 
-    def test_reply_to_broadcast_uses_own_identity(self):
+    def test_ack_to_broadcast_uses_own_identity(self):
         frame = make_frame(src=2, dst=const.BROADCAST_NODE_ID)
-        reply = frame.reply(b"")
-        assert reply.dst == 2
+        ack = frame.ack()
+        assert ack.src == 2
+        assert ack.dst == 2
 
     def test_ack_is_ack_type(self):
         ack = make_frame().ack()

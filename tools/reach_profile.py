@@ -2,8 +2,8 @@
 """Function-level reach profile: which functions of ``src/repro`` run at all.
 
 Runs every entry point a user or CI reaches — the ``zcover`` commands at
-short horizons, the CI-only ones (``perf --baseline``, ``lint --strict
---check-manifest``, a ``flaky`` chaos plan), ``obs --trace-out``, a
+short horizons, the CI-only ones (``perf --baseline``, ``lint --strict``,
+``lint --check-manifest``, a ``flaky`` chaos plan), ``obs --trace-out``, a
 ``lossy`` fault-plan run, a plan file with a worker ``raise`` fault, a
 coverage-scheduled campaign long enough to leave its probe sweep and a
 canonical chaos run long enough for its abort, lint
@@ -199,8 +199,11 @@ def run_commands(work: Path) -> None:
     zcover("obs", "--in", str(session_metrics), "--format", "prom")
     zcover("perf", "--fast", "--repeats", "1", "--out", str(work / "perf.json"),
            "--baseline", str(ROOT / "benchmarks" / "baselines" / "BENCH_core.json"))
-    zcover("lint", "--strict", "--format", "sarif", "--out", str(work / "lint.sarif"),
-           "--check-manifest", str(ROOT / "purity_manifest.json"))
+    # Two runs, as in CI's lint job: the drift gate returns before the
+    # strict exit code, so one run would hide that path on any drift.
+    zcover("lint", "--strict", "--format", "sarif", "--out", str(work / "lint.sarif"))
+    zcover("lint", "--check-manifest", str(ROOT / "purity_manifest.json"),
+           "--out", str(work / "lint.txt"))
     zcover("submit", "--direct", "--kind", "compare", "--devices", "D1,D2", "--hours", HOURS,
            "--out", str(work / "direct.json"))
     # The paths a user with bad input reaches: lint findings, a rejected
